@@ -20,8 +20,12 @@
 //             --auto-replan (adopt traffic-refined shard plans at phase
 //                            boundaries; results unchanged)
 // families:   tree | forest2 | forest5 | grid | planar | ba2 | ba4 | er
+// exit status: 0 verified, 1 solver or parameter error (CheckError),
+//              2 usage error or invalid input (malformed --file, bad value)
 #include <cstring>
 #include <iostream>
+#include <new>
+#include <stdexcept>
 #include <string>
 
 #include "arboricity/pseudoarboricity.hpp"
@@ -101,7 +105,7 @@ int main(int argc, char** argv) {
   bool pin = false;
   bool auto_replan = false;
   std::string trace_out;
-  for (int i = 2; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) try {
     auto need = [&](const char* what) -> const char* {
       if (i + 1 >= argc) {
         std::cerr << "missing value for " << what << "\n";
@@ -124,10 +128,24 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--auto-replan")) auto_replan = true;
     else if (!std::strcmp(argv[i], "--trace-out")) trace_out = need("--trace-out");
     else usage();
+  } catch (const std::logic_error&) {  // stoul & co. on a non-number
+    std::cerr << "bad value '" << argv[i] << "' for " << argv[i - 1] << "\n";
+    usage();
   }
 
   Rng rng(seed);
-  Graph g = !file.empty() ? load_graph(file) : make_graph(family, n, rng);
+  // Input errors exit 2 with a diagnostic, like usage errors: a malformed
+  // file raises CheckError, an absurd node count std::bad_alloc.
+  Graph g;
+  try {
+    g = !file.empty() ? load_graph(file) : make_graph(family, n, rng);
+  } catch (const CheckError& e) {
+    std::cerr << "error: invalid input: " << e.what() << "\n";
+    return 2;
+  } catch (const std::bad_alloc&) {
+    std::cerr << "error: invalid input: out of memory building the graph\n";
+    return 2;
+  }
   std::cout << "graph: n=" << g.num_nodes() << " m=" << g.num_edges()
             << " Delta=" << g.max_degree() << "\n";
   if (params.alpha == 0) {

@@ -1,9 +1,12 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "graph/builder.hpp"
@@ -11,24 +14,84 @@
 namespace arbods {
 
 namespace {
-// Reads the next non-comment token.
-std::string next_token(std::istream& is) {
-  std::string tok;
-  while (is >> tok) {
-    if (tok[0] == '#') {
-      std::string rest;
-      std::getline(is, rest);
-      continue;
-    }
-    return tok;
-  }
-  return {};
-}
 
-std::uint64_t next_u64(std::istream& is, const char* what) {
-  std::string tok = next_token(is);
-  ARBODS_CHECK_MSG(!tok.empty(), "unexpected EOF reading " << what);
-  return std::stoull(tok);
+// Whitespace-separated tokens straight off the stream buffer; a token that
+// starts with '#' comments out the rest of its line. Tokens are numbered
+// from 1 so a diagnostic can point at the offending one.
+class TokenReader {
+ public:
+  explicit TokenReader(std::istream& is) : buf_(*is.rdbuf()) {}
+
+  /// The next non-comment token, empty at end of input.
+  std::string_view next() {
+    tok_.clear();
+    int c = buf_.sgetc();
+    while (true) {
+      while (c != EOF && std::isspace(c)) c = buf_.snextc();
+      if (c != '#') break;
+      while (c != EOF && c != '\n') c = buf_.snextc();
+    }
+    while (c != EOF && !std::isspace(c)) {
+      tok_.push_back(static_cast<char>(c));
+      c = buf_.snextc();
+    }
+    if (!tok_.empty()) ++index_;
+    return tok_;
+  }
+
+  /// The next token as a T; CheckError for end of input, a token that is
+  /// not entirely a decimal integer, or one that overflows T.
+  template <typename T>
+  T number(const char* what) {
+    const std::string_view tok = next();
+    ARBODS_CHECK_MSG(!tok.empty(), "unexpected end of input reading "
+                                       << what << " (token " << index_ + 1
+                                       << ")");
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), value);
+    ARBODS_CHECK_MSG(ec != std::errc::result_out_of_range,
+                     what << " token " << index_ << " '" << tok
+                          << "' is out of range");
+    ARBODS_CHECK_MSG(ec == std::errc() && end == tok.data() + tok.size(),
+                     what << " token " << index_ << " '" << tok
+                          << "' is not an integer");
+    return value;
+  }
+
+  std::string_view last() const { return tok_; }
+  std::size_t index() const { return index_; }
+
+ private:
+  std::streambuf& buf_;
+  std::string tok_;
+  std::size_t index_ = 0;
+};
+
+// Up-front edge reservation is capped so a corrupt edge count cannot ask
+// for more memory than the file could ever fill; longer lists just grow.
+constexpr std::size_t kMaxEdgeReserve = std::size_t{1} << 24;
+
+Graph read_graph(TokenReader& in) {
+  const auto n = in.number<NodeId>("node count");
+  const auto m = in.number<std::size_t>("edge count");
+  GraphBuilder b(n);
+  b.reserve_edges(std::min(m, kMaxEdgeReserve));
+  for (std::size_t i = 0; i < m; ++i) {
+    NodeId ends[2];
+    for (NodeId& end : ends) {
+      end = in.number<NodeId>("edge endpoint");
+      ARBODS_CHECK_MSG(end < n, "edge endpoint token "
+                                    << in.index() << " '" << in.last()
+                                    << "' is out of range n=" << n);
+    }
+    ARBODS_CHECK_MSG(ends[0] != ends[1], "edge " << i << " (token "
+                                                 << in.index()
+                                                 << ") is a self-loop at "
+                                                 << ends[0]);
+    b.add_edge(ends[0], ends[1]);
+  }
+  return std::move(b).build();
 }
 }  // namespace
 
@@ -38,16 +101,8 @@ void write_graph(std::ostream& os, const Graph& g) {
 }
 
 Graph read_graph(std::istream& is) {
-  NodeId n = static_cast<NodeId>(next_u64(is, "node count"));
-  std::size_t m = next_u64(is, "edge count");
-  GraphBuilder b(n);
-  b.reserve_edges(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    NodeId u = static_cast<NodeId>(next_u64(is, "edge endpoint"));
-    NodeId v = static_cast<NodeId>(next_u64(is, "edge endpoint"));
-    b.add_edge(u, v);
-  }
-  return std::move(b).build();
+  TokenReader in(is);
+  return read_graph(in);
 }
 
 void write_weighted_graph(std::ostream& os, const WeightedGraph& wg) {
@@ -57,13 +112,14 @@ void write_weighted_graph(std::ostream& os, const WeightedGraph& wg) {
 }
 
 WeightedGraph read_weighted_graph(std::istream& is) {
-  Graph g = read_graph(is);
-  std::string marker = next_token(is);
-  ARBODS_CHECK_MSG(marker == "weights", "expected 'weights' marker, got '"
+  TokenReader in(is);
+  Graph g = read_graph(in);
+  const std::string_view marker = in.next();
+  ARBODS_CHECK_MSG(marker == "weights", "expected 'weights' marker (token "
+                                            << in.index() << "), got '"
                                             << marker << "'");
   std::vector<Weight> w(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    w[v] = static_cast<Weight>(next_u64(is, "weight"));
+  for (Weight& weight : w) weight = in.number<Weight>("weight");
   return WeightedGraph(std::move(g), std::move(w));
 }
 

@@ -4,6 +4,10 @@
 //   n m
 //   u v          (m lines, 0-based endpoints)
 // Weighted variant appends a line "weights" followed by n integers.
+//
+// Readers never trust the input: a token that is not a whole decimal
+// integer or overflows its field, an endpoint >= n, a self-loop, or a
+// list cut short raises CheckError naming the token and its 1-based index.
 #pragma once
 
 #include <iosfwd>

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <ostream>
 #include <utility>
 
@@ -134,7 +135,9 @@ std::vector<ScenarioRow> run_scenario(
           std::vector<obs::FlightRecord> last_rounds;
           MdsResult res;
           std::vector<double> samples;
+          std::vector<RunStats> sample_stats;  // parallel to samples
           samples.reserve(static_cast<std::size_t>(spec.repeats));
+          sample_stats.reserve(static_cast<std::size_t>(spec.repeats));
           const int total_runs =
               spec.repeats > 1 ? spec.repeats + 1 : spec.repeats;
           for (int rep = 0; rep < total_runs; ++rep) {
@@ -166,7 +169,10 @@ std::vector<ScenarioRow> run_scenario(
             }
             const double seconds = timer.elapsed_seconds();
             const bool warmup = spec.repeats > 1 && rep == 0;
-            if (!warmup) samples.push_back(seconds);
+            if (!warmup) {
+              samples.push_back(seconds);
+              sample_stats.push_back(run.stats);
+            }
             if (spec.check_determinism) {
               if (!have_reference) {
                 reference = run;
@@ -181,6 +187,10 @@ std::vector<ScenarioRow> run_scenario(
             res = MdsResult{};
             samples.clear();
             identical = true;  // excluded from the audit
+          } else if (!samples.empty()) {
+            // The row's timing breakdown describes the repeat whose wall
+            // clock is the reported median, not whichever ran last.
+            res.stats = std::move(sample_stats[median_index(samples)]);
           }
           // Round-limited rows get the same context as failed ones: the
           // final run's last rounds show what the phase was doing when
@@ -266,6 +276,19 @@ bool all_identical(std::span<const ScenarioRow> rows) {
   for (const ScenarioRow& row : rows)
     if (!row.identical) return false;
   return true;
+}
+
+std::size_t median_index(std::span<const double> samples) {
+  ARBODS_CHECK(!samples.empty());
+  std::vector<std::size_t> order(samples.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto mid = order.begin() +
+                   static_cast<std::ptrdiff_t>((samples.size() - 1) / 2);
+  std::nth_element(order.begin(), mid, order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return samples[a] < samples[b];
+                   });
+  return *mid;
 }
 
 double median_of(std::vector<double>& samples) {

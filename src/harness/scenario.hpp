@@ -114,6 +114,8 @@ struct ScenarioRow {
   std::string fault = "none";
   int repeats = 1;
   double seconds = 0.0;    // median over the timed repeats
+  /// The cell's output; result.stats (with its timing breakdown) is the
+  /// median repeat's — see median_index.
   MdsResult result;
   bool identical = true;   // determinism verdict for this cell
   /// The solver threw a CheckError (only under tolerate_failures).
@@ -180,6 +182,11 @@ bool all_identical(std::span<const ScenarioRow> rows);
 /// samples[size / 2] reported the UPPER central element, biasing
 /// --repeats 4 timings upward.
 double median_of(std::vector<double>& samples);
+
+/// Index of the median sample; for even sizes, the lower of the two that
+/// median_of averages. A multi-repeat row takes its RunStats (the timing
+/// breakdown) from this repeat.
+std::size_t median_index(std::span<const double> samples);
 
 /// The exp12 JSON row schema version emitted by write_scenario_json.
 /// v2 added `schema_version` and the per-row `shards` count, so

@@ -1,12 +1,15 @@
-// Tests for core decomposition, orientations, Dinic max-flow,
-// pseudoarboricity, and the Barenboim–Elkin distributed orientation.
+// Tests for core decomposition, orientations, pseudoarboricity (checked
+// against a brute-force density oracle), and the Barenboim–Elkin
+// distributed orientation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "arboricity/barenboim_elkin.hpp"
 #include "arboricity/core_decomposition.hpp"
-#include "arboricity/dinic.hpp"
 #include "arboricity/orientation.hpp"
 #include "arboricity/pseudoarboricity.hpp"
 #include "common/check.hpp"
@@ -119,63 +122,6 @@ TEST(Orientation, PseudoforestLayersPartitionEdges) {
   EXPECT_EQ(total, g.num_edges());
 }
 
-// ------------------------------------------------------------------- dinic
-
-TEST(Dinic, UnitPath) {
-  Dinic d(3);
-  d.add_edge(0, 1, 1);
-  d.add_edge(1, 2, 1);
-  EXPECT_EQ(d.max_flow(0, 2), 1);
-}
-
-TEST(Dinic, ParallelPathsSumCapacity) {
-  Dinic d(4);
-  d.add_edge(0, 1, 3);
-  d.add_edge(1, 3, 3);
-  d.add_edge(0, 2, 2);
-  d.add_edge(2, 3, 2);
-  EXPECT_EQ(d.max_flow(0, 3), 5);
-}
-
-TEST(Dinic, BottleneckRespected) {
-  Dinic d(4);
-  d.add_edge(0, 1, 10);
-  d.add_edge(1, 2, 1);
-  d.add_edge(2, 3, 10);
-  EXPECT_EQ(d.max_flow(0, 3), 1);
-}
-
-TEST(Dinic, ClassicCrossNetwork) {
-  // The classic 4-node diamond with a cross edge.
-  Dinic d(4);
-  d.add_edge(0, 1, 10);
-  d.add_edge(0, 2, 10);
-  d.add_edge(1, 2, 1);
-  d.add_edge(1, 3, 10);
-  d.add_edge(2, 3, 10);
-  EXPECT_EQ(d.max_flow(0, 3), 20);
-}
-
-TEST(Dinic, FlowOnReportsPerEdgeFlow) {
-  Dinic d(3);
-  int e01 = d.add_edge(0, 1, 5);
-  int e12 = d.add_edge(1, 2, 3);
-  EXPECT_EQ(d.max_flow(0, 2), 3);
-  EXPECT_EQ(d.flow_on(e01), 3);
-  EXPECT_EQ(d.flow_on(e12), 3);
-}
-
-TEST(Dinic, BipartiteMatchingViaFlow) {
-  // K_{3,3} minus a perfect matching still has a perfect matching.
-  Dinic d(8);  // 0 = s, 1..3 left, 4..6 right, 7 = t
-  for (int l = 1; l <= 3; ++l) d.add_edge(0, l, 1);
-  for (int r = 4; r <= 6; ++r) d.add_edge(r, 7, 1);
-  for (int l = 1; l <= 3; ++l)
-    for (int r = 4; r <= 6; ++r)
-      if (r - 3 != l) d.add_edge(l, r, 1);
-  EXPECT_EQ(d.max_flow(0, 7), 3);
-}
-
 // --------------------------------------------------------- pseudoarboricity
 
 TEST(Pseudoarboricity, KnownValues) {
@@ -189,14 +135,94 @@ TEST(Pseudoarboricity, KnownValues) {
   EXPECT_EQ(pseudoarboricity(gen::clique(4)), 2u);
 }
 
+// The CheckError message with which g is refused out-degree d, "" if none.
+std::string refusal(const Graph& g, NodeId d) {
+  try {
+    (void)min_out_degree_orientation(g, d);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Pseudoarboricity, OrientationAchievesOptimum) {
-  Rng rng(5);
-  Graph g = gen::k_tree_union(60, 3, rng);
-  NodeId p = pseudoarboricity(g);
-  Orientation o = min_out_degree_orientation(g, p);
-  o.validate();
-  EXPECT_LE(o.max_out_degree(), p);
-  EXPECT_FALSE(orientable_with_out_degree(g, p - 1));
+  // Both certificates at scale: a validated orientation with out-degree
+  // p, and p - 1 refused only after its dense-set witness checked out.
+  for (std::uint64_t seed : {5u, 6u, 7u}) {
+    for (NodeId n : {60u, 1000u, 5000u}) {
+      Rng rng(seed);
+      for (const Graph& g :
+           {gen::k_tree_union(n, 2, rng), gen::k_tree_union(n, 3, rng),
+            gen::barabasi_albert(n, 3, rng)}) {
+        const NodeId p = pseudoarboricity(g);
+        Orientation o = min_out_degree_orientation(g, p);
+        o.validate();
+        EXPECT_LE(o.max_out_degree(), p) << "seed=" << seed << " n=" << n;
+        EXPECT_FALSE(orientable_with_out_degree(g, p - 1))
+            << "seed=" << seed << " n=" << n;
+        EXPECT_TRUE(orientable_with_out_degree(g, p));
+        const std::string why = refusal(g, p - 1);
+        EXPECT_NE(why.find("not orientable with out-degree"),
+                  std::string::npos)
+            << "seed=" << seed << " n=" << n << ": " << why;
+      }
+    }
+  }
+}
+
+TEST(Pseudoarboricity, InfeasibleDegreeIsRejected) {
+  // K5 has 10 edges on 5 nodes: out-degree 1 cannot hold them.
+  EXPECT_NE(refusal(gen::clique(5), 1).find("not orientable"),
+            std::string::npos);
+  EXPECT_FALSE(orientable_with_out_degree(gen::clique(5), 1));
+  EXPECT_TRUE(orientable_with_out_degree(Graph(3), 0));
+}
+
+// max over nonempty S of ceil(|E(S)| / |S|), enumerating every subset.
+NodeId brute_force_pseudoarboricity(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  std::vector<std::uint32_t> adj(n, 0);
+  for (const Edge& e : g.edges()) {
+    adj[e.u] |= 1u << e.v;
+    adj[e.v] |= 1u << e.u;
+  }
+  NodeId best = 0;
+  for (std::uint32_t s = 1; s < (1u << n); ++s) {
+    unsigned twice_edges = 0;
+    for (NodeId v = 0; v < n; ++v)
+      if (s >> v & 1u) twice_edges += std::popcount(adj[v] & s);
+    const unsigned size = std::popcount(s);
+    best = std::max<NodeId>(best, (twice_edges / 2 + size - 1) / size);
+  }
+  return best;
+}
+
+TEST(Pseudoarboricity, MatchesBruteForceDensityOracle) {
+  std::vector<Graph> graphs;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    const NodeId n = 4 + static_cast<NodeId>(seed % 9);  // 4..12
+    graphs.push_back(gen::erdos_renyi_gnp(n, 0.3, rng));
+    graphs.push_back(gen::erdos_renyi_gnp(n, 0.7, rng));
+    graphs.push_back(gen::barabasi_albert(n, 2, rng));
+    graphs.push_back(gen::barabasi_albert(n, 3, rng));
+    graphs.push_back(gen::k_tree_union(n, 2, rng));
+    graphs.push_back(gen::k_tree_union(n, 3, rng));
+    graphs.push_back(gen::k_pseudoforest_union(n, 2, rng));
+    graphs.push_back(gen::random_geometric(n, 0.5, rng));
+  }
+  for (NodeId n = 1; n <= 12; ++n) graphs.push_back(gen::clique(n));
+  for (NodeId a = 1; a <= 6; ++a)
+    for (NodeId b = a; a + b <= 12; ++b)
+      graphs.push_back(gen::complete_bipartite(a, b));
+  for (NodeId r = 1; r <= 3; ++r)
+    for (NodeId c = r; r * c <= 12; ++c) graphs.push_back(gen::king_grid(r, c));
+  ASSERT_GE(graphs.size(), 300u);
+  for (std::size_t i = 0; i < graphs.size(); ++i)
+    EXPECT_EQ(pseudoarboricity(graphs[i]),
+              brute_force_pseudoarboricity(graphs[i]))
+        << "graph #" << i << " n=" << graphs[i].num_nodes()
+        << " m=" << graphs[i].num_edges();
 }
 
 TEST(Pseudoarboricity, MatchesDensityOnCliques) {

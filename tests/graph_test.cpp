@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
+#include "common/random.hpp"
 #include "gen/classic.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
@@ -256,6 +258,63 @@ TEST(Io, CommentsSkipped) {
 TEST(Io, TruncatedInputThrows) {
   std::stringstream ss("3 2\n0 1\n");
   EXPECT_THROW(read_graph(ss), CheckError);
+}
+
+// What a malformed input's CheckError says; "" if it parsed.
+std::string read_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    (void)read_weighted_graph(ss);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Io, MalformedTokensAreNamed) {
+  auto expect_error = [](const std::string& text, const char* needle) {
+    const std::string what = read_error(text);
+    EXPECT_NE(what.find(needle), std::string::npos)
+        << "input '" << text << "' gave: " << what;
+  };
+  expect_error("abc 3\n", "node count token 1 'abc' is not an integer");
+  expect_error("3 1\n0 x1\nweights\n1 1 1\n", "token 4 'x1'");
+  expect_error("99999999999 0\n", "'99999999999' is out of range");
+  expect_error("3 1\n0 3\nweights\n1 1 1\n",
+               "edge endpoint token 4 '3' is out of range n=3");
+  expect_error("3 1\n2 2\nweights\n1 1 1\n", "self-loop at 2");
+  expect_error("3 1\n0 1\nweights\n1 1\n",
+               "unexpected end of input reading weight (token 8)");
+  expect_error("2 1\n0 1\nweights\n1 0\n", "must be >= 1");
+  expect_error("3 1\n0 1\n1 1 1\n", "expected 'weights' marker");
+}
+
+TEST(Io, TruncatedOrFlippedInputThrowsCheckErrorNeverCrashes) {
+  // Single-byte corruption of a small file keeps every number small, so a
+  // corrupt header cannot request a large allocation.
+  std::vector<Weight> weights;
+  for (NodeId v = 0; v < 30; ++v) weights.push_back(1 + v % 7);
+  WeightedGraph wg(gen::grid(5, 6), weights);
+  std::stringstream clean;
+  write_weighted_graph(clean, wg);
+  const std::string text = "# grid\n" + clean.str();
+  const std::size_t last_token = text.find_last_not_of(" \n");
+  int rejected = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    Rng rng(seed);
+    std::string bad = text;
+    if (seed % 2 == 0) {
+      // Cut before the last token's final digit: something is missing.
+      bad.resize(rng.next_below(last_token));
+      EXPECT_NE(read_error(bad), "") << "truncated at " << bad.size();
+    } else {
+      bad[rng.next_below(bad.size())] =
+          static_cast<char>(rng.next_below(256));
+    }
+    // Any exception other than CheckError fails the test here.
+    rejected += read_error(bad).empty() ? 0 : 1;
+  }
+  EXPECT_GT(rejected, 200);
 }
 
 // --------------------------------------------------------------- transform

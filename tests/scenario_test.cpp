@@ -92,6 +92,36 @@ TEST(Scenario, RepeatsReuseTheNetworkAndStayIdentical) {
   for (const auto& row : rows) EXPECT_EQ(row.repeats, 3);
 }
 
+TEST(Scenario, MedianIndexPicksTheReportedSample) {
+  const std::vector<double> odd = {3.0, 1.0, 2.0};
+  EXPECT_EQ(median_index(odd), 2u);
+  const std::vector<double> even = {4.0, 1.0, 3.0, 2.0};
+  EXPECT_EQ(median_index(even), 3u);  // the lower central sample, 2.0
+  const std::vector<double> one = {7.0};
+  EXPECT_EQ(median_index(one), 0u);
+}
+
+TEST(Scenario, TimingBreakdownComesFromTheMedianRepeat) {
+  // With an odd repeat count `seconds` is one repeat's wall clock, and
+  // that repeat's compute + flip happened inside it. A breakdown taken
+  // from a slower repeat (the final one, say) could exceed it.
+  const auto corpus = small_corpus(14);
+  const auto instances = pointers(corpus, 3);
+  ScenarioSpec spec;
+  spec.solvers.push_back({"det", std::nullopt, ""});
+  spec.solvers.push_back({"randomized", std::nullopt, ""});
+  spec.thread_widths = {1, 2};
+  spec.repeats = 5;
+  const auto rows = run_scenario(spec, instances);
+  ASSERT_FALSE(rows.empty());
+  for (const ScenarioRow& row : rows) {
+    const obs::TimingStats& t = row.result.stats.timing;
+    EXPECT_GT(t.compute_seconds, 0.0) << row.solver << " on " << row.instance;
+    EXPECT_LE(t.compute_seconds + t.flip_seconds, row.seconds)
+        << row.solver << " on " << row.instance << " t" << row.threads;
+  }
+}
+
 TEST(Scenario, SolverParamOverridesAreHonored) {
   const auto corpus = small_corpus(14);
   const auto instances = pointers(corpus, 1);
