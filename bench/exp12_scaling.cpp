@@ -1,31 +1,20 @@
-// Experiment 12: simulator scaling — instance size x worker-pool width
-// x shard count.
+// Experiment 12: simulator scaling — instance size x worker-pool width.
 //
 // A thin shell over the scenario batch runner (src/harness/scenario.hpp):
-// the selected scaling-corpus instances x solvers x thread widths x shard
-// counts expand into one ScenarioSpec, run on pooled Networks (one
-// Network per (instance, width, shards), constructed once and reused
-// across repeats), and the rows print as one JSON object per run on
-// stdout (a JSON array), ready for plotting or CI artifact upload:
+// the selected scaling-corpus instances x solvers x thread widths expand
+// into one ScenarioSpec, run on pooled Networks (one Network per
+// (instance, width), constructed once and reused across repeats), and
+// the rows print as one JSON object per run on stdout (a JSON array),
+// ready for plotting or CI artifact upload:
 //
 //   exp12_scaling [--sizes 10000,50000,100000] [--threads 1,2,4,8]
-//                 [--shards 1,2,4] [--solvers greedy-threshold]
-//                 [--families tree,forest2,...]
-//                 [--seed S] [--repeats N] [--pin] [--auto-replan] [--smoke]
+//                 [--solvers greedy-threshold] [--families tree,forest2,...]
+//                 [--seed S] [--repeats N] [--smoke] [--trace-out PATH]
 //
-// --pin pins the worker pools to CPUs and turns on shard-affine dispatch
-// + first-touch arena placement; --auto-replan lets ProtocolRunner adopt
-// traffic-refined shard plans at phase boundaries. Both are placement
-// knobs: rows carry `pinned`/`replans` (schema v6) but results stay
-// bit-identical, so the determinism audit covers them too. Pipe one
-// pinned and one unpinned JSON through `compare_bench.py --speedup` to
-// check the "sharding is free" claim per (solver, n, threads).
-//
-// Every (instance, solver) cell is run once per thread count and shard
-// count on the SAME cached instance; the simulator guarantees
-// bit-identical MdsResults for every width and every shard count, which
-// the scenario runner re-checks (`identical` field) so a sweep doubles
-// as an end-to-end determinism audit at scale. With
+// Every (instance, solver) cell is run once per thread count on the SAME
+// cached instance; the simulator guarantees bit-identical MdsResults for
+// every width, which the scenario runner re-checks (`identical` field)
+// so a sweep doubles as an end-to-end determinism audit at scale. With
 // --repeats N a cell is run N extra times after an untimed warm-up run
 // and the reported `seconds` is the median (every repeat is also
 // determinism-checked), so checked-in baselines such as BENCH_exp12.json
@@ -60,12 +49,11 @@ std::vector<int> split_ints(const std::string& csv) {
 
 [[noreturn]] void usage() {
   std::cerr << "usage: exp12_scaling [--sizes N1,N2,...] [--threads "
-               "W1,W2,...] [--shards K1,K2,...]\n"
+               "W1,W2,...]\n"
                "                     [--solvers name1,name2,...] [--families "
                "f1,f2,...]\n"
-               "                     [--seed S] [--repeats N] [--pin] "
-               "[--auto-replan] [--smoke]\n"
-               "                     [--trace-out PATH]\n";
+               "                     [--seed S] [--repeats N] [--smoke] "
+               "[--trace-out PATH]\n";
   std::exit(2);
 }
 
@@ -74,13 +62,10 @@ std::vector<int> split_ints(const std::string& csv) {
 int main(int argc, char** argv) {
   std::vector<int> sizes = {10'000, 50'000, 100'000};
   std::vector<int> threads = {1, 2, 4, 8};
-  std::vector<int> shards = {1};
   std::vector<std::string> solvers = {"greedy-threshold"};
   std::vector<std::string> families = {"tree", "forest2", "ba3"};
   std::uint64_t seed = 12345;
   int repeats = 1;
-  bool pin = false;
-  bool auto_replan = false;
   std::string trace_out;
 
   for (int i = 1; i < argc; ++i) {
@@ -93,13 +78,10 @@ int main(int argc, char** argv) {
     };
     if (!std::strcmp(argv[i], "--sizes")) sizes = split_ints(need("--sizes"));
     else if (!std::strcmp(argv[i], "--threads")) threads = split_ints(need("--threads"));
-    else if (!std::strcmp(argv[i], "--shards")) shards = split_ints(need("--shards"));
     else if (!std::strcmp(argv[i], "--solvers")) solvers = split_list(need("--solvers"));
     else if (!std::strcmp(argv[i], "--families")) families = split_list(need("--families"));
     else if (!std::strcmp(argv[i], "--seed")) seed = std::stoull(need("--seed"));
     else if (!std::strcmp(argv[i], "--repeats")) repeats = std::stoi(need("--repeats"));
-    else if (!std::strcmp(argv[i], "--pin")) pin = true;
-    else if (!std::strcmp(argv[i], "--auto-replan")) auto_replan = true;
     else if (!std::strcmp(argv[i], "--trace-out")) trace_out = need("--trace-out");
     else if (!std::strcmp(argv[i], "--smoke")) {
       sizes = {10'000};
@@ -113,12 +95,9 @@ int main(int argc, char** argv) {
   for (const std::string& name : solvers)
     spec.solvers.push_back({name, std::nullopt, name});
   spec.thread_widths = threads;
-  spec.shard_counts = shards;
   spec.seeds = {seed};
   spec.repeats = repeats;
   spec.base_config.seed = seed;
-  spec.base_config.pin_threads = pin;
-  spec.base_config.auto_replan = auto_replan;
   spec.trace_out = trace_out;
   // The JSON only reads scalar fields; don't hold one O(n) certificate
   // per row across a 500k-node sweep.
@@ -139,8 +118,7 @@ int main(int argc, char** argv) {
   for (const auto& row : rows) {
     if (row.identical) continue;
     std::cerr << "DETERMINISM VIOLATION: " << row.instance << " / "
-              << row.solver << " at threads=" << row.threads
-              << " shards=" << row.shards << "\n";
+              << row.solver << " at threads=" << row.threads << "\n";
     return 1;
   }
   return 0;

@@ -6,16 +6,15 @@
 // x named fault levels expand into one ScenarioSpec whose rows carry the
 // four fault counters (dropped / duplicated / delayed / killed), and the
 // sweep doubles as a determinism audit — a faulty run promises
-// bit-identical results across every thread width and shard count, which
-// the runner re-checks per cell.
+// bit-identical results across every thread width, which the runner
+// re-checks per cell.
 //
 //   exp13_robustness [--solvers name1,...] [--levels none,light,...]
-//                    [--threads W1,...] [--shards K1,...]
-//                    [--seeds S1,...] [--repeats N]
-//                    [--round-limit R] [--smoke]
+//                    [--threads W1,...] [--seeds S1,...] [--repeats N]
+//                    [--round-limit R] [--smoke] [--trace-out PATH]
 //
-// stdout: one JSON object per row (schema v4 — seed, fault label, fault
-// counters, failed flag), ready for CI artifact upload and the
+// stdout: one JSON object per row (the scenario schema — seed, fault
+// label, fault counters, failed flag), ready for CI artifact upload and the
 // tools/compare_bench.py gate. stderr: the per-(solver, level) envelope
 // table — average weight inflation and extra rounds versus that solver's
 // clean ("none") cells, the summed fault counters, and the number of
@@ -100,9 +99,9 @@ harness::ScenarioFault named_level(const std::string& name) {
 [[noreturn]] void usage() {
   std::cerr << "usage: exp13_robustness [--solvers name1,name2,...]\n"
                "                        [--levels none,light,moderate,heavy]\n"
-               "                        [--threads W1,W2,...] [--shards "
-               "K1,K2,...]\n"
-               "                        [--seeds S1,S2,...] [--repeats N]\n"
+               "                        [--threads W1,W2,...] [--seeds "
+               "S1,S2,...]\n"
+               "                        [--repeats N]\n"
                "                        [--round-limit R] [--smoke] "
                "[--trace-out PATH]\n";
   std::exit(2);
@@ -115,7 +114,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> level_names = {"none", "light", "moderate",
                                           "heavy"};
   std::vector<int> threads = {1, 4};
-  std::vector<int> shards = {1, 2};
   std::vector<std::uint64_t> seeds = {12345};
   int repeats = 1;
   std::int64_t round_limit = 2000;
@@ -133,7 +131,6 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--solvers")) solvers = split_list(need("--solvers"));
     else if (!std::strcmp(argv[i], "--levels")) level_names = split_list(need("--levels"));
     else if (!std::strcmp(argv[i], "--threads")) threads = split_ints(need("--threads"));
-    else if (!std::strcmp(argv[i], "--shards")) shards = split_ints(need("--shards"));
     else if (!std::strcmp(argv[i], "--seeds")) seeds = split_u64s(need("--seeds"));
     else if (!std::strcmp(argv[i], "--repeats")) repeats = std::stoi(need("--repeats"));
     else if (!std::strcmp(argv[i], "--round-limit")) round_limit = std::stoll(need("--round-limit"));
@@ -144,11 +141,9 @@ int main(int argc, char** argv) {
   if (repeats < 1) repeats = 1;
   if (smoke) {
     // CI preset: small corpus, two solvers, the full level ladder, one
-    // seed — enough to exercise every counter and both decorated paths
-    // (plain and sharded inner engines) in seconds.
+    // seed — enough to exercise every counter at two widths in seconds.
     solvers = {"det", "greedy-threshold"};
     threads = {1, 4};
-    shards = {1, 2};
   }
 
   harness::ScenarioSpec spec;
@@ -158,7 +153,6 @@ int main(int argc, char** argv) {
   for (const std::string& name : level_names)
     spec.fault_levels.push_back(named_level(name));
   spec.thread_widths = threads;
-  spec.shard_counts = shards;
   spec.seeds = seeds;
   spec.repeats = repeats;
   // A starved solver must terminate (via PhaseStats::hit_round_limit)
@@ -182,12 +176,12 @@ int main(int argc, char** argv) {
   harness::write_scenario_json(std::cout, rows);
 
   // Clean-twin lookup: the "none" weight/rounds of the same
-  // (instance, solver, seed, threads, shards) cell.
+  // (instance, solver, seed, threads) cell.
   std::map<std::string, std::pair<double, double>> clean;
   auto cell_key = [](const harness::ScenarioRow& row) {
     std::ostringstream key;
     key << row.instance << '\x1f' << row.solver << '\x1f' << row.seed
-        << '\x1f' << row.threads << '\x1f' << row.shards;
+        << '\x1f' << row.threads;
     return key.str();
   };
   for (const auto& row : rows)
@@ -196,7 +190,7 @@ int main(int argc, char** argv) {
                               static_cast<double>(row.result.stats.rounds)};
 
   // One envelope row per (solver, fault level), aggregated over
-  // instances, seeds, widths, and shard counts.
+  // instances, seeds, and widths.
   struct Envelope {
     double weight_ratio_sum = 0.0;
     double extra_rounds_sum = 0.0;
@@ -248,8 +242,7 @@ int main(int argc, char** argv) {
     if (row.identical) continue;
     std::cerr << "DETERMINISM VIOLATION: " << row.instance << " / "
               << row.solver << " / " << row.fault
-              << " at threads=" << row.threads << " shards=" << row.shards
-              << "\n";
+              << " at threads=" << row.threads << "\n";
     return 1;
   }
   return 0;

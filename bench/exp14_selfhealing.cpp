@@ -19,12 +19,12 @@
 //              determinism audit.
 //
 //   exp14_selfhealing [--solvers name1,...] [--levels none,light,...]
-//                     [--threads W1,...] [--shards K1,...]
-//                     [--seeds S1,...] [--repeats N]
+//                     [--threads W1,...] [--seeds S1,...] [--repeats N]
 //                     [--round-limit R] [--rel-round-limit R] [--smoke]
+//                     [--trace-out PATH]
 //
-// stdout: one JSON object per row (schema v5 — hit_round_limit and the
-// repair columns join the v4 fields), ready for CI artifact upload.
+// stdout: one JSON object per row (the scenario schema, including
+// hit_round_limit and the repair columns), ready for CI artifact upload.
 // stderr: the per-(solver, level) envelope table. Exits 1 on a
 // determinism violation or a reliable-run output mismatch.
 #include <cstring>
@@ -104,9 +104,9 @@ harness::ScenarioFault named_level(const std::string& name) {
 [[noreturn]] void usage() {
   std::cerr << "usage: exp14_selfhealing [--solvers name1,name2,...]\n"
                "                         [--levels none,light,moderate,heavy]\n"
-               "                         [--threads W1,W2,...] [--shards "
-               "K1,K2,...]\n"
-               "                         [--seeds S1,S2,...] [--repeats N]\n"
+               "                         [--threads W1,W2,...] [--seeds "
+               "S1,S2,...]\n"
+               "                         [--repeats N]\n"
                "                         [--round-limit R] "
                "[--rel-round-limit R]\n"
                "                         [--smoke] [--trace-out PATH]\n"
@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> level_names = {"none", "light", "moderate",
                                           "heavy"};
   std::vector<int> threads = {1, 4};
-  std::vector<int> shards = {1, 2};
   std::vector<std::uint64_t> seeds = {12345};
   int repeats = 1;
   std::int64_t round_limit = 2000;
@@ -145,7 +144,6 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--solvers")) solvers = split_list(need("--solvers"));
     else if (!std::strcmp(argv[i], "--levels")) level_names = split_list(need("--levels"));
     else if (!std::strcmp(argv[i], "--threads")) threads = split_ints(need("--threads"));
-    else if (!std::strcmp(argv[i], "--shards")) shards = split_ints(need("--shards"));
     else if (!std::strcmp(argv[i], "--seeds")) seeds = split_u64s(need("--seeds"));
     else if (!std::strcmp(argv[i], "--repeats")) repeats = std::stoi(need("--repeats"));
     else if (!std::strcmp(argv[i], "--round-limit")) round_limit = std::stoll(need("--round-limit"));
@@ -161,7 +159,6 @@ int main(int argc, char** argv) {
     // reliable bit-identity) exercised in seconds.
     solvers = {"det", "greedy-threshold"};
     threads = {1, 4};
-    shards = {1, 2};
   }
 
   std::vector<harness::CorpusInstance> corpus;
@@ -185,7 +182,6 @@ int main(int argc, char** argv) {
   for (const std::string& name : level_names)
     raw_spec.fault_levels.push_back(named_level(name));
   raw_spec.thread_widths = threads;
-  raw_spec.shard_counts = shards;
   raw_spec.seeds = seeds;
   raw_spec.repeats = repeats;
   raw_spec.base_config.round_limit = round_limit;
@@ -219,12 +215,12 @@ int main(int argc, char** argv) {
   harness::write_scenario_json(std::cout, rows);
 
   // Clean-twin lookup: the "none" weight/rounds of the same
-  // (instance, solver, seed, threads, shards) cell.
+  // (instance, solver, seed, threads) cell.
   std::map<std::string, std::pair<double, double>> clean;
   auto cell_key = [](const harness::ScenarioRow& row) {
     std::ostringstream key;
     key << row.instance << '\x1f' << row.solver << '\x1f' << row.seed
-        << '\x1f' << row.threads << '\x1f' << row.shards;
+        << '\x1f' << row.threads;
     return key.str();
   };
   for (const auto& row : rows)
@@ -233,7 +229,7 @@ int main(int argc, char** argv) {
                               static_cast<double>(row.result.stats.rounds)};
 
   // One envelope row per (solver, fault level), aggregated over
-  // instances, seeds, widths, and shard counts.
+  // instances, seeds, and widths.
   struct Envelope {
     double weight_ratio_sum = 0.0;
     double extra_rounds_sum = 0.0;
@@ -287,8 +283,7 @@ int main(int argc, char** argv) {
     if (!row.identical) {
       std::cerr << "DETERMINISM VIOLATION: " << row.instance << " / "
                 << row.solver << " / " << row.fault
-                << " at threads=" << row.threads << " shards=" << row.shards
-                << "\n";
+                << " at threads=" << row.threads << "\n";
       ++violations;
     }
     // The reliable channel's whole contract: the solver's output under

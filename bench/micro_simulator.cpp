@@ -10,7 +10,6 @@
 #include "gen/random_graphs.hpp"
 #include "gen/trees.hpp"
 #include "gen/weights.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace arbods {
 namespace {
@@ -135,21 +134,16 @@ void BM_NetworkFloodActiveSet(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkFloodActiveSet)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 15);
 
-// Flood rounds through the sharded facade: the flip-time bridge merge
-// (one task per destination shard on the worker pool) is the piece under
-// measurement — shards = 1 is the plain-Network baseline, and the
-// (shards, threads) grid shows how much of the old serial-merge overhead
-// the parallel flip recovers.
-void BM_BridgeMerge(benchmark::State& state) {
+// Flood rounds on a pooled Network across worker-pool widths: the
+// parallel send half-round plus the serial flip, warm (arenas and spill
+// growth settled by a warm-up run).
+void BM_NetworkFloodThreads(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
-  const int shards = static_cast<int>(state.range(1));
-  const int threads = static_cast<int>(state.range(2));
   Rng rng(8);
   Graph g = gen::k_tree_union(n, 3, rng);
   WeightedGraph wg = WeightedGraph::uniform(std::move(g));
   CongestConfig cfg;
-  cfg.shards = shards;
-  cfg.threads = threads;
+  cfg.threads = static_cast<int>(state.range(1));
 
   class Flood final : public DistributedAlgorithm {
    public:
@@ -169,70 +163,16 @@ void BM_BridgeMerge(benchmark::State& state) {
     bool finished(const Network&) const override { return false; }
   };
 
-  auto net = shard::make_network(wg, cfg);
+  Network net(wg, cfg);
   Flood algo;
-  net->run(algo, 2);  // warm-up: arenas, relay segments, spill growth
+  net.run(algo, 2);  // warm-up: arenas and spill growth
   for (auto _ : state) {
-    net->run(algo, 10);
+    net.run(algo, 10);
   }
   state.SetItemsProcessed(state.iterations() * 10 *
                           static_cast<std::int64_t>(wg.graph().num_edges()) * 2);
 }
-BENCHMARK(BM_BridgeMerge)
-    ->Args({1 << 15, 1, 8})
-    ->Args({1 << 15, 4, 8})
-    ->Args({1 << 15, 8, 8});
-
-// The phase-boundary auto-replan step in isolation: profile-driven
-// boundary refinement (measured_plan) plus the member rebuild
-// (adopt_plan) on a flood-warmed traffic profile. This is the cost
-// ProtocolRunner pays between phases when CongestConfig::auto_replan
-// adopts a plan, amortized against whole phases of rounds — the grid
-// shows it stays small relative to BM_BridgeMerge's per-round work.
-void BM_FlipReplan(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  const int shards = static_cast<int>(state.range(1));
-  const int threads = static_cast<int>(state.range(2));
-  Rng rng(9);
-  Graph g = gen::k_tree_union(n, 3, rng);
-  WeightedGraph wg = WeightedGraph::uniform(std::move(g));
-  CongestConfig cfg;
-  cfg.shards = shards;
-  cfg.threads = threads;
-
-  class Flood final : public DistributedAlgorithm {
-   public:
-    void initialize(Network& net) override {
-      net.for_nodes([&](NodeId v) {
-        net.broadcast(v, Message::tagged(0).add_real(0.5));
-      });
-    }
-    void process_round(Network& net) override {
-      net.for_nodes([&](NodeId v) {
-        double sum = 0;
-        for (const MessageView m : net.inbox(v)) sum += m.real_at(1);
-        benchmark::DoNotOptimize(sum);
-        net.broadcast(v, Message::tagged(0).add_real(0.5));
-      });
-    }
-    bool finished(const Network&) const override { return false; }
-  };
-
-  shard::ShardedNetwork net(wg, cfg);
-  net.enable_traffic_profile();
-  Flood algo;
-  net.run(algo, 4);  // warm-up + populate the per-arc traffic profile
-  for (auto _ : state) {
-    shard::ShardPlan refined = net.measured_plan();
-    benchmark::DoNotOptimize(refined.node_begin.data());
-    net.adopt_plan(std::move(refined));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FlipReplan)
-    ->Args({1 << 15, 4, 8})
-    ->Args({1 << 15, 8, 8});
+BENCHMARK(BM_NetworkFloodThreads)->Args({1 << 15, 1})->Args({1 << 15, 4});
 
 void BM_SolveDeterministic(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));

@@ -12,21 +12,19 @@
 //             --seed S
 //             --threads W (simulator worker pool; 0 = all hardware threads,
 //                          default 1; results identical for every W)
-//             --shards K (simulator shard count; default 1 = single-arena
-//                         Network, K > 1 = ShardedNetwork over K shards;
-//                         results identical for every K)
-//             --pin (pin worker threads to CPUs + shard-affine dispatch;
-//                    placement only, results unchanged)
-//             --auto-replan (adopt traffic-refined shard plans at phase
-//                            boundaries; results unchanged)
+//             --trace-out PATH (Chrome trace-event JSON of the run)
 // families:   tree | forest2 | forest5 | grid | planar | ba2 | ba4 | er
 // exit status: 0 verified, 1 solver or parameter error (CheckError),
-//              2 usage error or invalid input (malformed --file, bad value)
+//              2 usage error or invalid input (malformed --file, a value
+//                that is not wholly a number of the option's type, or
+//                out of its range)
+#include <charconv>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <new>
-#include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "arboricity/pseudoarboricity.hpp"
 #include "baselines/greedy.hpp"
@@ -60,8 +58,8 @@ void print_solver_table(std::ostream& os) {
                "grid|planar|ba2|ba4|er --n N)\n"
                "                  [--alpha A] [--eps E] [--t T] [--k K]\n"
                "                  [--weights unit|uniform|powerlaw|degree|"
-               "invdegree] [--seed S] [--threads W] [--shards K]\n"
-               "                  [--pin] [--auto-replan] [--trace-out PATH]\n";
+               "invdegree] [--seed S] [--threads W]\n"
+               "                  [--trace-out PATH]\n";
   print_solver_table(std::cerr);
   std::exit(2);
 }
@@ -102,10 +100,8 @@ int main(int argc, char** argv) {
   harness::SolverParams params;
   params.alpha = 0;  // 0 = measure below
   std::uint64_t seed = 1;
-  bool pin = false;
-  bool auto_replan = false;
   std::string trace_out;
-  for (int i = 2; i < argc; ++i) try {
+  for (int i = 2; i < argc; ++i) {
     auto need = [&](const char* what) -> const char* {
       if (i + 1 >= argc) {
         std::cerr << "missing value for " << what << "\n";
@@ -113,24 +109,35 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The whole token must parse as a T within [lo, hi]: "5x", "-3" for
+    // an unsigned option, or a value that does not fit the destination
+    // type is a usage error, never a silent truncation or wrap.
+    auto number = [&]<typename T>(T& out, const char* flag,
+                                   T lo = std::numeric_limits<T>::lowest(),
+                                   T hi = std::numeric_limits<T>::max()) {
+      const char* text = need(flag);
+      const char* end = text + std::strlen(text);
+      T value{};
+      const auto [ptr, ec] = std::from_chars(text, end, value);
+      if (ec != std::errc() || ptr != end || !(value >= lo) || !(value <= hi)) {
+        std::cerr << "bad value '" << text << "' for " << flag << "\n";
+        usage();
+      }
+      out = value;
+    };
     if (!std::strcmp(argv[i], "--file")) file = need("--file");
     else if (!std::strcmp(argv[i], "--gen")) family = need("--gen");
-    else if (!std::strcmp(argv[i], "--n")) n = static_cast<NodeId>(std::stoul(need("--n")));
-    else if (!std::strcmp(argv[i], "--alpha")) params.alpha = static_cast<NodeId>(std::stoul(need("--alpha")));
-    else if (!std::strcmp(argv[i], "--eps")) params.eps = std::stod(need("--eps"));
-    else if (!std::strcmp(argv[i], "--t")) params.t = std::stoll(need("--t"));
-    else if (!std::strcmp(argv[i], "--k")) params.k = std::stoi(need("--k"));
+    else if (!std::strcmp(argv[i], "--n")) number(n, "--n", NodeId{1});
+    else if (!std::strcmp(argv[i], "--alpha")) number(params.alpha, "--alpha");
+    else if (!std::strcmp(argv[i], "--eps")) number(params.eps, "--eps");
+    else if (!std::strcmp(argv[i], "--t")) number(params.t, "--t");
+    else if (!std::strcmp(argv[i], "--k")) number(params.k, "--k");
     else if (!std::strcmp(argv[i], "--weights")) weights = need("--weights");
-    else if (!std::strcmp(argv[i], "--seed")) seed = std::stoull(need("--seed"));
-    else if (!std::strcmp(argv[i], "--threads")) params.threads = std::stoi(need("--threads"));
-    else if (!std::strcmp(argv[i], "--shards")) params.shards = std::stoi(need("--shards"));
-    else if (!std::strcmp(argv[i], "--pin")) pin = true;
-    else if (!std::strcmp(argv[i], "--auto-replan")) auto_replan = true;
+    else if (!std::strcmp(argv[i], "--seed")) number(seed, "--seed");
+    else if (!std::strcmp(argv[i], "--threads"))
+      number(params.threads, "--threads", 0);
     else if (!std::strcmp(argv[i], "--trace-out")) trace_out = need("--trace-out");
     else usage();
-  } catch (const std::logic_error&) {  // stoul & co. on a non-number
-    std::cerr << "bad value '" << argv[i] << "' for " << argv[i - 1] << "\n";
-    usage();
   }
 
   Rng rng(seed);
@@ -170,20 +177,13 @@ int main(int argc, char** argv) {
   inst.forest = is_forest(inst.wg.graph());
   harness::ScenarioSpec spec;
   const int width = params.threads >= 0 ? params.threads : 1;
-  // -1 = default (unsharded); anything else is validated by the scenario
-  // runner so `--shards 0` fails loudly instead of silently running K=1.
-  const int shard_count = params.shards == -1 ? 1 : params.shards;
   params.threads = -1;
-  params.shards = -1;
   spec.solvers.push_back({std::string(algo), params, std::string(algo)});
   spec.thread_widths = {width};
-  spec.shard_counts = {shard_count};
   spec.seeds = {seed};
   spec.skip_inapplicable = false;
   spec.validate = false;  // validated below with an explicit tolerance
   spec.base_config.seed = seed;
-  spec.base_config.pin_threads = pin;
-  spec.base_config.auto_replan = auto_replan;
   spec.trace_out = trace_out;
 
   const std::vector<const harness::CorpusInstance*> instances = {&inst};
@@ -207,17 +207,13 @@ int main(int argc, char** argv) {
   std::cout << "CONGEST rounds:  " << res.stats.rounds << "\n"
             << "messages:        " << res.stats.messages << "\n"
             << "max msg bits:    " << res.stats.max_message_bits << "\n";
-  if (shard_count > 1)
-    std::cout << "shards:          " << shard_count
-              << " (bit-identical to the unsharded run)\n";
   for (const PhaseStats& phase : res.stats.phases)
     std::cout << "  phase " << phase.name << ": " << phase.rounds
               << " rounds, " << phase.messages << " messages, "
               << phase.total_bits << " bits\n";
   const obs::TimingStats& timing = res.stats.timing;
   std::cout << "timing:          compute " << timing.compute_seconds
-            << "s, flip " << timing.flip_seconds << "s, merge "
-            << timing.merge_seconds << "s, retransmit "
+            << "s, flip " << timing.flip_seconds << "s, retransmit "
             << timing.retransmit_seconds << "s\n";
   if (!trace_out.empty())
     std::cout << "trace:           " << trace_out

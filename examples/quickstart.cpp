@@ -11,7 +11,7 @@
 using namespace arbods;
 
 int main() {
-  // A toy network: two hubs (0 and 5) bridged by node 4, each hub serving
+  // A toy network: two hubs (0 and 5) joined through node 4, each hub serving
   // four pendant clients: hub 0 -> {1,2,3,8}, hub 5 -> {6,7,9,10}.
   GraphBuilder b(11);
   b.add_edge(0, 1);

@@ -2,8 +2,8 @@
 // touched millions of entries must not pin that capacity for the owning
 // object's lifetime. Contents are preserved; only excess capacity (4x
 // past twice the observed high-water mark, and past a 1024-entry floor)
-// is released. Shared by the Network's scratch buffers and the sharded
-// facade's relay segments so the retention policy cannot diverge.
+// is released. Shared by the Network's scratch buffers and the fault
+// decorator's holding wheels so the retention policy cannot diverge.
 #pragma once
 
 #include <algorithm>

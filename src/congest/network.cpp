@@ -25,7 +25,7 @@ namespace {
 // worker's index — safely accounts to its own slot 0.
 thread_local int tls_worker = 0;
 
-// Pool width for a standalone (non-shard-member) Network.
+// Pool width for a standalone (non-inner) Network.
 int derive_workers(const CongestConfig& config, NodeId n) {
   int workers = config.threads;
   if (workers <= 0) {
@@ -53,11 +53,9 @@ std::size_t InboxView::size() const {
 }
 
 Network::Network(const WeightedGraph& wg, CongestConfig config)
-    : Network(wg, config, SliceInit{0, wg.graph().num_nodes(), 0}) {}
+    : Network(wg, config, InnerInit{0}) {}
 
 void Network::init_size_model() {
-  // All message widths derive from the GLOBAL instance: a shard member
-  // must enforce exactly the cap the unsharded simulator would.
   const NodeId n = wg_->num_nodes();
   size_model_.id_bits = bit_width_for(n == 0 ? 1 : n - 1);
   size_model_.weight_bits = wg_->weight_bits();
@@ -106,36 +104,11 @@ std::size_t Network::build_csr_topology() {
 }
 
 Network::Network(const WeightedGraph& wg, CongestConfig config,
-                 SliceInit slice)
-    : wg_(&wg), config_(config), node_begin_(slice.node_begin),
-      is_shard_member_(slice.workers > 0) {
-  const Graph& g = wg.graph();
-  const NodeId n = g.num_nodes();
-  ARBODS_CHECK(slice.node_begin <= slice.node_end && slice.node_end <= n);
-  const NodeId ns = slice.node_end - slice.node_begin;
+                 InnerInit inner)
+    : wg_(&wg), config_(config), is_inner_(inner.workers > 0) {
+  const NodeId n = wg.graph().num_nodes();
   init_size_model();
-
-  // CSR arc offsets and the lane -> receiver map. A shard member covers
-  // only the owned block (lane indices are block-local; receivers keep
-  // their global ids) and skips the out-arc -> receiver-lane mirror: its
-  // deposits arrive pre-routed from the facade, which owns the global
-  // mirror.
-  std::size_t arcs;
-  if (is_shard_member_) {
-    offsets_.resize(static_cast<std::size_t>(ns) + 1);
-    offsets_[0] = 0;
-    for (NodeId i = 0; i < ns; ++i)
-      offsets_[i + 1] = offsets_[i] + g.degree(node_begin_ + i);
-    arcs = offsets_[ns];
-    ARBODS_CHECK_MSG(arcs < std::numeric_limits<EdgeSlot>::max(),
-                     "graph too large for 32-bit edge slots");
-    lane_receiver_.resize(arcs);
-    for (NodeId i = 0; i < ns; ++i)
-      for (std::size_t l = offsets_[i]; l < offsets_[i + 1]; ++l)
-        lane_receiver_[l] = node_begin_ + i;
-  } else {
-    arcs = build_csr_topology();
-  }
+  const std::size_t arcs = build_csr_topology();
 
   // Uniform initial lane regions: the length word plus room for one
   // cap-sized record (header + one kind word + cap payload). Lanes that
@@ -154,87 +127,60 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   arena_words_ = lane_base_[arcs];
   arena_a_ = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
   arena_b_ = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
-  // Under defer_first_touch the owning facade zeroes the length words
-  // (and builds the calendars/scratch below) from its own parallel
-  // first-touch dispatch, so the pages land with the worker group that
-  // will run the lanes — not with whichever thread constructs members.
-  if (!slice.defer_first_touch) {
-    for (std::size_t l = 0; l < arcs; ++l) {
-      arena_a_[lane_base_[l]] = 0;
-      arena_b_[lane_base_[l]] = 0;
-    }
+  for (std::size_t l = 0; l < arcs; ++l) {
+    arena_a_[lane_base_[l]] = 0;
+    arena_b_[lane_base_[l]] = 0;
   }
   in_arena_ = &arena_a_;
   out_arena_ = &arena_b_;
 
-  // A shard member sizes its per-worker scratch for the facade's pool,
-  // whose threads execute the deposits; only a standalone Network owns a
-  // pool of its own.
-  const int workers =
-      is_shard_member_ ? slice.workers : derive_workers(config_, n);
+  // An inner engine sizes its per-worker scratch for the decorator's
+  // pool, whose threads execute the deposits; only a standalone Network
+  // owns a pool of its own.
+  const int workers = is_inner_ ? inner.workers : derive_workers(config_, n);
   worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStats{});
   touched_out_.assign(static_cast<std::size_t>(workers), {});
   touched_in_.assign(static_cast<std::size_t>(workers), {});
   spills_.assign(static_cast<std::size_t>(workers), WorkerSpill{});
   scratch_.assign(static_cast<std::size_t>(workers), {});
+  for (auto& s : scratch_)
+    s.reserve(std::max<std::size_t>(2 * base_words, 64));
   calendars_.assign(static_cast<std::size_t>(workers), {});
-  if (!slice.defer_first_touch)
-    for (std::size_t w = 0; w < static_cast<std::size_t>(workers); ++w)
-      first_touch_worker_state(w);
-  if (!is_shard_member_ && workers > 1)
-    pool_ = std::make_unique<WorkerPool>(workers, config_.pin_threads);
-  // Only the outermost Network of a decorator stack owns a recorder
-  // (facade-owned members record through their owner's sink, installed
-  // by the facade after construction).
-  if (config_.trace.enabled && !is_shard_member_) {
+  for (WorkerCalendar& cal : calendars_) cal.ring.resize(16);
+  if (!is_inner_ && workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
+  // Only the outermost Network of a decorator stack owns a recorder (an
+  // inner engine records through its decorator's sink, installed by the
+  // decorator after construction).
+  if (config_.trace.enabled && !is_inner_) {
     tracer_owned_ = std::make_unique<obs::TraceRecorder>(
         workers, config_.trace.ring_capacity);
     tracer_ = tracer_owned_.get();
   }
 
-  active_mark_.assign(ns, 0);
+  active_mark_.assign(n, 0);
   active_list_.reserve(64);
 
-  node_rngs_.reserve(ns);
+  node_rngs_.reserve(n);
   Rng base(config_.seed);
-  for (NodeId i = 0; i < ns; ++i)
-    node_rngs_.push_back(base.split(node_begin_ + i));
+  for (NodeId v = 0; v < n; ++v) node_rngs_.push_back(base.split(v));
   rng_image_ = node_rngs_;
   rng_streams_fresh_ = true;
 }
 
-void Network::first_touch_lane_range(std::size_t lane_begin,
-                                     std::size_t lane_end) {
-  for (std::size_t l = lane_begin; l < lane_end; ++l) {
-    arena_a_[lane_base_[l]] = 0;
-    arena_b_[lane_base_[l]] = 0;
-  }
-}
-
-void Network::first_touch_worker_state(std::size_t w) {
-  // Uniform at construction time (the only time this runs); the reserve
-  // is the same warm-start hint the non-deferred constructor applies.
-  const std::size_t base_words =
-      lane_base_.size() > 1 ? lane_base_[1] - lane_base_[0] : 0;
-  scratch_[w].reserve(std::max<std::size_t>(2 * base_words, 64));
-  if (calendars_[w].ring.empty()) calendars_[w].ring.resize(16);
-}
-
-Network::Network(const WeightedGraph& wg, CongestConfig config, FacadeInit)
+Network::Network(const WeightedGraph& wg, CongestConfig config, DecoratorInit)
     : wg_(&wg), config_(config) {
   const NodeId n = wg.graph().num_nodes();
   init_size_model();
-  // Global topology only: the facade routes every send through the
-  // out-arc -> lane mirror, but the lane arenas (and every other
-  // per-node structure) live in the shard members it owns.
+  // Topology only: the decorator routes every send through the out-arc
+  // -> lane mirror, but the lane arenas (and every other per-node
+  // structure) live in the inner Network it owns.
   build_csr_topology();
 
   const int workers = derive_workers(config_, n);
   worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStats{});
   scratch_.assign(static_cast<std::size_t>(workers), {});
   for (auto& s : scratch_) s.reserve(64);
-  if (workers > 1)
-    pool_ = std::make_unique<WorkerPool>(workers, config_.pin_threads);
+  if (workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
   if (config_.trace.enabled) {
     tracer_owned_ = std::make_unique<obs::TraceRecorder>(
         workers, config_.trace.ring_capacity);
@@ -258,8 +204,8 @@ void Network::reseed_node_rngs() {
 int Network::num_workers() const { return pool_ ? pool_->num_workers() : 1; }
 
 Rng& Network::rng(NodeId v) {
-  ARBODS_DCHECK(v >= node_begin_ && v - node_begin_ < node_rngs_.size());
-  return node_rngs_[v - node_begin_];
+  ARBODS_DCHECK(v < node_rngs_.size());
+  return node_rngs_[v];
 }
 
 void Network::check_cap(int bits) const {
@@ -352,11 +298,6 @@ void Network::deposit_words(std::size_t w, EdgeSlot lane,
   }
 }
 
-void Network::deposit_wire(EdgeSlot glane, const std::uint64_t* words,
-                           std::size_t nwords) {
-  deposit_words(worker_slot(), glane, words, nwords);
-}
-
 std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
   const auto nb = graph().neighbors(from);
   const auto it = std::lower_bound(nb.begin(), nb.end(), to);
@@ -366,12 +307,12 @@ std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
 }
 
 void Network::send(NodeId from, NodeId to, const Message& m) {
-  ARBODS_DCHECK(!is_shard_member_);  // members receive pre-routed deposits
+  ARBODS_DCHECK(!is_inner_);  // inner engines receive pre-routed deposits
   account_bits(deposit_encoded(mirror_[resolve_arc(from, to)], m, from));
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
-  ARBODS_DCHECK(!is_shard_member_);  // members receive pre-routed deposits
+  ARBODS_DCHECK(!is_inner_);  // inner engines receive pre-routed deposits
   const std::size_t begin = offsets_[from];
   const std::size_t end = offsets_[from + 1];
   if (begin == end) return;
@@ -393,14 +334,13 @@ void Network::broadcast(NodeId from, const Message& m) {
 }
 
 InboxView Network::inbox(NodeId v) const {
-  const std::size_t i = static_cast<std::size_t>(v) - node_begin_;
-  ARBODS_DCHECK(v >= node_begin_ && i + 1 < offsets_.size());
-  return InboxView(in_arena_->get(), lane_base_.data(), offsets_[i],
-                   offsets_[i + 1], &size_model_, config_.quantize_reals);
+  ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < offsets_.size());
+  return InboxView(in_arena_->get(), lane_base_.data(), offsets_[v],
+                   offsets_[v + 1], &size_model_, config_.quantize_reals);
 }
 
 void Network::arm_at(NodeId v, std::int64_t round) {
-  ARBODS_DCHECK(v >= node_begin_ && v - node_begin_ < active_mark_.size());
+  ARBODS_DCHECK(v < active_mark_.size());
   ARBODS_CHECK_MSG(round > round_,
                    "arm_at(" << v << ", " << round << ") is not in the future"
                              << " (current round " << round_ << ")");
@@ -545,8 +485,8 @@ void Network::rebuild_active_set() {
   for (const auto& list : touched_in_) {
     for (const EdgeSlot lane : list) {
       const NodeId v = lane_receiver_[lane];
-      if (active_mark_[v - node_begin_] != epoch) {
-        active_mark_[v - node_begin_] = epoch;
+      if (active_mark_[v] != epoch) {
+        active_mark_[v] = epoch;
         active_list_.push_back(v);
       }
     }
@@ -560,8 +500,8 @@ void Network::rebuild_active_set() {
     if (bucket.round != due) continue;
     armed_highwater_ = std::max(armed_highwater_, bucket.nodes.size());
     for (const NodeId v : bucket.nodes) {
-      if (active_mark_[v - node_begin_] != epoch) {
-        active_mark_[v - node_begin_] = epoch;
+      if (active_mark_[v] != epoch) {
+        active_mark_[v] = epoch;
         active_list_.push_back(v);
       }
     }
@@ -574,19 +514,19 @@ void Network::rebuild_active_set() {
   // Dense rounds re-extract from the marks with one sequential pass;
   // sparse rounds sort the short list. Either way the order (not just the
   // contents) is now independent of the pool width.
-  const std::size_t ns = active_mark_.size();
-  if (active_list_.size() >= ns / 8) {
+  const std::size_t n = active_mark_.size();
+  if (active_list_.size() >= n / 8) {
     active_scratch_.clear();
-    for (std::size_t i = 0; i < ns; ++i)
-      if (active_mark_[i] == epoch)
-        active_scratch_.push_back(node_begin_ + static_cast<NodeId>(i));
+    for (std::size_t v = 0; v < n; ++v)
+      if (active_mark_[v] == epoch)
+        active_scratch_.push_back(static_cast<NodeId>(v));
     active_list_.swap(active_scratch_);
   } else {
     std::sort(active_list_.begin(), active_list_.end());
   }
   active_highwater_ = std::max(active_highwater_, active_list_.size());
   if (tracer_ != nullptr)
-    tracer_->record(0, "active:rebuild", span_t0, obs::monotonic_ns(), 0,
+    tracer_->record(0, "active:rebuild", span_t0, obs::monotonic_ns(),
                     static_cast<std::int64_t>(active_list_.size()));
 }
 
@@ -655,45 +595,23 @@ void Network::reduce_stats() {
                    "RunStats counter overflow");
 }
 
-bool Network::affine_chunk_bounds(ChunkDomain, std::size_t,
-                                  std::vector<std::size_t>&) {
-  return false;  // plain Networks always use the uniform split
-}
-
 void Network::run_index_chunks(
     std::size_t count, FunctionRef<void(std::size_t, std::size_t)> chunk_fn,
-    ChunkDomain domain) {
-  const char* span_name = domain == ChunkDomain::kActive    ? "chunk:active"
-                          : domain == ChunkDomain::kShards  ? "chunk:shards"
-                                                            : "chunk:nodes";
+    const char* span_name) {
   if (!pool_) {
-    obs::ScopedSpan span(tracer_, 0, span_name, 0,
+    obs::ScopedSpan span(tracer_, 0, span_name,
                          static_cast<std::int64_t>(count));
     chunk_fn(0, count);
     return;
   }
-  const int workers = pool_->num_workers();
-  // Shard-affine dispatch: a derived simulator may substitute its own
-  // contiguous per-worker bounds so each index runs on the worker group
-  // owning its shard's arenas. The assignment is placement only — every
-  // index still runs exactly once — so the uniform fallback and any
-  // affine table produce bit-identical results.
-  const std::size_t* bounds =
-      affine_chunk_bounds(domain, count, chunk_bounds_scratch_)
-          ? chunk_bounds_scratch_.data()
-          : nullptr;
+  const std::size_t workers = static_cast<std::size_t>(pool_->num_workers());
   auto worker_fn = [&](int w) {
     tls_worker = w;
-    const std::size_t begin =
-        bounds ? bounds[w]
-               : count * static_cast<std::size_t>(w) /
-                     static_cast<std::size_t>(workers);
+    const std::size_t begin = count * static_cast<std::size_t>(w) / workers;
     const std::size_t end =
-        bounds ? bounds[w + 1]
-               : count * (static_cast<std::size_t>(w) + 1) /
-                     static_cast<std::size_t>(workers);
+        count * (static_cast<std::size_t>(w) + 1) / workers;
     {
-      obs::ScopedSpan span(tracer_, static_cast<std::size_t>(w), span_name, 0,
+      obs::ScopedSpan span(tracer_, static_cast<std::size_t>(w), span_name,
                            static_cast<std::int64_t>(end - begin));
       chunk_fn(begin, end);
     }
@@ -812,7 +730,7 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
       algo.process_round(*this);
       const std::int64_t t1 = obs::monotonic_ns();
       stats_.timing.compute_seconds += static_cast<double>(t1 - t0) * 1e-9;
-      if (tracer_ != nullptr) tracer_->record(0, "round", t0, t1, 0, round_);
+      if (tracer_ != nullptr) tracer_->record(0, "round", t0, t1, round_);
     }
     reduce_stats();
     if (flight_cap > 0) {

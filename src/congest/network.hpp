@@ -92,17 +92,9 @@ struct CongestConfig {
   /// once and regrow individually. Tests set a tiny value to exercise the
   /// spill/regrow path.
   int lane_capacity_words_hint = 0;
-  /// Number of shards the instance is partitioned into. 1 (default) =
-  /// the classic single-arena Network; K > 1 = a ShardedNetwork facade
-  /// over K per-shard Networks joined by the inter-shard message bridge
-  /// (see src/shard/). Results are bit-identical for every value; the
-  /// knob only changes how the lane arenas are laid out and driven.
-  /// Honored by shard::make_network (constructing a plain Network
-  /// ignores it).
-  int shards = 1;
   /// Adversarial fault model applied to every message and node. Honored
-  /// by fault::make_network, which wraps the (sharded or plain) simulator
-  /// in a fault::FaultyNetwork when the spec is enabled(); constructing a
+  /// by fault::make_network, which wraps the simulator in a
+  /// fault::FaultyNetwork when the spec is enabled(); constructing a
   /// Network directly ignores it. A default (inert) spec costs nothing.
   fault::FaultSpec fault{};
   /// Hard per-phase round cap applied on top of the caller's max_rounds
@@ -111,24 +103,6 @@ struct CongestConfig {
   /// drop-probability 1) terminates via PhaseStats::hit_round_limit
   /// instead of spinning out the default million-round budget.
   std::int64_t round_limit = 0;
-  /// Pin the worker-pool threads to CPUs (WorkerPool's affinity policy:
-  /// spawned worker w -> CPU w % count, worker 0 / the calling thread
-  /// never pinned, graceful no-op where unsupported). With shards > 1
-  /// this also turns on shard-affine dispatch: for_nodes /
-  /// for_active_nodes / flip chunks follow the shard->worker-group
-  /// assignment, and member arenas are first-touch-initialized by their
-  /// owning group. Placement only — results are bit-identical either way.
-  bool pin_threads = false;
-  /// Drive enable_traffic_profile -> measured_plan -> adopt_plan
-  /// automatically at phase boundaries (ProtocolRunner honors it on the
-  /// sharded simulator; a plain Network ignores it). Deterministic: the
-  /// measured profile is a pure function of the algorithm's traffic, so
-  /// every width and shard count replans identically (tested).
-  bool auto_replan = false;
-  /// Auto-replan hysteresis: adopt a refined plan only when its measured
-  /// cut volume is below (1 - replan_hysteresis) * the current plan's,
-  /// so cheap phases don't thrash the member arenas for marginal wins.
-  double replan_hysteresis = 0.05;
   /// Run every phase through the reliable-delivery adapter
   /// (resilience::ReliablePhase): exactly-once, sender-ordered delivery
   /// over drop/duplicate/reorder/delay faults. Honored by ProtocolRunner;
@@ -327,10 +301,6 @@ class InboxView {
   bool quantized_;
 };
 
-namespace shard {
-class ShardedNetwork;
-}  // namespace shard
-
 namespace fault {
 class FaultyNetwork;
 }  // namespace fault
@@ -339,13 +309,13 @@ namespace resilience {
 class ReliableNetwork;
 }  // namespace resilience
 
-/// The round-synchronous simulator. The class is also the *driving
-/// surface* of the sharded simulator: shard::ShardedNetwork derives from
-/// it and overrides the handful of virtual seams below (send/inbox/rng/
-/// arm_at plus the per-round internals), so ProtocolRunner, every Phase,
-/// and the scenario runner drive a sharded instance through the exact
-/// same API with bit-identical results. A plain Network pays one virtual
-/// dispatch per seam call and nothing else.
+/// The round-synchronous simulator. Its two decorators,
+/// fault::FaultyNetwork and resilience::ReliableNetwork, derive from it
+/// and override the handful of virtual seams below (send/inbox/rng/
+/// arm_at plus the per-round internals) around a plain inner Network, so
+/// ProtocolRunner, every Phase, and the scenario runner drive them
+/// through the exact same API. A plain Network pays one virtual dispatch
+/// per seam call and nothing else.
 class Network {
  public:
   Network(const WeightedGraph& wg, CongestConfig config = {});
@@ -366,8 +336,8 @@ class Network {
 
   int max_message_bits() const { return max_message_bits_; }
   const MessageSizeModel& size_model() const { return size_model_; }
-  /// The config this Network was constructed with (threads/shards/fault
-  /// already resolved by the make_network dispatchers upstream).
+  /// The config this Network was constructed with (threads/fault already
+  /// resolved by fault::make_network upstream).
   const CongestConfig& config() const { return config_; }
 
   /// Per-node deterministic RNG stream.
@@ -394,7 +364,7 @@ class Network {
       for (std::size_t v = begin; v < end; ++v)
         fn(static_cast<NodeId>(v));
     };
-    run_index_chunks(num_nodes(), chunk, ChunkDomain::kNodes);
+    run_index_chunks(num_nodes(), chunk, "chunk:nodes");
   }
 
   /// Runs fn(v) for every *active* node: the nodes that received at least
@@ -411,7 +381,7 @@ class Network {
     auto chunk = [&fn, nodes](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) fn(nodes[i]);
     };
-    run_index_chunks(active_list_.size(), chunk, ChunkDomain::kActive);
+    run_index_chunks(active_list_.size(), chunk, "chunk:active");
   }
 
   /// Schedules v to be active next round even if no message arrives. May
@@ -479,21 +449,10 @@ class Network {
   const RunStats& stats() const { return stats_; }
 
   /// Total arena size in 64-bit words (both double buffers have this
-  /// size; a sharded facade reports the sum over its shards).
+  /// size; a decorator reports its inner engine's).
   /// Diagnostics/tests only — the alloc regression uses it to pin
   /// "arena storage is constructed exactly once per Network".
   virtual std::size_t arena_words() const { return arena_words_; }
-
-  /// The sharded engine behind this Network's deliveries, unwrapping
-  /// decorators: the ShardedNetwork facade returns itself, the fault
-  /// decorator forwards to its inner engine, a plain single-arena
-  /// Network returns nullptr. The seam ProtocolRunner's auto-replanning
-  /// and the scenario harness reach the plan/traffic-profile surface
-  /// through without knowing the decorator stack.
-  virtual shard::ShardedNetwork* sharded_core() { return nullptr; }
-  const shard::ShardedNetwork* sharded_core() const {
-    return const_cast<Network*>(this)->sharded_core();
-  }
 
   // --- observability ---
   /// The span recorder this Network records into, or nullptr when
@@ -522,77 +481,35 @@ class Network {
   void dump_flight_recorder(std::ostream& os, std::string_view why) const;
 
  protected:
-  /// Tag for the sharded-facade constructor: topology indices, worker
-  /// pool, and per-worker encode scratch only — no lane arenas, RNG
-  /// streams, timer wheels, or active-set marks (those live in the
-  /// per-shard member Networks the facade owns).
-  struct FacadeInit {};
-  Network(const WeightedGraph& wg, CongestConfig config, FacadeInit);
-
-  /// What an index range passed to run_index_chunks indexes, so a
-  /// derived simulator with a shard-affine dispatch table can map the
-  /// range onto its shard->worker-group assignment (an index count alone
-  /// is ambiguous — an all-active round has as many active indices as
-  /// nodes).
-  enum class ChunkDomain : std::uint8_t {
-    kNodes,   // global node ids [0, num_nodes())
-    kActive,  // positions in the current active_list_
-    kShards,  // destination shards of a facade flip [0, K)
-  };
-
-  /// The pool dispatch behind for_nodes/for_active_nodes, exposed to
-  /// derived simulators for flip-time work: partitions [0, count) into
-  /// contiguous static chunks (one per worker, same assignment at every
-  /// call), runs chunk_fn(begin, end) on each worker with its slot
-  /// installed (worker_slot()/worker_index() resolve to the executing
-  /// worker inside chunk_fn), and returns after all chunks complete.
-  /// Serial (inline, slot 0) when the instance owns no pool. Not
-  /// reentrant — must be called from the driver thread between parallel
-  /// sections, which is exactly where a flip runs.
-  ///
-  /// The default split is uniform (count * w / workers). A derived
-  /// simulator may override affine_chunk_bounds to substitute its own
-  /// contiguous per-worker bounds for a domain — placement only: every
-  /// index still runs exactly once, on exactly one worker, and the
-  /// locality contract makes the assignment unobservable, so results
-  /// stay bit-identical under any bounds (the determinism suite pins
-  /// this with affinity enabled).
-  void run_index_chunks(std::size_t count,
-                        FunctionRef<void(std::size_t, std::size_t)> chunk_fn,
-                        ChunkDomain domain = ChunkDomain::kNodes);
+  /// Tag for the decorator constructor: topology indices, worker pool,
+  /// per-worker encode scratch, and the span recorder only — no lane
+  /// arenas, RNG streams, timer wheels, or active-set marks (those live
+  /// in the plain inner Network the decorator owns).
+  struct DecoratorInit {};
+  Network(const WeightedGraph& wg, CongestConfig config, DecoratorInit);
 
   /// Worker slot the calling thread accounts to: the executing worker's
   /// index inside a run_index_chunks section, 0 outside one.
   std::size_t worker_slot() const;
 
  private:
-  friend class shard::ShardedNetwork;
   friend class fault::FaultyNetwork;
   friend class resilience::ReliableNetwork;
 
   /// Lane index into the flat per-directed-edge buffers.
   using EdgeSlot = std::uint32_t;
 
-  /// Shard-member construction: the Network owns the lane arenas for the
-  /// in-arcs of the contiguous node block [node_begin, node_end), plus
-  /// that block's RNG streams, timer wheels, and active-set state — all
-  /// keyed by *global* node ids so behavior is bit-identical to the
-  /// unsharded simulator. Per-worker scratch is sized for the facade's
-  /// pool (`workers`), whose threads execute the deposits; the member
-  /// itself owns no pool and is never driven via run()/run_phase().
-  struct SliceInit {
-    NodeId node_begin;
-    NodeId node_end;
+  /// Inner-engine construction for a decorator: the Network owns the
+  /// lane arenas, RNG streams, timer wheels, and active-set state of
+  /// every node, but sizes its per-worker scratch for the decorator's
+  /// pool (`workers`), whose threads execute the deposits (pre-routed by
+  /// the decorator). It owns no pool and no span recorder and is never
+  /// driven via run()/run_phase().
+  /// `workers` == 0 builds a standalone Network instead.
+  struct InnerInit {
     int workers;
-    /// Skip the serial lane-length/calendar/scratch initialization in the
-    /// constructor; the owner must then run first_touch_lane_range /
-    /// first_touch_worker_state over the whole member before first use.
-    /// The sharded facade sets this under pin_threads so each arena page
-    /// is first touched — and so physically placed — by the worker group
-    /// that owns it, instead of by whichever thread built the members.
-    bool defer_first_touch = false;
   };
-  Network(const WeightedGraph& wg, CongestConfig config, SliceInit slice);
+  Network(const WeightedGraph& wg, CongestConfig config, InnerInit inner);
 
   struct alignas(64) WorkerStats {
     std::int64_t messages = 0;
@@ -624,33 +541,35 @@ class Network {
   };
 
   // Virtual per-round / per-phase seams: run(), run_phase(), and
-  // reset_for_reuse() are written once against these, and the sharded
-  // facade overrides them to fan the work out over its shard members
-  // (inject the bridge buffers, flip every shard, union the active sets).
+  // reset_for_reuse() are written once against these, and the fault
+  // decorator overrides them to drive its inner engine (inject held
+  // records, flip the inner arenas, mirror its active set).
   virtual void flip_buffers();
   virtual void clear_all_lanes();
   virtual void reseed_node_rngs();
   virtual void rebuild_active_set();
   virtual void shrink_scratch();
   /// Deposits an already-encoded wire record into the out-arena lane
-  /// addressed by a GLOBAL receiver-side arc index, from the calling
-  /// worker's slot. The decorator seam fault::FaultyNetwork delivers
-  /// through: the base class writes its own arena directly, while the
-  /// sharded facade routes to the owning member's local lane — so fault
-  /// delivery composes with sharding without knowing the layout.
-  virtual void deposit_wire(EdgeSlot glane, const std::uint64_t* words,
-                            std::size_t nwords);
-  /// Shard-affine dispatch hook for run_index_chunks: fill `bounds`
-  /// (resized to workers + 1, bounds[0] = 0, bounds[workers] = count,
-  /// non-decreasing) and return true to replace the uniform split for
-  /// this call. The base simulator always declines; the sharded facade
-  /// answers when pinning enabled its dispatch tables and `count`
-  /// matches the domain's size.
-  virtual bool affine_chunk_bounds(ChunkDomain domain, std::size_t count,
-                                   std::vector<std::size_t>& bounds);
+  /// addressed by a receiver-side arc index, from the calling worker's
+  /// slot: the path the decorators deliver into their inner engine by.
+  void deposit_wire(EdgeSlot lane, const std::uint64_t* words,
+                    std::size_t nwords) {
+    deposit_words(worker_slot(), lane, words, nwords);
+  }
+  /// The pool dispatch behind for_nodes/for_active_nodes: partitions
+  /// [0, count) into contiguous static chunks (count * w / workers, one
+  /// per worker, same assignment at every call), runs chunk_fn(begin,
+  /// end) on each worker with its slot installed (worker_slot()/
+  /// worker_index() resolve to the executing worker inside chunk_fn),
+  /// and returns after all chunks complete. Serial (inline, slot 0) when
+  /// the instance owns no pool. Not reentrant. `span_name` labels the
+  /// per-worker trace spans.
+  void run_index_chunks(std::size_t count,
+                        FunctionRef<void(std::size_t, std::size_t)> chunk_fn,
+                        const char* span_name);
   /// Wire records currently parked in spill buffers awaiting the next
-  /// flip's merge (flight-recorder diagnostics; the sharded facade sums
-  /// its members, the fault decorator forwards to its engine).
+  /// flip's merge (flight-recorder diagnostics; the fault decorator
+  /// forwards to its inner engine).
   virtual std::int64_t pending_spill_records() const;
   /// Build the active set if the current round's flip marked it dirty.
   /// The single seam behind for_active_nodes/active_nodes — and
@@ -663,28 +582,21 @@ class Network {
   /// Appends one flight-recorder line for the round just processed (a
   /// plain ring store; called by run_phase after each round).
   void flight_note_round(const obs::FlightRecord& rec);
-  /// Deferred-construction halves of SliceInit::defer_first_touch: zero
-  /// the length words of lanes [lane_begin, lane_end) in both arenas /
-  /// initialize worker w's calendar ring and encode scratch. Idempotent
-  /// on a fresh member; called by the owning facade from inside its
-  /// first-touch dispatch so the touching worker places the pages.
-  void first_touch_lane_range(std::size_t lane_begin, std::size_t lane_end);
-  void first_touch_worker_state(std::size_t w);
   void merge_spills_and_grow();
   struct WorkerCalendar;
   void arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round);
   /// Message widths + cap from the global instance (all constructors).
   void init_size_model();
-  /// Full-range CSR offsets, mirror permutation, and lane -> receiver
-  /// map (standalone and facade constructors); returns the arc count.
+  /// CSR offsets, out-arc -> receiver-lane mirror permutation, and
+  /// lane -> receiver map; returns the arc count.
   std::size_t build_csr_topology();
   /// Arc index of edge (from, to) via binary search over from's sorted
-  /// neighbors; throws on a non-edge. Full-range Networks only.
+  /// neighbors; throws on a non-edge.
   std::size_t resolve_arc(NodeId from, NodeId to) const;
   /// Encodes m into scratch_[w] (growing it as needed) and cap-checks
   /// before anything is deposited; returns the wire word count and the
   /// accounted bits through *bits. The single encode-side contract shared
-  /// by broadcast, tight-lane deposits, and the inter-shard bridge.
+  /// by broadcast, tight-lane deposits, and the decorators.
   std::size_t encode_into_scratch(std::size_t w, const Message& m,
                                   NodeId sender, int* bits);
   void check_cap(int bits) const;
@@ -703,13 +615,9 @@ class Network {
   int max_message_bits_ = 0;
   std::int64_t round_ = 0;
 
-  // Shard-member state: first owned global node id (0 for a full-range
-  // Network — every per-node index below is `v - node_begin_`, which the
-  // unsharded case compiles down to `v`), and whether this Network is a
-  // facade-owned member (sends then route through the facade, never
-  // through this object's send/broadcast).
-  NodeId node_begin_ = 0;
-  bool is_shard_member_ = false;
+  // Whether this Network is a decorator's inner engine (sends then route
+  // through the decorator, never through this object's send/broadcast).
+  bool is_inner_ = false;
 
   // CSR arc offsets (offsets_[v]..offsets_[v+1] are v's incident lanes in
   // receiver order), the out-arc -> receiver-lane mirror permutation, and
@@ -779,10 +687,6 @@ class Network {
   std::size_t active_highwater_ = 0;
 
   std::vector<WorkerStats> worker_stats_;
-  // Reused bounds buffer for affine run_index_chunks dispatch (driver
-  // thread only, like the dispatch itself), so an affine round allocates
-  // nothing once warm.
-  std::vector<std::size_t> chunk_bounds_scratch_;
   std::unique_ptr<WorkerPool> pool_;
   std::vector<Rng> node_rngs_;
   // Untouched seed-derived copies of node_rngs_, built once at
@@ -801,9 +705,9 @@ class Network {
   int phase_max_message_bits_ = 0;
 
   // Span recorder (obs/trace.hpp). The outermost Network of a decorator
-  // stack owns one when config.trace.enabled (shard members never do —
-  // their facade records for them); decorators propagate the raw sink
-  // down so inner layers record into the same rings. Null = tracing off.
+  // stack owns one when config.trace.enabled (inner engines never do);
+  // decorators propagate the raw sink down so inner layers record into
+  // the same rings. Null = tracing off.
   std::unique_ptr<obs::TraceRecorder> tracer_owned_;
   obs::TraceRecorder* tracer_ = nullptr;
 

@@ -1,28 +1,18 @@
 #include "congest/worker_pool.hpp"
 
 #include "common/check.hpp"
-#include "congest/affinity.hpp"
 
 namespace arbods {
 
-WorkerPool::WorkerPool(int num_workers, bool pin_threads)
+WorkerPool::WorkerPool(int num_workers)
     : num_workers_(num_workers),
       start_(num_workers),
       done_(num_workers),
       errors_(static_cast<std::size_t>(num_workers)) {
   ARBODS_CHECK_MSG(num_workers >= 1, "pool needs >= 1 worker");
-  // Pin each spawned thread right after creation, synchronously on this
-  // thread via the native handle — no handshake with the worker, and
-  // pinned_workers() is stable once the constructor returns. An unknown
-  // CPU count (cpus == 0) disables pinning: see the header contract.
-  const int cpus = pin_threads ? affinity_cpu_count() : 0;
   threads_.reserve(static_cast<std::size_t>(num_workers - 1));
-  for (int w = 1; w < num_workers; ++w) {
+  for (int w = 1; w < num_workers; ++w)
     threads_.emplace_back([this, w] { worker_loop(w); });
-    if (cpus > 0 &&
-        pin_thread_to_cpu(threads_.back().native_handle(), pin_cpu(w, cpus)))
-      ++pinned_;
-  }
 }
 
 WorkerPool::~WorkerPool() {

@@ -25,36 +25,13 @@ namespace arbods {
 class WorkerPool {
  public:
   /// `num_workers` >= 1 total workers including the calling thread.
-  ///
-  /// `pin_threads` pins each SPAWNED worker w to CPU pin_cpu(w) at
-  /// construction (pthread_setaffinity_np via congest/affinity.hpp).
-  /// Chosen semantics, regression-tested in tests/affinity_test.cpp:
-  ///   * Worker 0 is the calling thread and is NEVER pinned — the driver
-  ///     may be a test runner's thread or an outer pool's worker, and
-  ///     narrowing its mask would leak affinity past this pool's life.
-  ///   * Over-subscription (num_workers > CPU count) wraps modulo the
-  ///     CPU count: workers share cores round-robin, still valid masks.
-  ///   * hardware_concurrency() == 0 (unknown CPU count) disables
-  ///     pinning entirely — there is no modulus to map workers with.
-  ///   * A refused syscall (restricted container, unsupported platform)
-  ///     leaves that thread unpinned. Pinning is a placement hint only;
-  ///     results are bit-identical pinned or not.
-  WorkerPool(int num_workers, bool pin_threads = false);
+  explicit WorkerPool(int num_workers);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   int num_workers() const { return num_workers_; }
-
-  /// Spawned workers successfully pinned (diagnostics/tests); always 0
-  /// when constructed without pin_threads or when the CPU count is
-  /// unknown, at most num_workers - 1.
-  int pinned_workers() const { return pinned_; }
-
-  /// The CPU a pinned worker targets: w % cpus, for spawned workers
-  /// (w >= 1) and cpus > 0. Pure; exposed so tests pin the mapping.
-  static int pin_cpu(int worker, int cpus) { return worker % cpus; }
 
   /// Executes fn(w) once for every worker index w in [0, num_workers),
   /// concurrently; returns after all have finished. Not reentrant. The
@@ -67,7 +44,6 @@ class WorkerPool {
   void worker_loop(int index);
 
   int num_workers_ = 1;
-  int pinned_ = 0;
   FunctionRef<void(int)> fn_;
   bool stop_ = false;
   std::barrier<> start_;

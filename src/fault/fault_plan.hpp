@@ -2,8 +2,8 @@
 //
 // A plan is the rich form of a FaultSpec: uniform per-record
 // probabilities plus optional per-arc drop/duplicate overrides (indexed
-// by receiver-side CSR arc, the same indexing ShardedNetwork's traffic
-// profile uses) and an explicit node-kill schedule keyed by round.
+// by receiver-side CSR arc, the Network's lane indexing) and an explicit
+// node-kill schedule keyed by round.
 // make_fault_plan derives one from a spec — sampling the kill set with a
 // pure hash of (fault_seed, node) — or a test/bench builds one directly
 // to target specific arcs and nodes.
@@ -11,8 +11,8 @@
 // Determinism contract: every decision a FaultyNetwork takes from a plan
 // is a pure hash of (plan.seed, arc, round, record-index) — no RNG state,
 // no iteration order — so a fixed plan produces bit-identical results,
-// delivery traces, and fault counters at every worker-pool width and
-// shard count (tested in tests/fault_test.cpp).
+// delivery traces, and fault counters at every worker-pool width
+// (tested in tests/fault_test.cpp).
 #pragma once
 
 #include <cstdint>

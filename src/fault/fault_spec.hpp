@@ -2,9 +2,8 @@
 // model, embedded in CongestConfig so every harness layer (registry,
 // scenario runner, bench binaries) can request a faulty run without new
 // plumbing. A default-constructed spec is inert: fault::make_network
-// returns the ordinary (sharded or plain) simulator for it, and a
-// FaultyNetwork built over an all-zero spec is bit-identical to running
-// without the decorator.
+// returns the ordinary simulator for it, and a FaultyNetwork built over
+// an all-zero spec is bit-identical to running without the decorator.
 //
 // The spec is deliberately a flat value type (no vectors) so
 // CongestConfig keeps its defaulted operator== — NetworkPool keys pooled

@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "common/shrink.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace arbods::fault {
 
@@ -16,14 +15,14 @@ using detail::fault_hash;
 using detail::unit_real;
 
 FaultyNetwork::FaultyNetwork(const WeightedGraph& wg, CongestConfig config)
-    : Network(wg, config, FacadeInit{}),
+    : Network(wg, config, DecoratorInit{}),
       plan_(make_fault_plan(wg.graph(), config.fault)) {
   init_from_plan(wg, config);
 }
 
 FaultyNetwork::FaultyNetwork(const WeightedGraph& wg, CongestConfig config,
                              FaultPlan plan)
-    : Network(wg, config, FacadeInit{}), plan_(std::move(plan)) {
+    : Network(wg, config, DecoratorInit{}), plan_(std::move(plan)) {
   init_from_plan(wg, config);
 }
 
@@ -48,29 +47,18 @@ void FaultyNetwork::init_from_plan(const WeightedGraph& wg,
   wheels_.resize(worker_stats_.size());
   for (HoldWheel& wheel : wheels_) wheel.ring.resize(ring);
 
-  // The inner delivery engine. Unsharded: a plain Network in shard-member
-  // mode over the full node range — it owns arenas, RNG streams, timers,
-  // and active-set state for every node, sizes its per-worker scratch for
-  // the decorator's pool (whose threads execute the deposits), and owns
-  // no pool of its own. Sharded: a full ShardedNetwork facade; its pool
-  // width matches the decorator's (both derive from config.threads), so
-  // worker slots pass through the deposit seam unchanged.
+  // The inner delivery engine: a plain Network in inner mode — it owns
+  // arenas, RNG streams, timers, and active-set state for every node,
+  // sizes its per-worker scratch for the decorator's pool (whose threads
+  // execute the deposits), and owns no pool of its own.
   CongestConfig inner_cfg = config;
   inner_cfg.fault = FaultSpec{};  // the decorator owns the faults
-  // One recorder per decorator stack: the decorator (FacadeInit above)
+  // One recorder per decorator stack: the decorator (DecoratorInit above)
   // owns it; the inner engine records into the same rings through the
   // shared sink installed below.
   inner_cfg.trace.enabled = false;
-  const int k = std::clamp(config.shards, 1,
-                           std::max<int>(1, static_cast<int>(n)));
-  if (k <= 1) {
-    inner_.reset(new Network(
-        wg, inner_cfg,
-        SliceInit{0, n, static_cast<int>(worker_stats_.size())}));
-  } else {
-    inner_cfg.shards = k;
-    inner_ = std::make_unique<shard::ShardedNetwork>(wg, inner_cfg);
-  }
+  inner_.reset(new Network(
+      wg, inner_cfg, InnerInit{static_cast<int>(worker_stats_.size())}));
   inner_->tracer_ = tracer_;
 }
 
@@ -238,14 +226,7 @@ void FaultyNetwork::flip_buffers() {
       bucket.recs.clear();
     }
   }
-  // The decorator's flip time lands in the outer run_phase's flip
-  // accounting; the inner facade's per-destination merge time accrues in
-  // its OWN stats_.timing, so harvest the delta into ours — the
-  // decorator's stats are the ones the run reports.
-  const double merge_before = inner_->stats_.timing.merge_seconds;
   inner_->flip_buffers();
-  stats_.timing.merge_seconds +=
-      inner_->stats_.timing.merge_seconds - merge_before;
   inner_->round_ = round_ + 1;  // lockstep: the caller advances ours next
   active_dirty_ = true;
 }
@@ -314,7 +295,7 @@ void FaultyNetwork::reset_for_reuse() {
 
 std::unique_ptr<Network> make_network(const WeightedGraph& wg,
                                       const CongestConfig& config) {
-  if (!config.fault.enabled()) return shard::make_network(wg, config);
+  if (!config.fault.enabled()) return std::make_unique<Network>(wg, config);
   return std::make_unique<FaultyNetwork>(wg, config);
 }
 

@@ -1,12 +1,11 @@
 // FaultyNetwork: an adversarial decorator over the CONGEST simulator.
 //
-// The decorator derives from Network through the same facade seams
-// ShardedNetwork uses, and owns an *inner* delivery engine — a plain
-// Network in shard-member mode (full node range, scratch sized for the
-// decorator's pool) when config.shards <= 1, a ShardedNetwork otherwise.
-// Algorithms, ProtocolRunner phases, and the scenario runner drive the
-// decorator through the unchanged Network surface; inboxes, RNG streams,
-// and timers delegate to the inner engine, while every send/broadcast is
+// The decorator derives from Network through its virtual seams and owns
+// an *inner* delivery engine: a plain Network built in inner mode (every
+// node, per-worker scratch sized for the decorator's pool). Algorithms,
+// ProtocolRunner phases, and the scenario runner drive the decorator
+// through the unchanged Network surface; inboxes, RNG streams, and
+// timers delegate to the inner engine, while every send/broadcast is
 // intercepted:
 //
 //   1. the record is encoded once (CONGEST cap check and bit accounting
@@ -30,8 +29,8 @@
 //      identical at every pool width.
 //
 // Determinism contract: a fixed FaultPlan yields bit-identical results,
-// traces, and fault counters at every thread width and shard count, and
-// a zero-fault plan is bit-identical to running without the decorator
+// traces, and fault counters at every thread width, and a zero-fault
+// plan is bit-identical to running without the decorator
 // (every record then takes the direct path in send order). Tested in
 // tests/fault_test.cpp against every registry solver.
 #pragma once
@@ -79,15 +78,6 @@ class FaultyNetwork final : public Network {
   }
   std::size_t arena_words() const override { return inner_->arena_words(); }
   void reset_for_reuse() override;
-  /// Unwraps to the inner sharded engine (nullptr when the decorator
-  /// runs over a plain Network), so phase-boundary auto-replanning and
-  /// harness reporting compose with fault injection. Note the fault
-  /// path delivers via deposit_wire, which bypasses the facade's send
-  /// accounting: under this decorator the traffic profile stays empty
-  /// and measured_plan() reduces to the structural refiner.
-  shard::ShardedNetwork* sharded_core() override {
-    return inner_->sharded_core();
-  }
 
  private:
   /// One disturbed record parked until its arrival round. The sort key
@@ -158,8 +148,8 @@ class FaultyNetwork final : public Network {
 
 /// The construction point the harness layers use: dispatches on
 /// config.fault.enabled() — a FaultyNetwork when faults are requested,
-/// otherwise shard::make_network's plain/sharded simulator. Callers hold
-/// the result as Network& and never learn which they got.
+/// otherwise a plain Network. Callers hold the result as Network& and
+/// never learn which they got.
 std::unique_ptr<Network> make_network(const WeightedGraph& wg,
                                       const CongestConfig& config);
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <string_view>
 
 #include "common/check.hpp"
@@ -17,7 +18,8 @@ namespace {
 
 // Whitespace-separated tokens straight off the stream buffer; a token that
 // starts with '#' comments out the rest of its line. Tokens are numbered
-// from 1 so a diagnostic can point at the offending one.
+// from 1 and lines are counted, so a diagnostic can point at the offending
+// token as "line L, token T".
 class TokenReader {
  public:
   explicit TokenReader(std::istream& is) : buf_(*is.rdbuf()) {}
@@ -27,7 +29,10 @@ class TokenReader {
     tok_.clear();
     int c = buf_.sgetc();
     while (true) {
-      while (c != EOF && std::isspace(c)) c = buf_.snextc();
+      while (c != EOF && std::isspace(c)) {
+        if (c == '\n') ++line_;
+        c = buf_.snextc();
+      }
       if (c != '#') break;
       while (c != EOF && c != '\n') c = buf_.snextc();
     }
@@ -44,28 +49,40 @@ class TokenReader {
   template <typename T>
   T number(const char* what) {
     const std::string_view tok = next();
-    ARBODS_CHECK_MSG(!tok.empty(), "unexpected end of input reading "
-                                       << what << " (token " << index_ + 1
-                                       << ")");
+    ARBODS_CHECK_MSG(!tok.empty(),
+                     where() << "unexpected end of input reading " << what);
     T value{};
     const auto [end, ec] =
         std::from_chars(tok.data(), tok.data() + tok.size(), value);
     ARBODS_CHECK_MSG(ec != std::errc::result_out_of_range,
-                     what << " token " << index_ << " '" << tok
-                          << "' is out of range");
+                     where() << what << " '" << tok << "' is out of range");
     ARBODS_CHECK_MSG(ec == std::errc() && end == tok.data() + tok.size(),
-                     what << " token " << index_ << " '" << tok
-                          << "' is not an integer");
+                     where() << what << " '" << tok << "' is not an integer");
     return value;
   }
 
+  /// Raises CheckError unless only whitespace and comments remain.
+  void expect_end() {
+    const std::string_view tok = next();
+    ARBODS_CHECK_MSG(tok.empty(), where() << "unexpected trailing token '"
+                                          << tok
+                                          << "' after the last expected one");
+  }
+
+  /// "line L, token T: " for the last token read, or for the position
+  /// where input ended when the last read found none.
+  std::string where() const {
+    return "line " + std::to_string(line_) + ", token " +
+           std::to_string(tok_.empty() ? index_ + 1 : index_) + ": ";
+  }
+
   std::string_view last() const { return tok_; }
-  std::size_t index() const { return index_; }
 
  private:
   std::streambuf& buf_;
   std::string tok_;
   std::size_t index_ = 0;
+  std::size_t line_ = 1;
 };
 
 // Up-front edge reservation is capped so a corrupt edge count cannot ask
@@ -81,14 +98,12 @@ Graph read_graph(TokenReader& in) {
     NodeId ends[2];
     for (NodeId& end : ends) {
       end = in.number<NodeId>("edge endpoint");
-      ARBODS_CHECK_MSG(end < n, "edge endpoint token "
-                                    << in.index() << " '" << in.last()
-                                    << "' is out of range n=" << n);
+      ARBODS_CHECK_MSG(end < n, in.where() << "edge endpoint '" << in.last()
+                                           << "' is out of range n=" << n);
     }
-    ARBODS_CHECK_MSG(ends[0] != ends[1], "edge " << i << " (token "
-                                                 << in.index()
-                                                 << ") is a self-loop at "
-                                                 << ends[0]);
+    ARBODS_CHECK_MSG(ends[0] != ends[1], in.where() << "edge " << i
+                                                    << " is a self-loop at "
+                                                    << ends[0]);
     b.add_edge(ends[0], ends[1]);
   }
   return std::move(b).build();
@@ -102,7 +117,9 @@ void write_graph(std::ostream& os, const Graph& g) {
 
 Graph read_graph(std::istream& is) {
   TokenReader in(is);
-  return read_graph(in);
+  Graph g = read_graph(in);
+  in.expect_end();
+  return g;
 }
 
 void write_weighted_graph(std::ostream& os, const WeightedGraph& wg) {
@@ -115,11 +132,12 @@ WeightedGraph read_weighted_graph(std::istream& is) {
   TokenReader in(is);
   Graph g = read_graph(in);
   const std::string_view marker = in.next();
-  ARBODS_CHECK_MSG(marker == "weights", "expected 'weights' marker (token "
-                                            << in.index() << "), got '"
-                                            << marker << "'");
+  ARBODS_CHECK_MSG(marker == "weights", in.where()
+                                            << "expected 'weights' marker, "
+                                               "got '" << marker << "'");
   std::vector<Weight> w(g.num_nodes());
   for (Weight& weight : w) weight = in.number<Weight>("weight");
+  in.expect_end();
   return WeightedGraph(std::move(g), std::move(w));
 }
 

@@ -6,8 +6,11 @@
 // Weighted variant appends a line "weights" followed by n integers.
 //
 // Readers never trust the input: a token that is not a whole decimal
-// integer or overflows its field, an endpoint >= n, a self-loop, or a
-// list cut short raises CheckError naming the token and its 1-based index.
+// integer or overflows its field, an endpoint >= n, a self-loop, a list
+// cut short, or any non-comment token after the last expected one (so a
+// weighted file handed to read_graph is rejected, not half-read) raises
+// CheckError naming the token as "line L, token T" (both 1-based).
+// Duplicate edges are not an error: the builder collapses them.
 #pragma once
 
 #include <iosfwd>

@@ -294,9 +294,6 @@ MdsResult run_solver(std::string_view name, const WeightedGraph& wg,
   ARBODS_CHECK_MSG(params.threads >= -1,
                    "threads must be >= -1 (-1 = inherit, 0 = hardware), got "
                        << params.threads);
-  ARBODS_CHECK_MSG(params.shards == -1 || params.shards >= 1,
-                   "shards must be >= 1 or -1 (inherit), got "
-                       << params.shards);
   info.check_params(params);
   if (info.forests_only) {
     ARBODS_CHECK_MSG(is_forest(wg.graph()),
@@ -304,7 +301,6 @@ MdsResult run_solver(std::string_view name, const WeightedGraph& wg,
   }
   CongestConfig cfg = config;
   if (params.threads >= 0) cfg.threads = params.threads;
-  if (params.shards >= 1) cfg.shards = params.shards;
   const std::unique_ptr<Network> net = fault::make_network(wg, cfg);
   return info.run_on(*net, params);
 }
@@ -315,9 +311,6 @@ MdsResult run_solver_on(std::string_view name, Network& net,
   ARBODS_CHECK_MSG(params.threads == -1,
                    "run_solver_on: the worker-pool width is fixed by the "
                    "Network's config; leave params.threads at -1");
-  ARBODS_CHECK_MSG(params.shards == -1,
-                   "run_solver_on: the shard count is fixed by the "
-                   "Network's config; leave params.shards at -1");
   info.check_params(params);
   if (info.forests_only) {
     ARBODS_CHECK_MSG(is_forest(net.graph()),

@@ -27,11 +27,6 @@ struct SolverParams {
   /// threads, -1 = inherit CongestConfig::threads (the default). Results
   /// are bit-identical for every width.
   int threads = -1;
-  /// Simulator shard count: >= 1 explicit (1 = the classic single-arena
-  /// Network, K > 1 = a ShardedNetwork over K shards), -1 = inherit
-  /// CongestConfig::shards (the default). Results are bit-identical for
-  /// every count.
-  int shards = -1;
 };
 
 /// Which SolverParams fields a solver consumes. `threads` is consumed by

@@ -12,7 +12,6 @@
 #include "common/stopwatch.hpp"
 #include "fault/faulty_network.hpp"
 #include "harness/oracle.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace arbods::harness {
 
@@ -69,10 +68,6 @@ std::vector<ScenarioRow> run_scenario(
     std::span<const CorpusInstance* const> instances) {
   ARBODS_CHECK_MSG(!spec.solvers.empty(), "scenario has no solvers");
   ARBODS_CHECK_MSG(!spec.thread_widths.empty(), "scenario has no widths");
-  ARBODS_CHECK_MSG(!spec.shard_counts.empty(), "scenario has no shard counts");
-  for (const int shard_count : spec.shard_counts)
-    ARBODS_CHECK_MSG(shard_count >= 1,
-                     "shard counts must be >= 1, got " << shard_count);
   ARBODS_CHECK_MSG(!spec.seeds.empty(), "scenario has no seeds");
   ARBODS_CHECK_MSG(!spec.fault_levels.empty(), "scenario has no fault levels");
   ARBODS_CHECK_MSG(spec.repeats >= 1, "repeats must be >= 1");
@@ -106,7 +101,6 @@ std::vector<ScenarioRow> run_scenario(
       SolverParams params =
           scenario_solver.params.value_or(params_for(info, inst));
       params.threads = -1;  // the width lives in the Network config
-      params.shards = -1;   // so does the shard count
       // Validate once per cell, outside the timed repeat loop (the
       // forests_only check walks the whole graph; run_solver_on would
       // redo it per repeat inside the Stopwatch window).
@@ -115,18 +109,16 @@ std::vector<ScenarioRow> run_scenario(
       for (const std::uint64_t seed : spec.seeds) {
       for (const ScenarioFault& level : spec.fault_levels) {
         // One reference per (instance, solver, seed, fault level): every
-        // width, every shard count, and every repeat must reproduce it
-        // bit-for-bit — a sweep doubles as an end-to-end determinism
-        // audit, for faulty cells exactly as for clean ones.
+        // width and every repeat must reproduce it bit-for-bit — a sweep
+        // doubles as an end-to-end determinism audit, for faulty cells
+        // exactly as for clean ones.
         MdsResult reference;
         bool have_reference = false;
 
         for (const int width : spec.thread_widths) {
-        for (const int shard_count : spec.shard_counts) {
           CongestConfig cfg = base_config;
           cfg.seed = seed;
           cfg.threads = width;
-          cfg.shards = shard_count;
           cfg.fault = level.spec;
           Network& net = pool.acquire(inst.wg, cfg);
 
@@ -212,7 +204,6 @@ std::vector<ScenarioRow> run_scenario(
           row.solver = scenario_solver.label.empty() ? scenario_solver.name
                                                      : scenario_solver.label;
           row.threads = width;
-          row.shards = shard_count;
           row.seed = seed;
           row.fault =
               level.label.empty() ? fault::fault_label(level.spec) : level.label;
@@ -221,27 +212,13 @@ std::vector<ScenarioRow> run_scenario(
           row.result = std::move(res);
           row.identical = identical;
           row.failed = failed;
-          row.pinned = cfg.pin_threads;
-          // Bridge counters reset at each run() start, so this reads the
-          // final repeat's per-boundary volume — deterministic, hence
-          // identical across repeats anyway. A FaultyNetwork over shards
-          // keeps its bridge private, so faulty rows skip the field.
-          if (const auto* sharded =
-                  dynamic_cast<const shard::ShardedNetwork*>(&net))
-            row.bridged_bytes = sharded->boundary_bridged_bytes();
-          // Replans, by contrast, come through the decorator-unwrapping
-          // seam: a faulty sharded cell with auto_replan still reports
-          // its inner engine's plan adoptions.
-          if (const auto* core = net.sharded_core())
-            row.replans = core->replans();
           row.last_rounds = std::move(last_rounds);
           // One trace group per cell: the recorder holds the FINAL
           // repeat's spans (reset_for_reuse clears it at each run start).
           if (!spec.trace_out.empty() && net.tracer() != nullptr) {
             obs::TraceGroup group;
             group.label = inst.name + " · " + row.solver +
-                          " · t" + std::to_string(width) + " s" +
-                          std::to_string(shard_count) + " seed" +
+                          " · t" + std::to_string(width) + " seed" +
                           std::to_string(seed);
             if (row.fault != "none") group.label += " · " + row.fault;
             group.events = net.tracer()->snapshot();
@@ -249,7 +226,6 @@ std::vector<ScenarioRow> run_scenario(
               trace_groups.push_back(std::move(group));
           }
           rows.push_back(std::move(row));
-        }
         }
       }
       }
@@ -311,7 +287,6 @@ void write_scenario_json(std::ostream& os, std::span<const ScenarioRow> rows) {
        << ", \"n\": " << row.n << ", \"m\": " << row.m
        << ", \"solver\": " << json_string(row.solver)
        << ", \"threads\": " << row.threads
-       << ", \"shards\": " << row.shards
        << ", \"seed\": " << row.seed
        << ", \"fault\": " << json_string(row.fault)
        << ", \"seconds\": " << json_fixed(row.seconds)
@@ -330,24 +305,15 @@ void write_scenario_json(std::ostream& os, std::span<const ScenarioRow> rows) {
        << ", \"repair_rounds\": " << row.result.repair_rounds
        << ", \"repaired_nodes\": " << row.result.repaired_nodes
        << ", \"post_repair_weight\": " << row.result.post_repair_weight
-       << ", \"pinned\": " << (row.pinned ? "true" : "false")
-       << ", \"replans\": " << row.replans
        << ", \"compute_seconds\": "
        << json_fixed(row.result.stats.timing.compute_seconds)
        << ", \"flip_seconds\": "
        << json_fixed(row.result.stats.timing.flip_seconds)
-       << ", \"merge_seconds\": "
-       << json_fixed(row.result.stats.timing.merge_seconds)
        << ", \"retransmit_seconds\": "
        << json_fixed(row.result.stats.timing.retransmit_seconds)
        << ", \"identical\": " << (row.identical ? "true" : "false")
        << ", \"failed\": " << (row.failed ? "true" : "false")
-       << ", \"bridged_bytes\": [";
-    for (std::size_t i = 0; i < row.bridged_bytes.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << row.bridged_bytes[i];
-    }
-    os << "], \"last_rounds\": [";
+       << ", \"last_rounds\": [";
     for (std::size_t i = 0; i < row.last_rounds.size(); ++i) {
       const obs::FlightRecord& r = row.last_rounds[i];
       if (i > 0) os << ", ";

@@ -1,10 +1,10 @@
 // Scenario batch runner: the harness layer of the protocol engine.
 //
 // A ScenarioSpec describes a sweep {solvers x instances x thread widths x
-// shard counts x seeds x fault levels x repeats}; run_scenario expands it
-// over POOLED Networks — one Network per (instance, width, shard count,
-// seed, fault level), constructed once and reset between
-// runs via Network::reset_for_reuse — and returns one row per cell with
+// seeds x fault levels x repeats}; run_scenario expands it over POOLED
+// Networks — one Network per (instance, width, seed, fault level),
+// constructed once and reset between runs via Network::reset_for_reuse —
+// and returns one row per cell with
 // the full MdsResult (per-phase stats included), a median wall-clock
 // timing, and a cross-width/cross-repeat determinism verdict. The old
 // hand-rolled exp* driver loops (instance x solver x width with ad-hoc
@@ -53,10 +53,6 @@ struct ScenarioFault {
 struct ScenarioSpec {
   std::vector<ScenarioSolver> solvers;
   std::vector<int> thread_widths = {1};
-  /// Simulator shard counts (one pass per count, like thread_widths; the
-  /// simulator promises bit-identical results for every count, which the
-  /// determinism audit re-checks against the same cell reference).
-  std::vector<int> shard_counts = {1};
   /// Simulator seeds (one pass per seed); defaults to the CongestConfig
   /// default so an unconfigured scenario matches an unconfigured solver
   /// call bit-for-bit.
@@ -65,8 +61,8 @@ struct ScenarioSpec {
   /// spec overrides base_config.fault and labels its rows, so one sweep
   /// emits a robustness envelope per solver. The determinism audit keys
   /// its reference per (instance, solver, seed, fault level) — faulty
-  /// runs promise bit-identical results across every width and shard
-  /// count just like clean ones.
+  /// runs promise bit-identical results across every width just like
+  /// clean ones.
   std::vector<ScenarioFault> fault_levels = {{}};
   /// Catch a solver CheckError per cell (a heavy fault level can starve
   /// a solver into a violated invariant) and mark the row failed=true —
@@ -108,7 +104,6 @@ struct ScenarioRow {
   std::int64_t m = 0;
   std::string solver;      // the ScenarioSolver label
   int threads = 1;
-  int shards = 1;
   std::uint64_t seed = 0;
   /// The fault level's label ("none" for a clean cell).
   std::string fault = "none";
@@ -120,20 +115,6 @@ struct ScenarioRow {
   bool identical = true;   // determinism verdict for this cell
   /// The solver threw a CheckError (only under tolerate_failures).
   bool failed = false;
-  /// Bytes that crossed each of the shard plan's K-1 boundaries during
-  /// the cell's final run (ShardedNetwork::boundary_bridged_bytes).
-  /// Empty when shards == 1 — a plain Network has no bridge.
-  std::vector<std::int64_t> bridged_bytes;
-  /// The cell ran with CongestConfig::pin_threads (worker threads pinned
-  /// to CPUs, shard-affine dispatch) — placement metadata, never part of
-  /// the row key: pinning cannot change results, only timing.
-  bool pinned = false;
-  /// Shard plans adopted during the cell's final run (phase-boundary
-  /// auto-replans under CongestConfig::auto_replan; 0 when unsharded or
-  /// replanning off). Deterministic across widths and repeats — on a
-  /// pooled Network later repeats start from the already-refined plan,
-  /// so a converged cell reports 0 here.
-  int replans = 0;
   /// Flight-recorder context for diagnosable incidents: the last N
   /// per-round summaries of the run that failed (CheckError under
   /// tolerate_failures) or terminated via the round budget. Empty for
@@ -144,9 +125,9 @@ struct ScenarioRow {
 
 /// Pools Networks keyed by (graph, config): every run that shares the
 /// pool reuses one Network per key, constructed once and reset between
-/// runs (a config with shards > 1 pools a ShardedNetwork — the caller
-/// only ever sees the Network surface). The construction count is
-/// exposed so tests can pin the reuse.
+/// runs (a faulty config pools a FaultyNetwork — the caller only ever
+/// sees the Network surface). The construction count is exposed so tests
+/// can check the reuse.
 class NetworkPool {
  public:
   Network& acquire(const WeightedGraph& wg, const CongestConfig& config);
@@ -189,11 +170,8 @@ double median_of(std::vector<double>& samples);
 std::size_t median_index(std::span<const double> samples);
 
 /// The exp12 JSON row schema version emitted by write_scenario_json.
-/// v2 added `schema_version` and the per-row `shards` count, so
-/// artifacts from different shard configs are distinguishable. v3 added
-/// `bridged_bytes`, the per-boundary inter-shard byte volume of the
-/// cell's final run (an empty array for unsharded rows) — the measured
-/// quantity traffic-aware shard placement optimizes. v4 added `seed`
+/// v2 added `schema_version` and a per-row shard count; v3 added the
+/// per-boundary inter-shard byte volume. v4 added `seed`
 /// (multi-seed sweeps used to emit indistinguishable rows), the fault
 /// axis (`fault` label plus the dropped/duplicated/delayed/killed
 /// counters), and `failed` (solver threw under tolerate_failures). v5
@@ -201,27 +179,27 @@ std::size_t median_index(std::span<const double> samples);
 /// budget — under heavy faults that is data, not an error) and the
 /// self-healing columns `repair_rounds`/`repaired_nodes`/
 /// `post_repair_weight` (nonzero only for "<solver>+repair" rows). v6
-/// added `pinned` (the cell ran with worker threads pinned and
-/// shard-affine dispatch) and `replans` (phase-boundary auto-replans in
-/// the final run); compare_bench.py compares optional counters only
-/// when both sides carry them, so v5 and v6 artifacts keep matching on
-/// their shared fields. v7 added the wall-clock breakdown columns
-/// `compute_seconds`/`flip_seconds`/`merge_seconds`/
-/// `retransmit_seconds` (informational only — compare_bench.py prints
-/// them but never fails on timing drift), switched `seconds` and the
-/// breakdown to explicit fixed 9-decimal formatting (sub-millisecond
+/// added thread-placement metadata; compare_bench.py compares optional
+/// counters only when both sides carry them, so artifacts of different
+/// versions keep matching on their shared fields. v7 added the
+/// wall-clock breakdown columns (informational only — compare_bench.py
+/// prints them but never fails on timing drift), switched `seconds` and
+/// the breakdown to explicit fixed 9-decimal formatting (sub-millisecond
 /// rows used to collapse under 6-significant-digit stream defaults),
 /// and added `last_rounds`, the flight-recorder context of failed /
-/// round-limited rows (an empty array for healthy ones).
-inline constexpr int kScenarioJsonSchemaVersion = 7;
+/// round-limited rows (an empty array for healthy ones). v8 dropped the
+/// in-process sharding and placement columns and the merge time along
+/// with the sharding engine itself; every v8 row is what v7 reported
+/// with a shard count of 1, so compare_bench.py matches such v7 rows
+/// against v8 ones.
+inline constexpr int kScenarioJsonSchemaVersion = 8;
 
 /// One JSON object per row, as a JSON array (the exp12 schema):
-/// schema_version/instance/family/n/m/solver/threads/shards/seed/fault/
+/// schema_version/instance/family/n/m/solver/threads/seed/fault/
 /// seconds/repeats/rounds/messages/total_bits/set_size/weight/dropped/
 /// duplicated/delayed/killed/hit_round_limit/repair_rounds/
-/// repaired_nodes/post_repair_weight/pinned/replans/compute_seconds/
-/// flip_seconds/merge_seconds/retransmit_seconds/identical/failed/
-/// bridged_bytes/last_rounds.
+/// repaired_nodes/post_repair_weight/compute_seconds/flip_seconds/
+/// retransmit_seconds/identical/failed/last_rounds.
 void write_scenario_json(std::ostream& os, std::span<const ScenarioRow> rows);
 
 }  // namespace arbods::harness

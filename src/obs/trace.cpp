@@ -22,7 +22,7 @@ TraceRecorder::TraceRecorder(int workers, int ring_capacity)
 
 void TraceRecorder::record(std::size_t worker, const char* name,
                            std::int64_t begin_ns, std::int64_t end_ns,
-                           int pid, std::int64_t arg) {
+                           std::int64_t arg) {
   if (worker >= rings_.size()) worker = 0;
   WorkerRing& ring = rings_[worker];
   Event& slot = ring.events[ring.count % ring.events.size()];
@@ -30,7 +30,6 @@ void TraceRecorder::record(std::size_t worker, const char* name,
   slot.ts_ns = begin_ns - epoch_ns_;
   slot.dur_ns = std::max<std::int64_t>(end_ns - begin_ns, 0);
   slot.arg = arg;
-  slot.pid = pid;
   ++ring.count;
 }
 
@@ -62,7 +61,6 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
       ev.name = e.name;
       ev.ts_ns = e.ts_ns;
       ev.dur_ns = e.dur_ns;
-      ev.pid = e.pid;
       ev.tid = static_cast<int>(w);
       ev.arg = e.arg;
       out.push_back(std::move(ev));
@@ -127,8 +125,8 @@ void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups) {
   bool first = true;
   int pid_base = 0;
   for (const TraceGroup& group : groups) {
-    // Each group claims a contiguous global pid block: local pid 0 is
-    // the driver row, local pid s+1 is shard s.
+    // Each group claims a contiguous global pid block, one row per
+    // local pid.
     int max_local_pid = 0;
     int max_tid = 0;
     for (const TraceEvent& e : group.events) {
@@ -139,7 +137,7 @@ void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups) {
       std::string row = group.label.empty() ? std::string("trace")
                                             : group.label;
       if (max_local_pid > 0) {
-        row += p == 0 ? " · driver" : " · shard " + std::to_string(p - 1);
+        row += " · " + std::to_string(p);
       }
       if (!first) out += ",\n";
       first = false;

@@ -1,10 +1,10 @@
 // Observability layer: span tracing, timing breakdowns, and the crash
 // flight recorder.
 //
-// The simulator spans five subsystems (congest/shard/fault/resilience/
+// The simulator spans four subsystems (congest/fault/resilience/
 // protocol); the logical counters in RunStats say nothing about *where
-// wall-clock time goes* — the send half-round, the bridge merge, the
-// flip, or retransmission. This header is the substrate every perf
+// wall-clock time goes* — the send half-round, the flip, or
+// retransmission. This header is the substrate every perf
 // investigation reports against:
 //
 //   * TraceRecorder — per-worker, cache-line-padded event ring buffers
@@ -12,10 +12,10 @@
 //     begin/end records). Created by the outermost Network when
 //     CongestConfig::trace.enabled; decorator inners share the owner's
 //     recorder through a sink pointer, so one run = one recorder no
-//     matter how deep the ShardedNetwork/FaultyNetwork stack is. A full
+//     matter how deep the FaultyNetwork/ReliableNetwork stack is. A full
 //     ring overwrites its oldest events (flight-recorder semantics), so
 //     a long run keeps the most recent window instead of allocating.
-//   * TimingStats — the compute/flip/merge/retransmit seconds breakdown
+//   * TimingStats — the compute/flip/retransmit seconds breakdown
 //     carried alongside RunStats/PhaseStats. Deliberately EXCLUDED from
 //     their operator==: the determinism and differential suites compare
 //     logical results, and wall-clock can never be bit-stable.
@@ -25,7 +25,7 @@
 //     solver throws CheckError, turning an opaque `failed=true` row
 //     into a diagnosable incident.
 //   * write_chrome_json — Chrome trace-event export (chrome://tracing /
-//     Perfetto): one track per worker, one process row per shard.
+//     Perfetto): one track per worker, one process row per run.
 //
 // This header is deliberately free of congest/ includes — the Network
 // depends on it, never the other way around.
@@ -47,7 +47,7 @@ namespace arbods::obs {
 struct TraceOptions {
   /// Construct a TraceRecorder on the outermost Network and record spans
   /// at the instrumented seams (rounds, flips, active-set rebuilds,
-  /// chunk dispatch, bridge merges, retransmit batches, repair stages).
+  /// chunk dispatch, retransmit batches, repair stages).
   bool enabled = false;
   /// Events per worker ring. The ring is allocated once at Network
   /// construction and overwrites its oldest events when full, so this
@@ -62,28 +62,24 @@ struct TraceOptions {
 
 /// Wall-clock breakdown of a phase or run, in seconds. compute covers
 /// initialize + process_round (the send half-round and all per-node
-/// work); flip covers flip_buffers (for a sharded run this INCLUDES the
-/// bridge merge, which merge additionally reports on its own);
-/// retransmit covers the reliable-transport receive/transmit passes and
-/// is a sub-interval of compute. Always measured (a handful of
-/// monotonic-clock reads per round), tracing enabled or not.
+/// work); flip covers flip_buffers; retransmit covers the
+/// reliable-transport receive/transmit passes and is a sub-interval of
+/// compute. Always measured (a handful of monotonic-clock reads per
+/// round), tracing enabled or not.
 struct TimingStats {
   double compute_seconds = 0.0;
   double flip_seconds = 0.0;
-  double merge_seconds = 0.0;
   double retransmit_seconds = 0.0;
 
   TimingStats& operator+=(const TimingStats& o) {
     compute_seconds += o.compute_seconds;
     flip_seconds += o.flip_seconds;
-    merge_seconds += o.merge_seconds;
     retransmit_seconds += o.retransmit_seconds;
     return *this;
   }
   friend TimingStats operator-(TimingStats a, const TimingStats& b) {
     a.compute_seconds -= b.compute_seconds;
     a.flip_seconds -= b.flip_seconds;
-    a.merge_seconds -= b.merge_seconds;
     a.retransmit_seconds -= b.retransmit_seconds;
     return a;
   }
@@ -115,7 +111,7 @@ struct TraceEvent {
   std::string name;
   std::int64_t ts_ns = 0;
   std::int64_t dur_ns = 0;
-  int pid = 0;  // process row: 0 = driver, s + 1 = shard s
+  int pid = 0;  // process row within the group (the recorder writes 0)
   int tid = 0;  // worker track
   std::int64_t arg = -1;  // optional counter (round number, item count)
 };
@@ -149,7 +145,7 @@ class TraceRecorder {
   /// timestamps, as returned by monotonic_ns()). `name` must outlive the
   /// recorder: a string literal or an intern()ed string.
   void record(std::size_t worker, const char* name, std::int64_t begin_ns,
-              std::int64_t end_ns, int pid = 0, std::int64_t arg = -1);
+              std::int64_t end_ns, std::int64_t arg = -1);
 
   /// Stable storage for a dynamic span name (phase names). Deduplicates
   /// by content, so pooled reuse across many runs stays bounded.
@@ -174,7 +170,6 @@ class TraceRecorder {
     std::int64_t ts_ns;
     std::int64_t dur_ns;
     std::int64_t arg;
-    std::int32_t pid;
   };
   struct alignas(64) WorkerRing {
     std::vector<Event> events;  // fixed capacity, sized at construction
@@ -191,12 +186,11 @@ class TraceRecorder {
 class ScopedSpan {
  public:
   ScopedSpan(TraceRecorder* rec, std::size_t worker, const char* name,
-             int pid = 0, std::int64_t arg = -1)
-      : rec_(rec), worker_(worker), name_(name), pid_(pid), arg_(arg),
+             std::int64_t arg = -1)
+      : rec_(rec), worker_(worker), name_(name), arg_(arg),
         begin_ns_(rec ? monotonic_ns() : 0) {}
   ~ScopedSpan() {
-    if (rec_) rec_->record(worker_, name_, begin_ns_, monotonic_ns(),
-                           pid_, arg_);
+    if (rec_) rec_->record(worker_, name_, begin_ns_, monotonic_ns(), arg_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -205,16 +199,16 @@ class ScopedSpan {
   TraceRecorder* rec_;
   std::size_t worker_;
   const char* name_;
-  int pid_;
   std::int64_t arg_;
   std::int64_t begin_ns_;
 };
 
 /// Chrome trace-event JSON (the {"traceEvents": [...]} object form):
 /// one "X" (complete) event per span with microsecond timestamps, plus
-/// "M" metadata naming each process row ("<label> · driver" /
-/// "<label> · shard S") and each worker track. Loads in chrome://tracing
-/// and Perfetto. Groups get disjoint global pid blocks in order.
+/// "M" metadata naming each process row ("<label>", or "<label> · P"
+/// when a group uses several) and each worker track. Loads in
+/// chrome://tracing and Perfetto. Groups get disjoint global pid blocks
+/// in order.
 void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups);
 
 /// Human-readable flight-recorder dump: a header line plus one line per

@@ -30,13 +30,12 @@ namespace {
 /// config with the adversary and the transport stripped (the staging
 /// engine is clean by construction, and reliable_transport=false keeps
 /// the ORIGINAL message cap — the headroom belongs to the physical
-/// frames only). The worker width is pinned to the outer pool's
+/// frames only). The worker width is fixed to the outer pool's
 /// resolved width so chunk assignment matches a clean run exactly.
 CongestConfig algo_config(const Network& outer) {
   CongestConfig cfg = outer.config();
   cfg.fault = fault::FaultSpec{};
   cfg.reliable_transport = false;
-  cfg.shards = 1;
   cfg.threads = outer.num_workers();
   // One recorder per run, owned by the outer stack — the staging engine
   // must not construct its own (a fresh ReliableNetwork is built per
@@ -81,10 +80,10 @@ Message decode_payload(const MessageView& mv) {
 }  // namespace
 
 ReliableNetwork::ReliableNetwork(const Network& outer)
-    : Network(outer.weighted_graph(), algo_config(outer), FacadeInit{}) {
+    : Network(outer.weighted_graph(), algo_config(outer), DecoratorInit{}) {
   const int workers = num_workers();
   staging_ = std::unique_ptr<Network>(
-      new Network(*wg_, config_, SliceInit{0, num_nodes(), workers}));
+      new Network(*wg_, config_, InnerInit{workers}));
   out_.resize(mirror_.size());
   in_.resize(mirror_.size());
   ready_arcs_.resize(static_cast<std::size_t>(workers));
@@ -349,7 +348,7 @@ void ReliableNetwork::deliver_and_flip() {
 // The virtual network is never driven through run()/run_phase(), but the
 // seams delegate to the staging engine anyway (FaultyNetwork-style) so
 // incidental calls — e.g. via the base-class reset_for_reuse — stay
-// well-defined on this arena-less facade.
+// well-defined on this arena-less decorator.
 
 void ReliableNetwork::flip_buffers() {
   staging_->flip_buffers();
@@ -366,7 +365,7 @@ void ReliableNetwork::clear_all_lanes() {
 
 void ReliableNetwork::reseed_node_rngs() {
   if (rng_streams_fresh_) return;
-  staging_->rng_streams_fresh_ = false;  // the facade tracks freshness
+  staging_->rng_streams_fresh_ = false;  // the decorator tracks freshness
   staging_->reseed_node_rngs();
   rng_streams_fresh_ = true;
 }

@@ -11,11 +11,10 @@
 // Architecture — two cooperating objects per wrapped phase:
 //
 //   * ReliableNetwork: the *virtual* network the wrapped algorithm runs
-//     on. It derives from Network through the facade seams (like
-//     ShardedNetwork/FaultyNetwork) and owns a private *staging* engine —
-//     a plain Network in shard-member mode over the full node range —
-//     whose arenas hold exactly the messages of the current VIRTUAL
-//     round. The algorithm's sends are captured into per-out-arc unit
+//     on. It derives from Network through the virtual seams (like
+//     FaultyNetwork) and owns a private *staging* engine — a plain
+//     Network built in inner mode over every node — whose arenas hold
+//     exactly the messages of the current VIRTUAL round. The algorithm's sends are captured into per-out-arc unit
 //     queues instead of hitting the wire; inbox/rng/arm delegate to the
 //     staging engine. The virtual network enforces the ORIGINAL message
 //     cap and exposes the original round counter, so the algorithm's
@@ -43,8 +42,8 @@
 //
 // (an RTT guard of 2 rounds, bounded exponential growth, deterministic
 // jitter) — no RNG state anywhere in the transport, so a run is
-// bit-identical at every worker-pool width and shard count, and
-// composes with FaultyNetwork/ShardedNetwork unchanged.
+// bit-identical at every worker-pool width, and composes with
+// FaultyNetwork unchanged.
 //
 // Determinism contract (tested in tests/resilience_test.cpp): for every
 // registry solver, `reliable(phase)` over a drop/duplicate/reorder/delay
@@ -184,7 +183,7 @@ class ReliableNetwork final : public Network {
 };
 
 /// Phase adapter: wraps `inner` so it runs with exactly-once,
-/// sender-ordered delivery on any (faulty, sharded) Network. Appears in
+/// sender-ordered delivery on any (possibly faulty) Network. Appears in
 /// per-phase statistics as "<inner>+rel". ProtocolRunner applies it
 /// automatically when CongestConfig::reliable_transport is set.
 class ReliablePhase final : public protocol::Phase {

@@ -18,8 +18,8 @@
 //     live member.
 //
 // The protocol is 5 process_round calls — constant, independent of n —
-// and deterministic at every worker-pool width and shard count (no RNG,
-// node-local decisions only). It is weight-blind by design: the repair
+// and deterministic at every worker-pool width (no RNG, node-local
+// decisions only). It is weight-blind by design: the repair
 // objective is restoring coverage fast, not re-optimizing weight; the
 // weight impact is reported as post_repair_weight and judged by the
 // surviving-subgraph oracle's certificate-free mode.

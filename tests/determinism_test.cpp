@@ -2,14 +2,13 @@
 // for every worker-pool width. For every registry solver on the small
 // corpus we run 1-thread and 8-thread configurations twice each with the
 // same seed and require the four MdsResults (set, weight, packing
-// doubles, iteration counts) and RunStats to match exactly. A sharded
-// leg (ShardedNetwork at ARBODS_TEST_SHARDS shards, wide width) must
-// reproduce the same reference bit-for-bit through the inter-shard
-// bridge.
+// doubles, iteration counts) and RunStats to match exactly. A width-3
+// run must reproduce the same reference too: three workers split every
+// node and active-set range unevenly (count * w / workers), so chunk
+// bounds differ from both the serial and the wide run.
 //
 // The 8-thread width is the CI "multi-threaded simulator config"; it can
-// be overridden via the ARBODS_TEST_THREADS environment variable, as can
-// the shard count via ARBODS_TEST_SHARDS (default 2, CI runs 4).
+// be overridden via the ARBODS_TEST_THREADS environment variable.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -28,16 +27,6 @@ int test_thread_width() {
     if (w >= 1) return w;
   }
   return 8;
-}
-
-// Shard count for the sharded determinism leg (CI sets 4; default 2 so
-// the inter-shard bridge is exercised by every plain ctest run too).
-int test_shard_count() {
-  if (const char* env = std::getenv("ARBODS_TEST_SHARDS")) {
-    const int k = std::atoi(env);
-    if (k >= 1) return k;
-  }
-  return 2;
 }
 
 ::testing::AssertionResult results_identical(const MdsResult& a,
@@ -82,9 +71,8 @@ TEST(Determinism, EverySolverIsBitIdenticalAcrossThreadCountsAndReruns) {
       params.threads = wide;
       const MdsResult wide_a = run_solver(info.name, inst.wg, params, cfg);
       const MdsResult wide_b = run_solver(info.name, inst.wg, params, cfg);
-      params.shards = test_shard_count();
-      const MdsResult sharded = run_solver(info.name, inst.wg, params, cfg);
-      params.shards = -1;
+      params.threads = 3;
+      const MdsResult uneven = run_solver(info.name, inst.wg, params, cfg);
 
       EXPECT_TRUE(results_identical(serial_a, serial_b))
           << info.name << " on " << inst.name << " (serial rerun)";
@@ -94,9 +82,8 @@ TEST(Determinism, EverySolverIsBitIdenticalAcrossThreadCountsAndReruns) {
       EXPECT_TRUE(results_identical(wide_a, wide_b))
           << info.name << " on " << inst.name << " (" << wide
           << "-thread rerun)";
-      EXPECT_TRUE(results_identical(serial_a, sharded))
-          << info.name << " on " << inst.name << " (1 shard vs "
-          << test_shard_count() << " shards at " << wide << " threads)";
+      EXPECT_TRUE(results_identical(serial_a, uneven))
+          << info.name << " on " << inst.name << " (1 vs 3 threads)";
     }
   }
 }

@@ -1,13 +1,13 @@
 // Fault-injection engine: semantics of each fault class (drop, duplicate,
 // delay, reorder, kill) on a hand-built probe protocol, the determinism
-// contract for faulty runs (bit-identical across worker-pool widths AND
-// shard counts for every registry solver), zero-fault transparency
+// contract for faulty runs (bit-identical across worker-pool widths for
+// every registry solver), zero-fault transparency
 // (decorated == undecorated, bit for bit), round-limit termination under
 // total message loss, per-phase fault-counter consistency, and the
 // scenario runner's fault axis / schema-v4 JSON fields.
 //
 // The wide width honors ARBODS_TEST_THREADS (CI: 8) like the clean
-// determinism suite; the shard leg always runs K in {1, 2, 4}.
+// determinism suite; widths 3 and 4 always run besides it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -25,7 +25,6 @@
 #include "harness/oracle.hpp"
 #include "harness/registry.hpp"
 #include "harness/scenario.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace arbods::fault {
 namespace {
@@ -62,7 +61,7 @@ int test_thread_width() {
   return ::testing::AssertionSuccess();
 }
 
-// The moderately hostile adversary the cross-width/cross-shard audit
+// The moderately hostile adversary the cross-width audit
 // runs every registry solver under.
 CongestConfig faulty_config() {
   CongestConfig cfg;
@@ -290,7 +289,6 @@ TEST(FaultyNetwork, ZeroFaultPlanIsBitIdenticalToUndecorated) {
       if (!harness::solver_applicable(info, inst)) continue;
       harness::SolverParams params = harness::params_for(info, inst);
       params.threads = -1;
-      params.shards = -1;
 
       CongestConfig cfg;
       cfg.seed = 0xc1ea50ULL;
@@ -310,7 +308,7 @@ TEST(FaultyNetwork, ZeroFaultPlanIsBitIdenticalToUndecorated) {
   }
 }
 
-// ------------------------------------------- cross-width / cross-shard
+// --------------------------------------------------------- cross-width
 
 // A faulty run's outcome: either a result or the (deterministic) check
 // failure it died with — both must be identical across configurations.
@@ -321,11 +319,9 @@ struct Outcome {
 
 Outcome run_outcome(const harness::SolverInfo& info,
                     const harness::CorpusInstance& inst,
-                    const harness::SolverParams& params, int threads,
-                    int shards) {
+                    const harness::SolverParams& params, int threads) {
   CongestConfig cfg = faulty_config();
   cfg.threads = threads;
-  cfg.shards = shards;
   Outcome out;
   try {
     const std::unique_ptr<Network> net = make_network(inst.wg, cfg);
@@ -336,7 +332,7 @@ Outcome run_outcome(const harness::SolverInfo& info,
   return out;
 }
 
-TEST(FaultyDeterminism, EverySolverIsBitIdenticalAcrossWidthsAndShards) {
+TEST(FaultyDeterminism, EverySolverIsBitIdenticalAcrossWidths) {
   const int wide = test_thread_width();
   const auto corpus = harness::small_corpus(7);
   ASSERT_GE(corpus.size(), 10u);
@@ -345,26 +341,22 @@ TEST(FaultyDeterminism, EverySolverIsBitIdenticalAcrossWidthsAndShards) {
       if (!harness::solver_applicable(info, inst)) continue;
       harness::SolverParams params = harness::params_for(info, inst);
       params.threads = -1;
-      params.shards = -1;
 
-      const Outcome reference = run_outcome(info, inst, params, 1, 1);
-      for (const int threads : {1, wide}) {
-        for (const int shards : {1, 2, 4}) {
-          if (threads == 1 && shards == 1) continue;
-          const Outcome other = run_outcome(info, inst, params, threads,
-                                            shards);
-          ASSERT_EQ(reference.result.has_value(), other.result.has_value())
+      const Outcome reference = run_outcome(info, inst, params, 1);
+      for (const int threads : {3, 4, wide}) {
+        if (threads == 4 && wide == 4) continue;
+        const Outcome other = run_outcome(info, inst, params, threads);
+        ASSERT_EQ(reference.result.has_value(), other.result.has_value())
+            << info.name << " on " << inst.name << " at " << threads
+            << " threads: one run failed (" << reference.error
+            << other.error << ")";
+        if (reference.result.has_value()) {
+          EXPECT_TRUE(results_identical(*reference.result, *other.result))
               << info.name << " on " << inst.name << " at " << threads
-              << " threads, " << shards << " shards: one run failed ("
-              << reference.error << other.error << ")";
-          if (reference.result.has_value()) {
-            EXPECT_TRUE(results_identical(*reference.result, *other.result))
-                << info.name << " on " << inst.name << " at " << threads
-                << " threads, " << shards << " shards";
-          } else {
-            EXPECT_EQ(reference.error, other.error)
-                << info.name << " on " << inst.name;
-          }
+              << " threads";
+        } else {
+          EXPECT_EQ(reference.error, other.error)
+              << info.name << " on " << inst.name;
         }
       }
     }
@@ -414,7 +406,6 @@ TEST(FaultyNetwork, TotalLossTerminatesViaTheRoundLimit) {
     if (!harness::solver_applicable(info, inst)) continue;
     harness::SolverParams params = harness::params_for(info, inst);
     params.threads = -1;
-    params.shards = -1;
     const std::unique_ptr<Network> solver_net = make_network(inst.wg, cfg);
     try {
       const MdsResult res = info.run_on(*solver_net, params);
@@ -434,7 +425,6 @@ TEST(FaultyNetwork, FaultCountersSumConsistentlyAcrossPhases) {
   const harness::SolverInfo& info = harness::solver("det");
   harness::SolverParams params = harness::params_for(info, inst);
   params.threads = -1;
-  params.shards = -1;
   const CongestConfig cfg = faulty_config();
   const std::unique_ptr<Network> net = make_network(inst.wg, cfg);
   const MdsResult res = info.run_on(*net, params);
@@ -489,7 +479,7 @@ TEST(FaultyScenario, FaultAxisStampsRowsAndSchemaJson) {
   std::ostringstream os;
   harness::write_scenario_json(os, rows);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"fault\": \"lossy\""), std::string::npos);

@@ -277,16 +277,43 @@ TEST(Io, MalformedTokensAreNamed) {
     EXPECT_NE(what.find(needle), std::string::npos)
         << "input '" << text << "' gave: " << what;
   };
-  expect_error("abc 3\n", "node count token 1 'abc' is not an integer");
-  expect_error("3 1\n0 x1\nweights\n1 1 1\n", "token 4 'x1'");
+  expect_error("abc 3\n",
+               "line 1, token 1: node count 'abc' is not an integer");
+  expect_error("3 1\n0 x1\nweights\n1 1 1\n",
+               "line 2, token 4: edge endpoint 'x1' is not an integer");
   expect_error("99999999999 0\n", "'99999999999' is out of range");
   expect_error("3 1\n0 3\nweights\n1 1 1\n",
-               "edge endpoint token 4 '3' is out of range n=3");
-  expect_error("3 1\n2 2\nweights\n1 1 1\n", "self-loop at 2");
+               "line 2, token 4: edge endpoint '3' is out of range n=3");
+  expect_error("3 1\n# comment\n2 2\nweights\n1 1 1\n",
+               "line 3, token 4: edge 0 is a self-loop at 2");
   expect_error("3 1\n0 1\nweights\n1 1\n",
-               "unexpected end of input reading weight (token 8)");
+               "line 5, token 8: unexpected end of input reading weight");
   expect_error("2 1\n0 1\nweights\n1 0\n", "must be >= 1");
-  expect_error("3 1\n0 1\n1 1 1\n", "expected 'weights' marker");
+  expect_error("3 1\n0 1\n1 1 1\n",
+               "line 3, token 5: expected 'weights' marker, got '1'");
+  expect_error("3 1\n0 1\nweights\n1 1 1 9 # comment\n",
+               "line 4, token 9: unexpected trailing token '9'");
+
+  // The unweighted reader rejects trailing input too: a stray token on
+  // an edge line, and a weighted file's whole weights section.
+  auto unweighted_error = [](const std::string& text) -> std::string {
+    std::stringstream ss(text);
+    try {
+      (void)read_graph(ss);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(unweighted_error("3 2\n0 1\n1 2 extra\n")
+                .find("line 3, token 7: unexpected trailing token 'extra'"),
+            std::string::npos);
+  EXPECT_NE(unweighted_error("3 1\n0 1\nweights\n1 1 1\n")
+                .find("line 3, token 5: unexpected trailing token 'weights'"),
+            std::string::npos);
+  // Comments after the last edge and duplicate edges stay accepted
+  // (the builder collapses duplicates).
+  EXPECT_EQ(unweighted_error("3 2\n0 1\n1 0\n# done\n"), "");
 }
 
 TEST(Io, TruncatedOrFlippedInputThrowsCheckErrorNeverCrashes) {

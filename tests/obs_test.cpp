@@ -3,7 +3,7 @@
 // exclusion from every stats comparison (tracing must never be able to
 // break a determinism verdict), the flight recorder's last-N-rounds
 // window, and the scenario plumbing (trace files, last_rounds rows, the
-// v7 JSON columns).
+// v8 JSON columns).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,14 +17,13 @@
 #include "harness/corpus.hpp"
 #include "harness/scenario.hpp"
 #include "obs/trace.hpp"
-#include "shard/sharded_network.hpp"
 
 namespace arbods {
 namespace {
 
 // Floods for a fixed number of rounds through the active-set path, so a
-// traced run exercises chunk dispatch, flips, and (sharded) bridge
-// merges while staying deterministic.
+// traced run exercises chunk dispatch and flips while staying
+// deterministic.
 class FixedRoundFlood final : public DistributedAlgorithm {
  public:
   explicit FixedRoundFlood(std::int64_t rounds) : rounds_(rounds) {}
@@ -56,7 +55,7 @@ TEST(TraceRecorder, SnapshotMergesRingsInStartOrder) {
   obs::TraceRecorder rec(2, 16);
   const std::int64_t b = obs::monotonic_ns();
   rec.record(0, "outer", b + 100, b + 500);
-  rec.record(0, "inner", b + 200, b + 300, /*pid=*/0, /*arg=*/7);
+  rec.record(0, "inner", b + 200, b + 300, /*arg=*/7);
   rec.record(1, "other", b + 150, b + 250);
 
   const auto events = rec.snapshot();
@@ -78,7 +77,7 @@ TEST(TraceRecorder, FullRingOverwritesOldestEvents) {
   obs::TraceRecorder rec(1, 4);
   const std::int64_t b = obs::monotonic_ns();
   for (int i = 0; i < 10; ++i)
-    rec.record(0, "ev", b + i * 10, b + i * 10 + 5, 0, i);
+    rec.record(0, "ev", b + i * 10, b + i * 10 + 5, i);
 
   const auto events = rec.snapshot();
   ASSERT_EQ(events.size(), 4u);
@@ -131,8 +130,8 @@ TEST(ChromeJson, WriterEmitsCompleteEventsAndProcessMetadata) {
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
-  EXPECT_NE(json.find("cell · driver"), std::string::npos);
-  EXPECT_NE(json.find("cell · shard 0"), std::string::npos);
+  EXPECT_NE(json.find("cell · 0"), std::string::npos);
+  EXPECT_NE(json.find("cell · 1"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos);  // 1000 ns
   EXPECT_NE(json.find("\"dur\":4.000"), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"count\":5}"), std::string::npos);
@@ -155,7 +154,7 @@ TEST(TimingStats, ExcludedFromEveryStatsComparison) {
   EXPECT_TRUE(ra == rb) << "RunStats equality must ignore timing";
 
   MdsResult ma, mb;
-  mb.stats.timing.merge_seconds = 9.0;
+  mb.stats.timing.retransmit_seconds = 9.0;
   EXPECT_TRUE(ma == mb) << "the determinism audit compares MdsResults — "
                            "timing in there would break every traced run";
 }
@@ -168,7 +167,7 @@ TEST(TimingStats, RunAccumulatesComputeAndFlipSeconds) {
   EXPECT_EQ(stats.rounds, 6);
   EXPECT_GT(stats.timing.compute_seconds, 0.0);
   EXPECT_GT(stats.timing.flip_seconds, 0.0);
-  EXPECT_EQ(stats.timing.merge_seconds, 0.0);  // no bridge on 1 shard
+  EXPECT_EQ(stats.timing.retransmit_seconds, 0.0);  // no reliable transport
   ASSERT_EQ(stats.phases.size(), 1u);
   EXPECT_DOUBLE_EQ(stats.phases[0].timing.compute_seconds,
                    stats.timing.compute_seconds);
@@ -223,25 +222,29 @@ TEST(Tracing, SnapshotContainsNestedPhaseRoundAndChunkSpans) {
   EXPECT_EQ(round_args, 4);
 }
 
-TEST(Tracing, ShardedRunRecordsBridgeMergesOnShardRows) {
+TEST(Tracing, ParallelRunRecordsChunkSpansOnEveryWorkerTrack) {
   const auto wg = WeightedGraph::uniform(gen::grid(8, 8));
   CongestConfig cfg;
-  cfg.threads = 2;
-  cfg.shards = 2;
+  cfg.threads = 4;
   cfg.trace.enabled = true;
-  auto net = shard::make_network(wg, cfg);
+  Network net(wg, cfg);
   FixedRoundFlood algo(6);
-  net->run(algo, 100);
+  net.run(algo, 100);
 
-  ASSERT_NE(net->tracer(), nullptr);
-  bool saw_shard_row = false, saw_merge = false;
-  for (const auto& e : net->tracer()->snapshot()) {
-    saw_shard_row |= e.pid > 0;
-    saw_merge |= e.name == std::string("bridge:merge");
+  // One for_nodes dispatch (initialize) plus one for_active_nodes
+  // dispatch per round, each recording one chunk span per worker; the
+  // driver-only spans (round, flip, phase) stay on worker 0's track.
+  ASSERT_NE(net.tracer(), nullptr);
+  std::vector<int> chunks_per_worker(4, 0);
+  for (const auto& e : net.tracer()->snapshot()) {
+    EXPECT_EQ(e.pid, 0);
+    ASSERT_GE(e.tid, 0);
+    ASSERT_LT(e.tid, 4);
+    if (e.name.rfind("chunk:", 0) == 0) ++chunks_per_worker[e.tid];
+    if (e.name == "round" || e.name == "flip") EXPECT_EQ(e.tid, 0);
   }
-  EXPECT_TRUE(saw_shard_row) << "shard-side spans carry pid = shard + 1";
-  EXPECT_TRUE(saw_merge);
-  EXPECT_GT(net->stats().timing.merge_seconds, 0.0);
+  for (int w = 0; w < 4; ++w)
+    EXPECT_EQ(chunks_per_worker[w], 1 + 6) << "worker " << w;
 }
 
 TEST(Tracing, EnabledTracingKeepsResultsBitIdentical) {
@@ -250,8 +253,7 @@ TEST(Tracing, EnabledTracingKeepsResultsBitIdentical) {
 
   harness::ScenarioSpec plain;
   plain.solvers = {{"det", std::nullopt, ""}};
-  plain.thread_widths = {1, 4};
-  plain.shard_counts = {1, 2};
+  plain.thread_widths = {1, 3, 4};
   const auto untraced = harness::run_scenario(plain, one);
 
   harness::ScenarioSpec traced = plain;
@@ -278,8 +280,9 @@ TEST(Tracing, EnabledTracingKeepsResultsBitIdentical) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   // One labeled process row per traced cell.
-  EXPECT_NE(json.find("t1 s1"), std::string::npos);
-  EXPECT_NE(json.find("t4 s2"), std::string::npos);
+  EXPECT_NE(json.find("t1 seed"), std::string::npos);
+  EXPECT_NE(json.find("t3 seed"), std::string::npos);
+  EXPECT_NE(json.find("t4 seed"), std::string::npos);
   std::remove(trace_path.c_str());
 }
 
@@ -378,14 +381,17 @@ TEST(ScenarioJson, SchemaV7EmitsTimingColumnsAtFixedPrecision) {
   harness::write_scenario_json(os,
                                std::span<const harness::ScenarioRow>(&row, 1));
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
   // Fixed 9-decimal seconds: sub-millisecond values survive round-trip.
   EXPECT_NE(json.find("\"seconds\": 0.000123456"), std::string::npos);
   EXPECT_NE(json.find("\"compute_seconds\": 1.500000000"),
             std::string::npos);
-  EXPECT_NE(json.find("\"flip_seconds\": 0.000000000"), std::string::npos);
-  EXPECT_NE(json.find("\"merge_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"retransmit_seconds\""), std::string::npos);
+  // v8 dropped the shard-count column after `threads` and the merge
+  // time after `flip_seconds`.
+  EXPECT_NE(json.find("\"threads\": 1, \"seed\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"flip_seconds\": 0.000000000, "
+                      "\"retransmit_seconds\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"last_rounds\": [{\"round\": 9, \"active\": 4, "
                       "\"delivered\": 10"),
             std::string::npos);

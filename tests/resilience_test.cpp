@@ -2,15 +2,15 @@
 // core contract — every registry solver's OUTPUT is bit-identical to its
 // fault-free run when driven over a drop/duplicate/delay/reorder
 // adversary with config.reliable_transport set, at every worker-pool
-// width and shard count — plus the deterministic retransmission
+// width — plus the deterministic retransmission
 // schedule, the kill_round=1 boundary semantics repair relies on, the
 // post-kill repair protocol on a hand-built casualty, the
 // "<solver>+repair" registry variants under a kill-only scenario sweep
-// (cross-width/cross-shard determinism + the surviving-subgraph oracle),
+// (cross-width determinism + the surviving-subgraph oracle),
 // and FaultSpec/FaultPlan validation.
 //
 // The wide width honors ARBODS_TEST_THREADS (CI: 8) like the other
-// determinism suites; the shard legs always run K in {1, 2, 4}.
+// determinism suites; widths 3 and 4 always run besides it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -83,7 +83,7 @@ TEST(ReliableChannel, RetransmitGapIsPureAndBounded) {
 
 // ----------------------------------- output bit-identity under faults
 
-TEST(ReliableChannel, EverySolverMatchesItsCleanOutputAcrossWidthsAndShards) {
+TEST(ReliableChannel, EverySolverMatchesItsCleanOutputAcrossWidths) {
   const int wide = test_thread_width();
   const auto corpus = harness::small_corpus(21);
   ASSERT_GE(corpus.size(), 3u);
@@ -101,31 +101,26 @@ TEST(ReliableChannel, EverySolverMatchesItsCleanOutputAcrossWidthsAndShards) {
       if (!harness::solver_applicable(info, inst)) continue;
       harness::SolverParams params = harness::params_for(info, inst);
       params.threads = -1;
-      params.shards = -1;
 
       CongestConfig clean_cfg;
       clean_cfg.seed = lossy.seed;
       Network clean(inst.wg, clean_cfg);
       const MdsResult reference = info.run_on(clean, params);
 
-      for (const int threads : {1, wide}) {
-        for (const int shards : {1, 2, 4}) {
-          CongestConfig cfg = lossy;
-          cfg.threads = threads;
-          cfg.shards = shards;
-          const std::unique_ptr<Network> net =
-              fault::make_network(inst.wg, cfg);
-          const MdsResult res = info.run_on(*net, params);
-          EXPECT_TRUE(outputs_identical(reference, res))
-              << info.name << " on " << inst.name << " at threads=" << threads
-              << " shards=" << shards;
-          // The transport cannot be free: reliability costs physical
-          // rounds (markers, acks, retransmissions).
-          EXPECT_GT(res.stats.rounds, reference.stats.rounds)
-              << info.name << " on " << inst.name;
-          EXPECT_FALSE(res.stats.hit_round_limit)
-              << info.name << " on " << inst.name;
-        }
+      for (const int threads : {1, 3, 4, wide}) {
+        if (threads == 4 && wide == 4) continue;
+        CongestConfig cfg = lossy;
+        cfg.threads = threads;
+        const std::unique_ptr<Network> net = fault::make_network(inst.wg, cfg);
+        const MdsResult res = info.run_on(*net, params);
+        EXPECT_TRUE(outputs_identical(reference, res))
+            << info.name << " on " << inst.name << " at threads=" << threads;
+        // The transport cannot be free: reliability costs physical
+        // rounds (markers, acks, retransmissions).
+        EXPECT_GT(res.stats.rounds, reference.stats.rounds)
+            << info.name << " on " << inst.name;
+        EXPECT_FALSE(res.stats.hit_round_limit)
+            << info.name << " on " << inst.name;
       }
     }
   }
@@ -139,7 +134,6 @@ TEST(ReliableChannel, ZeroFaultReliableRunStillMatchesCleanOutput) {
   const harness::SolverInfo& info = harness::solver("det");
   harness::SolverParams params = harness::params_for(info, inst);
   params.threads = -1;
-  params.shards = -1;
   CongestConfig cfg;
   cfg.seed = 0xc0feULL;
   Network clean(inst.wg, cfg);
@@ -298,14 +292,13 @@ TEST(Repair, ScenarioRowsAreDeterministicAndPassTheSurvivingOracle) {
   harness::ScenarioSpec spec;
   spec.solvers = {{"det+repair", std::nullopt, ""},
                   {"greedy-threshold+repair", std::nullopt, ""}};
-  spec.thread_widths = {1, wide};
-  spec.shard_counts = {1, 2, 4};
+  spec.thread_widths = {1, 3, 4, wide};
   spec.fault_levels = {kills};
   spec.tolerate_failures = true;
   spec.base_config.round_limit = 400;
   const std::vector<const harness::CorpusInstance*> one = {&inst};
   const auto rows = harness::run_scenario(spec, one);
-  ASSERT_EQ(rows.size(), 12u);  // 2 solvers x 2 widths x 3 shard counts
+  ASSERT_EQ(rows.size(), 8u);  // 2 solvers x 4 widths
   EXPECT_TRUE(harness::all_identical(rows));
 
   harness::OracleOptions opts;
@@ -321,14 +314,14 @@ TEST(Repair, ScenarioRowsAreDeterministicAndPassTheSurvivingOracle) {
     const auto rep = harness::check_solver_result(
         info, harness::params_for(info, inst), inst, row.result, opts);
     EXPECT_TRUE(rep.ok) << row.solver << " at threads=" << row.threads
-                        << " shards=" << row.shards << ": " << rep.failure;
+                        << ": " << rep.failure;
   }
 
   // The v5 repair columns and round-limit flag ride in the JSON rows.
   std::ostringstream os;
   harness::write_scenario_json(os, rows);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"hit_round_limit\": "), std::string::npos);
   EXPECT_NE(json.find("\"repair_rounds\": "), std::string::npos);
   EXPECT_NE(json.find("\"repaired_nodes\": "), std::string::npos);

@@ -22,52 +22,56 @@ import sys
 NEST_EPSILON_US = 10.0
 
 
-def fail(msg):
-    print(f"check_trace: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+class TraceError(Exception):
+    """A structural violation; the message names the offending event."""
 
 
-def main():
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
-    path = sys.argv[1]
+def load(path):
+    """The parsed trace document; TraceError if it cannot be read."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot parse {path}: {e}")
+        raise TraceError(f"cannot parse {path}: {e}")
 
-    events = doc.get("traceEvents")
+
+def check(doc):
+    """Validates a parsed trace and returns (spans, process names): the
+    "X" events, and {pid: process_name} from the "M" metadata. Raises
+    TraceError on the first violation. tools/trace_summary.py shares
+    this, so it refuses exactly the files this script refuses."""
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
     if not isinstance(events, list) or not events:
-        fail("traceEvents missing or empty")
+        raise TraceError("traceEvents missing or empty")
 
     spans = []
-    named_pids = set()
+    process_names = {}
     for i, ev in enumerate(events):
         ph = ev.get("ph")
         if ph == "M":
             if ev.get("name") == "process_name":
-                named_pids.add(ev.get("pid"))
+                process_names[ev.get("pid")] = ev.get("args", {}).get("name")
             continue
         if ph != "X":
-            fail(f"event {i}: unexpected ph {ph!r} (only X and M are emitted)")
+            raise TraceError(
+                f"event {i}: unexpected ph {ph!r} (only X and M are emitted)")
         for field in ("name", "ts", "dur", "pid", "tid"):
             if field not in ev:
-                fail(f"event {i}: missing field {field!r}")
+                raise TraceError(f"event {i}: missing field {field!r}")
         if not isinstance(ev["name"], str) or not ev["name"]:
-            fail(f"event {i}: empty name")
+            raise TraceError(f"event {i}: empty name")
         if ev["dur"] < 0:
-            fail(f"event {i}: negative dur {ev['dur']}")
+            raise TraceError(f"event {i}: negative dur {ev['dur']}")
         spans.append(ev)
 
     if not spans:
-        fail("no X (complete) events")
+        raise TraceError("no X (complete) events")
 
     used_pids = {ev["pid"] for ev in spans}
-    unnamed = used_pids - named_pids
+    unnamed = used_pids - set(process_names)
     if unnamed:
-        fail(f"pids without process_name metadata: {sorted(unnamed)}")
+        raise TraceError(
+            f"pids without process_name metadata: {sorted(unnamed)}")
 
     # Per-track nesting: walk spans in start order with a stack of open
     # end-times. A span starting inside the enclosing one must also end
@@ -75,7 +79,6 @@ def main():
     tracks = {}
     for ev in spans:
         tracks.setdefault((ev["pid"], ev["tid"]), []).append(ev)
-    worst = 0.0
     for (pid, tid), track in tracks.items():
         track.sort(key=lambda e: (e["ts"], -e["dur"]))
         stack = []  # open span end-times
@@ -84,15 +87,27 @@ def main():
             while stack and start >= stack[-1] - NEST_EPSILON_US:
                 stack.pop()
             if stack and end > stack[-1] + NEST_EPSILON_US:
-                fail(
+                raise TraceError(
                     f"track pid={pid} tid={tid}: span {ev['name']!r} "
                     f"[{start}, {end}] overlaps the enclosing span ending "
                     f"at {stack[-1]} without nesting"
                 )
-            if stack:
-                worst = max(worst, end - stack[-1])
             stack.append(end)
+    return spans, process_names
 
+
+def main():
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
+    try:
+        spans, _ = check(load(sys.argv[1]))
+    except TraceError as e:
+        print(f"check_trace: FAIL: {e}", file=sys.stderr)
+        sys.exit(1)
+
+    tracks = {(ev["pid"], ev["tid"]) for ev in spans}
+    used_pids = {ev["pid"] for ev in spans}
     names = sorted({ev["name"] for ev in spans})
     print(
         f"check_trace: OK: {len(spans)} spans on {len(tracks)} track(s) "

@@ -3,23 +3,17 @@
 
 Usage: compare_bench.py BASELINE.json FRESH.json [--tolerance 0.25]
                         [--uniform-slack 2.0]
-       compare_bench.py --speedup SWEEP.json
 
-The second form is not a gate: it reads ONE exp12 JSON that sweeps both
-shards=1 and shards=K>1 cells and prints a per-(solver, n, threads)
-sharded/unsharded seconds-ratio table (ratio < 1 = sharded faster),
-pairing rows on (instance, solver, seed, fault, threads) and folding
-multiple instances of the same (solver, n) with a geometric mean. Use it
-on a `--pin --auto-replan` sweep to check the "sharding is free" claim
-per thread width; it always exits 0 unless no pair exists (exit 2).
-
-Rows are matched on (instance, solver, threads, shards) plus, when BOTH
-files carry the field, `seed` and `fault` (new in schema v4 — a
-multi-seed or fault-level sweep emits one row per seed and per level, so
-the key must include them to stay unique). Rows from older schemas keep
-matching: v1 files (no `shards`) match as shards=1, and pre-v4 rows
-missing `seed`/`fault` take the defaults (seed None, fault "none") when
-the other file forces the field into the key. A duplicate key within
+Rows are matched on (instance, solver, threads) plus, when BOTH files
+carry the field, `seed` and `fault` (new in schema v4 — a multi-seed or
+fault-level sweep emits one row per seed and per level, so the key must
+include them to stay unique). Rows from older schemas keep matching:
+pre-v4 rows missing `seed`/`fault` take the defaults (seed None, fault
+"none") when the other file forces the field into the key, and v2-v7
+rows, which also carry the in-process shard count that schema v8
+dropped, match v8 rows directly as long as that count was 1 (a file
+sweeping several shard counts has one row per count and so trips the
+duplicate-key check below). A duplicate key within
 EITHER file is a hard usage error (exit 2): the old dict build silently
 kept only the last duplicate, so a baseline regenerated from a
 multi-seed sweep could "pass" while comparing a fraction of its rows.
@@ -30,8 +24,8 @@ For every matched row:
     so any drift is a correctness regression, not noise. Deterministic
     fields that only exist from a later schema on are compared the same
     way when BOTH rows carry them, so older baselines still match on the
-    shared counters: `bridged_bytes` (per-boundary bridge volume, v3),
-    the v4 fault axis — the `dropped` / `duplicated` / `delayed` /
+    shared counters: the v4 fault axis — the `dropped` / `duplicated` /
+    `delayed` /
     `killed` counters and the `failed` flag — and the v5 self-healing
     columns (`hit_round_limit`, `repair_rounds`, `repaired_nodes`,
     `post_repair_weight`). Columns present in only one file are listed
@@ -56,9 +50,8 @@ catastrophic engine-wide regression. Rows a heavy fault level failed
 (`failed` true on both sides) carry no meaningful seconds and are
 excluded from the timing gate.
 
-The schema v7 timing-breakdown columns (`compute_seconds`,
-`flip_seconds`, `merge_seconds`, `retransmit_seconds`) are
-INFORMATIONAL ONLY: when both files carry them a baseline/fresh/delta
+The timing-breakdown columns (`compute_seconds`, `flip_seconds`,
+`retransmit_seconds`) are INFORMATIONAL ONLY: when both files carry them a baseline/fresh/delta
 table is printed per column, but timing drift there never fails the
 gate — only the median-seconds check above gates builds.
 
@@ -72,7 +65,7 @@ import sys
 
 # Fields a row may lack when it predates the schema that added them; the
 # default keeps old rows addressable under the extended key.
-KEY_DEFAULTS = {"shards": 1, "seed": None, "fault": "none"}
+KEY_DEFAULTS = {"seed": None, "fault": "none"}
 
 
 def make_key(row, key_fields):
@@ -80,10 +73,10 @@ def make_key(row, key_fields):
 
 
 def key_fields_for(baseline_rows, fresh_rows):
-    """(instance, solver, threads, shards) plus each v4 axis field that
-    both files actually stamp — a v4/v3 comparison must not split on a
-    field the v3 side cannot distinguish."""
-    fields = ["instance", "solver", "threads", "shards"]
+    """(instance, solver, threads) plus each v4 axis field that both
+    files actually stamp — a v4/v3 comparison must not split on a field
+    the v3 side cannot distinguish."""
+    fields = ["instance", "solver", "threads"]
     for axis in ("seed", "fault"):
         if (any(axis in r for r in baseline_rows)
                 and any(axis in r for r in fresh_rows)):
@@ -124,61 +117,10 @@ def print_counter_diff(k, base, new, counters):
         print(f"    {field:<12} {b!r:>16} {f!r:>16} {delta:>12}{marker}")
 
 
-def speedup_table(rows):
-    """Prints the per-(solver, n, threads) sharded/unsharded seconds
-    ratios from one sweep. Returns the exit code."""
-    # Pair each sharded cell with the unsharded cell of the SAME
-    # (instance, solver, seed, fault, threads) — the only axes timing may
-    # legitimately vary on within one file.
-    base = {}
-    for row in rows:
-        if row.get("failed", False) or row.get("seconds", 0) <= 0:
-            continue
-        pair = (row["instance"], row["solver"], row.get("seed"),
-                row.get("fault", "none"), row["threads"])
-        if row.get("shards", 1) == 1:
-            base[pair] = row["seconds"]
-    # (solver, n, threads, shards) -> list of per-pair ratios; instances
-    # that share (solver, n) fold into one geomean line.
-    cells = {}
-    for row in rows:
-        if row.get("failed", False) or row.get("seconds", 0) <= 0:
-            continue
-        if row.get("shards", 1) == 1:
-            continue
-        pair = (row["instance"], row["solver"], row.get("seed"),
-                row.get("fault", "none"), row["threads"])
-        if pair not in base:
-            continue
-        cell = (row["solver"], row["n"], row["threads"], row["shards"])
-        cells.setdefault(cell, []).append(row["seconds"] / base[pair])
-    if not cells:
-        print("FAIL: no (sharded, unsharded) row pair in the sweep; "
-              "run exp12 with --shards 1,K")
-        return 2
-    print(f"{'solver':<20} {'n':>8} {'threads':>7} {'shards':>6} "
-          f"{'sharded/unsharded':>18}")
-    per_k = {}
-    for (solver, n, threads, shards), rs in sorted(cells.items()):
-        ratio = math.exp(sum(math.log(r) for r in rs) / len(rs))
-        per_k.setdefault(shards, []).append(ratio)
-        print(f"{solver:<20} {n:>8} {threads:>7} {shards:>6} "
-              f"{ratio:>17.3f}x")
-    for shards, rs in sorted(per_k.items()):
-        geo = math.exp(sum(math.log(r) for r in rs) / len(rs))
-        print(f"geomean K={shards}: {geo:.3f}x "
-              f"({'sharded faster' if geo < 1.0 else 'sharded slower'})")
-    return 0
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("baseline")
-    parser.add_argument("fresh", nargs="?", default=None)
-    parser.add_argument("--speedup", action="store_true",
-                        help="read ONE sweep JSON (the first positional) "
-                             "and print the sharded/unsharded seconds "
-                             "ratio table instead of gating")
+    parser.add_argument("fresh")
     parser.add_argument("--tolerance", "--threshold", type=float,
                         dest="tolerance", default=0.25,
                         help="allowed fractional per-row regression after "
@@ -191,14 +133,6 @@ def main():
 
     with open(args.baseline) as f:
         baseline_rows = json.load(f)
-    if args.speedup:
-        if args.fresh is not None:
-            print("usage: --speedup takes exactly one JSON file")
-            return 2
-        return speedup_table(baseline_rows)
-    if args.fresh is None:
-        print("usage: compare_bench.py BASELINE.json FRESH.json")
-        return 2
     with open(args.fresh) as f:
         fresh_rows = json.load(f)
 
@@ -216,27 +150,20 @@ def main():
     fresh_only = sorted(set(fresh) - set(baseline))
     if fresh_only:
         print(f"note: {len(fresh_only)} fresh row(s) have no baseline "
-              f"(unpinned, not compared): {fresh_only}")
+              f"(no baseline, not compared): {fresh_only}")
 
     counters = ("n", "m", "rounds", "messages", "total_bits", "set_size",
                 "weight")
     # Deterministic but schema-gated: compared exactly when both sides
-    # carry the field (bridged_bytes from v3; the fault axis from v4;
-    # hit_round_limit and the repair columns from v5), ignored across
-    # schema versions.
-    # `replans` (v6) joins them: plan adoptions are deterministic, so a
-    # drift under identical flags is an engine change. `pinned` (also v6)
-    # stays OUT on purpose — it is placement metadata, and comparing a
-    # pinned fresh run against an unpinned baseline is a supported way to
-    # check that pinning itself is perf-neutral on counters.
-    optional_counters = ("bridged_bytes", "dropped", "duplicated",
-                         "delayed", "killed", "failed", "hit_round_limit",
-                         "repair_rounds", "repaired_nodes",
-                         "post_repair_weight", "replans")
-    # Schema v7 wall-clock breakdown: printed, never gated — timing is
-    # noise across machines, and the per-row median gate already covers
+    # carry the field (the fault axis from v4; hit_round_limit and the
+    # repair columns from v5), ignored across schema versions.
+    optional_counters = ("dropped", "duplicated", "delayed", "killed",
+                         "failed", "hit_round_limit", "repair_rounds",
+                         "repaired_nodes", "post_repair_weight")
+    # Wall-clock breakdown (v7): printed, never gated — timing is noise
+    # across machines, and the per-row median gate already covers
     # end-to-end regressions.
-    timing_columns = ("compute_seconds", "flip_seconds", "merge_seconds",
+    timing_columns = ("compute_seconds", "flip_seconds",
                       "retransmit_seconds")
 
     # One-line schema-drift notice: columns only one side carries are
@@ -294,7 +221,7 @@ def main():
               f"(raw {ratio - 1.0:+.1%}, normalized {normalized - 1.0:+.1%}) "
               f"{verdict}")
 
-    # Informational v7 timing breakdown: one line per matched row and
+    # Informational timing breakdown: one line per matched row and
     # column both sides carry. Never touches `failures`.
     timing_lines = []
     for k, base in sorted(baseline.items()):
