@@ -110,27 +110,25 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   init_size_model();
   const std::size_t arcs = build_csr_topology();
 
-  // Uniform initial lane regions: the length word plus room for one
-  // cap-sized record (header + one kind word + cap payload). Lanes that
-  // overflow a round regrow individually at the next flip, so edges that
-  // regularly carry more settle at their own size after one round.
-  std::size_t base_words;
-  if (config_.lane_capacity_words_hint > 0) {
-    base_words = static_cast<std::size_t>(config_.lane_capacity_words_hint);
-  } else {
-    const std::size_t per_record =
-        2 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64;
-    base_words = 1 + per_record;
-  }
+  // A region with room for one cap-sized record: the length word plus
+  // header + one kind word + cap payload. A standalone Network gives one
+  // to every node as its broadcast slot and starts each lane as its
+  // length word alone (lanes carry only point-to-point traffic, which
+  // spills once and regrows the lane at the next flip); an inner engine
+  // receives every record per arc, so its lanes start at the region size
+  // and it has no slots.
+  const std::size_t region_words =
+      3 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64;
+  const std::size_t lane_words = is_inner_ ? region_words : 1;
+  slot_stride_ = is_inner_ ? 0 : region_words;
   lane_base_.resize(arcs + 1);
-  for (std::size_t l = 0; l <= arcs; ++l) lane_base_[l] = l * base_words;
-  arena_words_ = lane_base_[arcs];
+  for (std::size_t l = 0; l <= arcs; ++l) lane_base_[l] = l * lane_words;
+  slot_base_ = lane_base_[arcs];
+  arena_words_ = slot_base_ + static_cast<std::size_t>(n) * slot_stride_;
   arena_a_ = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
   arena_b_ = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
-  for (std::size_t l = 0; l < arcs; ++l) {
-    arena_a_[lane_base_[l]] = 0;
-    arena_b_[lane_base_[l]] = 0;
-  }
+  zero_length_words(arena_a_.get());
+  zero_length_words(arena_b_.get());
   in_arena_ = &arena_a_;
   out_arena_ = &arena_b_;
 
@@ -141,10 +139,12 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStats{});
   touched_out_.assign(static_cast<std::size_t>(workers), {});
   touched_in_.assign(static_cast<std::size_t>(workers), {});
+  slots_out_.assign(static_cast<std::size_t>(workers), {});
+  slots_in_.assign(static_cast<std::size_t>(workers), {});
   spills_.assign(static_cast<std::size_t>(workers), WorkerSpill{});
   scratch_.assign(static_cast<std::size_t>(workers), {});
   for (auto& s : scratch_)
-    s.reserve(std::max<std::size_t>(2 * base_words, 64));
+    s.reserve(std::max<std::size_t>(2 * region_words, 64));
   calendars_.assign(static_cast<std::size_t>(workers), {});
   for (WorkerCalendar& cal : calendars_) cal.ring.resize(16);
   if (!is_inner_ && workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
@@ -190,6 +190,13 @@ Network::Network(const WeightedGraph& wg, CongestConfig config, DecoratorInit)
   rng_streams_fresh_ = true;
 }
 
+void Network::zero_length_words(std::uint64_t* arena) const {
+  const std::size_t arcs = lane_base_.size() - 1;
+  for (std::size_t l = 0; l < arcs; ++l) arena[lane_base_[l]] = 0;
+  for (std::size_t w = slot_base_; w < arena_words_; w += slot_stride_)
+    arena[w] = 0;
+}
+
 void Network::reseed_node_rngs() {
   if (rng_streams_fresh_) return;
   // Phase-boundary restore: copy the cached seed-derived images (built
@@ -202,11 +209,6 @@ void Network::reseed_node_rngs() {
 }
 
 int Network::num_workers() const { return pool_ ? pool_->num_workers() : 1; }
-
-Rng& Network::rng(NodeId v) {
-  ARBODS_DCHECK(v < node_rngs_.size());
-  return node_rngs_[v];
-}
 
 void Network::check_cap(int bits) const {
   if (config_.enforce_message_size) {
@@ -308,43 +310,74 @@ std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
 
 void Network::send(NodeId from, NodeId to, const Message& m) {
   ARBODS_DCHECK(!is_inner_);  // inner engines receive pre-routed deposits
-  account_bits(deposit_encoded(mirror_[resolve_arc(from, to)], m, from));
+  const EdgeSlot lane = mirror_[resolve_arc(from, to)];
+  if (out_slot(from)[0] != 0) flush_slot(worker_slot(), from);
+  account_bits(deposit_encoded(lane, m, from));
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
   ARBODS_DCHECK(!is_inner_);  // inner engines receive pre-routed deposits
-  const std::size_t begin = offsets_[from];
-  const std::size_t end = offsets_[from + 1];
-  if (begin == end) return;
-  // Encode once into the worker's scratch — the CONGEST accounting falls
-  // out of the same pass — then copy words per lane; the statistics for
-  // the whole fan-out are folded into one slot update. The cap check runs
-  // before anything is deposited, so an oversized broadcast still throws
-  // without side effects.
+  const std::int64_t fanout =
+      static_cast<std::int64_t>(offsets_[from + 1] - offsets_[from]);
+  if (fanout == 0) return;
+  // Encode once into the sender's slot — the CONGEST accounting falls out
+  // of the same pass — and fold the statistics for the whole fan-out into
+  // one worker-slot update. The cap check runs before the length word is
+  // committed, so an oversized broadcast still throws without side
+  // effects.
   const std::size_t w = worker_slot();
+  std::uint64_t* slot = out_slot(from);
+  std::uint64_t& len = slot[0];
+  const std::size_t room = slot_stride_ - 1;
   int bits = 0;
-  const std::size_t need = encode_into_scratch(w, m, from, &bits);
-  for (std::size_t arc = begin; arc != end; ++arc)
-    deposit_words(w, mirror_[arc], scratch_[w].data(), need);
-  const std::int64_t fanout = static_cast<std::int64_t>(end - begin);
-  WorkerStats& slot = worker_stats_[w];
-  slot.messages += fanout;
-  slot.total_bits += bits * fanout;
-  slot.max_message_bits = std::max(slot.max_message_bits, bits);
+  if (len + wire_words_bound(m) <= room) {
+    const std::size_t need = wire_encode(m, from, size_model_,
+                                         config_.quantize_reals,
+                                         slot + 1 + len, &bits);
+    check_cap(bits);
+    if (len == 0) slots_out_[w].push_back(from);
+    len += need;
+  } else {
+    const std::size_t need = encode_into_scratch(w, m, from, &bits);
+    if (len + need <= room) {
+      std::copy_n(scratch_[w].data(), need, slot + 1 + len);
+      if (len == 0) slots_out_[w].push_back(from);
+      len += need;
+    } else {
+      // Too big for the slot's free room: keep the suffix rule by moving
+      // the slot's records to the lanes first, then fan this one out.
+      flush_slot(w, from);
+      deposit_fanout(w, from, scratch_[w].data(), need);
+    }
+  }
+  WorkerStats& ws = worker_stats_[w];
+  ws.messages += fanout;
+  ws.total_bits += bits * fanout;
+  ws.max_message_bits = std::max(ws.max_message_bits, bits);
 }
 
-InboxView Network::inbox(NodeId v) const {
-  ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < offsets_.size());
-  return InboxView(in_arena_->get(), lane_base_.data(), offsets_[v],
-                   offsets_[v + 1], &size_model_, config_.quantize_reals);
+void Network::deposit_fanout(std::size_t w, NodeId from,
+                             const std::uint64_t* words, std::size_t nwords) {
+  for (std::size_t arc = offsets_[from]; arc != offsets_[from + 1]; ++arc)
+    deposit_words(w, mirror_[arc], words, nwords);
+}
+
+void Network::flush_slot(std::size_t w, NodeId from) {
+  std::uint64_t* slot = out_slot(from);
+  if (slot[0] == 0) return;
+  deposit_fanout(w, from, slot + 1, slot[0]);
+  // `from` stays on slots_out_: clearing an empty slot is harmless and
+  // its neighbours are lane receivers now anyway.
+  slot[0] = 0;
 }
 
 void Network::arm_at(NodeId v, std::int64_t round) {
-  ARBODS_DCHECK(v < active_mark_.size());
-  ARBODS_CHECK_MSG(round > round_,
+  Network& e = *engine_;
+  ARBODS_DCHECK(v < e.active_mark_.size());
+  ARBODS_CHECK_MSG(round > e.round_,
                    "arm_at(" << v << ", " << round << ") is not in the future"
-                             << " (current round " << round_ << ")");
-  arm_into(calendars_[worker_slot()], v, round);
+                             << " (current round " << e.round_ << ")");
+  e.arm_into(e.calendars_[e.worker_slot()], v, round);
 }
 
 void Network::arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round) {
@@ -375,15 +408,12 @@ void Network::arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round) {
 
 void Network::flip_buffers() {
   // The in-buffer holds last round's (already consumed) messages; clear
-  // exactly the lanes that were written, then promote the out-buffer.
-  std::uint64_t* in_words = in_arena_->get();
-  for (auto& list : touched_in_) {
-    touched_highwater_ = std::max(touched_highwater_, list.size());
-    for (const EdgeSlot lane : list) in_words[lane_base_[lane]] = 0;
-    list.clear();
-  }
+  // exactly the lanes and slots that were written, then promote the
+  // out-buffer.
+  clear_written(in_arena_->get(), touched_in_, slots_in_);
   std::swap(in_arena_, out_arena_);
   std::swap(touched_in_, touched_out_);
+  std::swap(slots_in_, slots_out_);
   // A timer bucket due in the round that just ended survives to the flip
   // only if the algorithm never consulted the active set this round (a
   // for_nodes-only stage). Carry its arms into the next round instead of
@@ -405,6 +435,22 @@ void Network::flip_buffers() {
   // The active set is rebuilt lazily on first use within the round;
   // algorithms that never touch the active-set API pay nothing here.
   active_dirty_ = true;
+}
+
+void Network::clear_written(std::uint64_t* arena,
+                            std::vector<std::vector<EdgeSlot>>& lanes,
+                            std::vector<std::vector<NodeId>>& slots) {
+  for (auto& list : lanes) {
+    touched_highwater_ = std::max(touched_highwater_, list.size());
+    for (const EdgeSlot lane : list) arena[lane_base_[lane]] = 0;
+    list.clear();
+  }
+  for (auto& list : slots) {
+    touched_highwater_ = std::max(touched_highwater_, list.size());
+    for (const NodeId v : list)
+      arena[slot_base_ + static_cast<std::size_t>(v) * slot_stride_] = 0;
+    list.clear();
+  }
 }
 
 void Network::merge_spills_and_grow() {
@@ -445,30 +491,40 @@ void Network::merge_spills_and_grow() {
     new_base[lane + 1] = new_base[lane] + cap;
   }
 
-  // Rebuild both arenas under the new layout: zero every length word, copy
-  // the in-side's resident regions (length + records), then append each
-  // lane's spill chunks in order. The out-side is empty at this point (the
-  // flip just zeroed and swapped it), so its lanes only need zero lengths.
-  const std::size_t new_words = new_base[arcs];
-  auto new_in = std::make_unique_for_overwrite<std::uint64_t[]>(new_words);
-  auto new_out = std::make_unique_for_overwrite<std::uint64_t[]>(new_words);
-  for (std::size_t lane = 0; lane < arcs; ++lane) {
-    new_in[new_base[lane]] = 0;
-    new_out[new_base[lane]] = 0;
-  }
+  // Rebuild both arenas under the new layout (the slots move up behind
+  // the grown lanes): zero every length word, copy the in-side's resident
+  // lane and slot regions (length + records), then append each lane's
+  // spill chunks in order. The out-side is empty at this point (the flip
+  // just zeroed and swapped it), so it is released first and rebuilt last
+  // with zero lengths only — a regrow never holds four arenas at once.
+  out_arena_->reset();
+  const std::size_t old_slot_base = slot_base_;
+  std::vector<std::uint64_t> old_base = std::move(lane_base_);
+  lane_base_ = std::move(new_base);
+  slot_base_ = lane_base_[arcs];
+  arena_words_ = slot_base_ + (arena_words_ - old_slot_base);
+  auto new_in = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
+  zero_length_words(new_in.get());
   for (const auto& list : touched_in_)
     for (const EdgeSlot lane : list)
-      std::copy_n(old_in + lane_base_[lane], 1 + old_in[lane_base_[lane]],
-                  new_in.get() + new_base[lane]);
+      std::copy_n(old_in + old_base[lane], 1 + old_in[old_base[lane]],
+                  new_in.get() + lane_base_[lane]);
+  for (const auto& list : slots_in_) {
+    for (const NodeId v : list) {
+      const std::size_t off = static_cast<std::size_t>(v) * slot_stride_;
+      std::copy_n(old_in + old_slot_base + off,
+                  1 + old_in[old_slot_base + off],
+                  new_in.get() + slot_base_ + off);
+    }
+  }
   for (const Chunk& c : chunks) {
-    std::uint64_t& len = new_in[new_base[c.lane]];
-    std::copy_n(c.src, c.nwords, new_in.get() + new_base[c.lane] + 1 + len);
+    std::uint64_t& len = new_in[lane_base_[c.lane]];
+    std::copy_n(c.src, c.nwords, new_in.get() + lane_base_[c.lane] + 1 + len);
     len += c.nwords;
   }
-  lane_base_ = std::move(new_base);
-  arena_words_ = new_words;
   *in_arena_ = std::move(new_in);
-  *out_arena_ = std::move(new_out);
+  *out_arena_ = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
+  zero_length_words(out_arena_->get());
   for (WorkerSpill& sp : spills_) {
     for (const SpillRec& r : sp.recs) sp.lane_marked[r.lane] = 0;
     sp.words.clear();
@@ -482,13 +538,23 @@ void Network::rebuild_active_set() {
   ++active_epoch_;
   const std::uint64_t epoch = active_epoch_;
   active_list_.clear();
-  for (const auto& list : touched_in_) {
-    for (const EdgeSlot lane : list) {
-      const NodeId v = lane_receiver_[lane];
-      if (active_mark_[v] != epoch) {
-        active_mark_[v] = epoch;
-        active_list_.push_back(v);
-      }
+  auto mark = [&](NodeId v) {
+    if (active_mark_[v] != epoch) {
+      active_mark_[v] = epoch;
+      active_list_.push_back(v);
+    }
+  };
+  for (const auto& list : touched_in_)
+    for (const EdgeSlot lane : list) mark(lane_receiver_[lane]);
+  // A broadcaster's slot reaches every neighbour (a flushed, now empty
+  // slot reached them through their lanes above).
+  const std::uint64_t* in_words = in_arena_->get();
+  for (const auto& list : slots_in_) {
+    for (const NodeId u : list) {
+      if (in_words[slot_base_ + static_cast<std::size_t>(u) * slot_stride_] ==
+          0)
+        continue;
+      for (const NodeId v : graph().neighbors(u)) mark(v);
     }
   }
   // Drain every worker's timer bucket that is due for the current round
@@ -499,12 +565,7 @@ void Network::rebuild_active_set() {
         cal.ring[static_cast<std::size_t>(due) & (cal.ring.size() - 1)];
     if (bucket.round != due) continue;
     armed_highwater_ = std::max(armed_highwater_, bucket.nodes.size());
-    for (const NodeId v : bucket.nodes) {
-      if (active_mark_[v] != epoch) {
-        active_mark_[v] = epoch;
-        active_list_.push_back(v);
-      }
-    }
+    for (const NodeId v : bucket.nodes) mark(v);
     bucket.round = -1;
     bucket.nodes.clear();
   }
@@ -531,14 +592,8 @@ void Network::rebuild_active_set() {
 }
 
 void Network::clear_all_lanes() {
-  for (auto& list : touched_in_) {
-    for (const EdgeSlot lane : list) (*in_arena_)[lane_base_[lane]] = 0;
-    list.clear();
-  }
-  for (auto& list : touched_out_) {
-    for (const EdgeSlot lane : list) (*out_arena_)[lane_base_[lane]] = 0;
-    list.clear();
-  }
+  clear_written(in_arena_->get(), touched_in_, slots_in_);
+  clear_written(out_arena_->get(), touched_out_, slots_out_);
   for (WorkerSpill& sp : spills_) {
     for (const SpillRec& r : sp.recs) sp.lane_marked[r.lane] = 0;
     sp.words.clear();
@@ -557,6 +612,8 @@ void Network::clear_all_lanes() {
 void Network::shrink_scratch() {
   for (auto& list : touched_in_) maybe_shrink(list, touched_highwater_);
   for (auto& list : touched_out_) maybe_shrink(list, touched_highwater_);
+  for (auto& list : slots_in_) maybe_shrink(list, touched_highwater_);
+  for (auto& list : slots_out_) maybe_shrink(list, touched_highwater_);
   for (WorkerCalendar& cal : calendars_)
     for (CalendarBucket& bucket : cal.ring)
       maybe_shrink(bucket.nodes, armed_highwater_);

@@ -15,27 +15,46 @@
 // Delivery internals (the scaling hot path):
 //   * Messages live bit-packed in two flat std::uint64_t arenas (double
 //     buffering; see message.hpp for the record layout). Each directed
-//     edge owns a fixed word region (a "lane") in both arenas, indexed by
-//     CSR edge offsets: the lane for a message u->v sits inside v's
+//     edge owns a word region (a "lane") in both arenas, indexed by CSR
+//     edge offsets: the lane for a message u->v sits inside v's
 //     contiguous CSR range, so inbox(v) is a pointer walk over v's region
 //     and messages arrive ordered by sender id. A precomputed mirror
 //     permutation maps each outgoing arc to the receiver-side lane, so a
 //     send encodes straight into its destination region — no per-message
 //     heap object exists anywhere on the path, and a steady-state round
 //     performs zero allocations.
-//   * A lane that outgrows its region in one round spills to a per-worker
-//     side buffer; the next flip merges the spill back and permanently
-//     doubles that lane's region (amortized re-layout), so chatty edges
-//     stop allocating after warm-up too.
-//   * Each directed edge has exactly one writer (its tail), so sends from
-//     distinct nodes never race: per-round work is partitioned across a
-//     worker pool (`CongestConfig::threads`) with no locks on the delivery
-//     path. Per-worker statistics slots and per-node RNG streams keep runs
-//     bit-identical regardless of thread count.
-//   * Only lanes actually written are cleared between rounds (tracked per
-//     worker), so a round costs O(delivered messages), not O(m).
+//   * Broadcasts are stored once per sender, not once per edge: every
+//     node also owns a fixed-size word region (a "slot", one cap-sized
+//     record) in both arenas, and a broadcast encodes its record once into
+//     the sender's slot. inbox(v) walks each incoming lane's own records,
+//     then the records in that lane's sender's slot, so the order stays
+//     sender-major with per-sender send order preserved. That needs the
+//     *suffix rule*: a sender's slot only ever holds the tail of its
+//     records for the round. A send() from a node whose slot is non-empty
+//     first flushes the slot into the node's lanes, and a broadcast that
+//     does not fit the slot's free room does the same flush and then
+//     copies its record into every lane. Message and bit accounting count
+//     a broadcast as deg(v) deliveries either way.
+//   * Lanes therefore carry only point-to-point traffic (and slot
+//     flushes). A standalone Network's lane starts as its length word
+//     alone; a lane that outgrows its region in one round spills to a
+//     per-worker side buffer, and the next flip merges the spill back and
+//     permanently doubles that lane's region (amortized re-layout), so
+//     chatty edges stop allocating after warm-up too. The decorators'
+//     inner engines have no slots (faults and sequence numbers are per
+//     arc), and their lanes start with room for one cap-sized record.
+//   * Each directed edge and each slot has exactly one writer (its tail /
+//     owner), so sends from distinct nodes never race: per-round work is
+//     partitioned across a worker pool (`CongestConfig::threads`) with no
+//     locks on the delivery path. Per-worker statistics slots and
+//     per-node RNG streams keep runs bit-identical regardless of thread
+//     count.
+//   * Only lanes and slots actually written are cleared between rounds
+//     (tracked per worker), so a flip costs O(written lanes + broadcasting
+//     nodes), not O(m).
 //   * The simulator additionally maintains an *active set*: the nodes that
-//     received at least one message this round plus the nodes that called
+//     received at least one message this round (lane receivers plus the
+//     neighbours of every broadcasting node) plus the nodes that called
 //     arm() last round. Event-driven algorithms route their loops through
 //     for_active_nodes and pay O(active + delivered) per round instead of
 //     O(n) — on instances that converge region-by-region most rounds touch
@@ -86,12 +105,6 @@ struct CongestConfig {
   /// (default); 0 = std::thread::hardware_concurrency(). Results are
   /// bit-identical for every value.
   int threads = 1;
-  /// Initial per-lane arena region in 64-bit words (including the length
-  /// word). 0 = derive from the message cap: the length word plus room
-  /// for one cap-sized record; lanes that carry more in a round spill
-  /// once and regrow individually. Tests set a tiny value to exercise the
-  /// spill/regrow path.
-  int lane_capacity_words_hint = 0;
   /// Adversarial fault model applied to every message and node. Honored
   /// by fault::make_network, which wraps the simulator in a
   /// fault::FaultyNetwork when the spec is enabled(); constructing a
@@ -220,12 +233,14 @@ class DistributedAlgorithm {
 
 /// Iterable view over the messages delivered to one node this round: a
 /// cursor walk over the node's contiguous CSR lane regions in the arena,
-/// skipping empty lanes. Word 0 of every lane region is its used length
-/// (so length check and record read hit the same cache line); records
-/// start at word 1. Messages appear ordered by sender id (adjacency lists
-/// are sorted), with per-sender send order preserved within a lane.
-/// Dereferencing yields MessageView values; they (and the InboxView) are
-/// valid only for the current round.
+/// each lane followed by its sender's broadcast slot (standalone engines
+/// only), skipping empty regions. Word 0 of every region is its used
+/// length (so length check and record read hit the same cache line);
+/// records start at word 1. Messages appear ordered by sender id
+/// (adjacency lists are sorted), with per-sender send order preserved:
+/// a slot holds a suffix of its sender's records for the round, so the
+/// lane's records come first. Dereferencing yields MessageView values;
+/// they (and the InboxView) are valid only for the current round.
 class InboxView {
  public:
   class const_iterator {
@@ -236,8 +251,8 @@ class InboxView {
 
     MessageView operator*() const {
       ARBODS_DCHECK(lane_ != view_->end_lane_);
-      return MessageView(view_->arena_ + view_->lane_base_[lane_] + 1 + word_,
-                         view_->model_, view_->quantized_);
+      return MessageView(region_ + 1 + word_, view_->model_,
+                         view_->quantized_);
     }
     const_iterator& operator++() {
       word_ += (**this).words();
@@ -250,27 +265,44 @@ class InboxView {
       return old;
     }
     friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.lane_ == b.lane_ && a.word_ == b.word_;
+      return a.lane_ == b.lane_ && a.in_slot_ == b.in_slot_ &&
+             a.word_ == b.word_;
     }
 
    private:
     friend class InboxView;
     const_iterator(const InboxView* view, std::size_t lane)
         : view_(view), lane_(lane) {
+      if (lane_ != view_->end_lane_) region_ = view_->lane_region(lane_);
       settle();
     }
+    // Steps past exhausted regions: a lane's own records, then its
+    // sender's slot, then the next lane.
     void settle() {
-      while (lane_ != view_->end_lane_ &&
-             word_ >= view_->arena_[view_->lane_base_[lane_]]) {
-        ++lane_;
+      while (lane_ != view_->end_lane_) {
+        if (word_ < region_[0]) return;
         word_ = 0;
+        if (!in_slot_ && view_->slots_ != nullptr) {
+          in_slot_ = true;
+          region_ = view_->slot_region(lane_);
+          // Slot reads gather from random senders; fetching a few lanes
+          // ahead overlaps the cache misses of a high-degree inbox.
+          if (lane_ + 8 < view_->end_lane_)
+            __builtin_prefetch(view_->slot_region(lane_ + 8));
+        } else {
+          in_slot_ = false;
+          if (++lane_ != view_->end_lane_) region_ = view_->lane_region(lane_);
+        }
       }
-      if (lane_ == view_->end_lane_) word_ = 0;
+      in_slot_ = false;
+      word_ = 0;
     }
 
     const InboxView* view_ = nullptr;
+    const std::uint64_t* region_ = nullptr;  // length word of the region
     std::size_t lane_ = 0;
     std::size_t word_ = 0;
+    bool in_slot_ = false;
   };
 
   const_iterator begin() const { return const_iterator(this, first_lane_); }
@@ -288,13 +320,28 @@ class InboxView {
  private:
   friend class Network;
   InboxView(const std::uint64_t* arena, const std::uint64_t* lane_base,
-            std::size_t first_lane, std::size_t end_lane,
-            const MessageSizeModel* model, bool quantized)
-      : arena_(arena), lane_base_(lane_base), first_lane_(first_lane),
-        end_lane_(end_lane), model_(model), quantized_(quantized) {}
+            const std::uint64_t* slots, std::size_t slot_stride,
+            const NodeId* senders, std::size_t first_lane,
+            std::size_t end_lane, const MessageSizeModel* model,
+            bool quantized)
+      : arena_(arena), lane_base_(lane_base), slots_(slots),
+        slot_stride_(slot_stride), senders_(senders),
+        first_lane_(first_lane), end_lane_(end_lane), model_(model),
+        quantized_(quantized) {}
+
+  const std::uint64_t* lane_region(std::size_t lane) const {
+    return arena_ + lane_base_[lane];
+  }
+  const std::uint64_t* slot_region(std::size_t lane) const {
+    return slots_ + static_cast<std::size_t>(senders_[lane - first_lane_]) *
+                        slot_stride_;
+  }
 
   const std::uint64_t* arena_;
   const std::uint64_t* lane_base_;
+  const std::uint64_t* slots_;  // nullptr: an engine without slots
+  std::size_t slot_stride_;
+  const NodeId* senders_;       // the receiver's sorted neighbour list
   std::size_t first_lane_;
   std::size_t end_lane_;
   const MessageSizeModel* model_;
@@ -311,11 +358,13 @@ class ReliableNetwork;
 
 /// The round-synchronous simulator. Its two decorators,
 /// fault::FaultyNetwork and resilience::ReliableNetwork, derive from it
-/// and override the handful of virtual seams below (send/inbox/rng/
-/// arm_at plus the per-round internals) around a plain inner Network, so
+/// and override the handful of virtual seams below (send/broadcast plus
+/// the per-round internals) around a plain inner Network, so
 /// ProtocolRunner, every Phase, and the scenario runner drive them
-/// through the exact same API. A plain Network pays one virtual dispatch
-/// per seam call and nothing else.
+/// through the exact same API. inbox/rng/arm_at are not seams: they go
+/// straight to the engine that owns the arenas, RNG streams, and timer
+/// wheels (this Network, or a decorator's inner one), so the per-node
+/// inbox() call costs no virtual dispatch.
 class Network {
  public:
   Network(const WeightedGraph& wg, CongestConfig config = {});
@@ -341,14 +390,26 @@ class Network {
   const CongestConfig& config() const { return config_; }
 
   /// Per-node deterministic RNG stream.
-  virtual Rng& rng(NodeId v);
+  Rng& rng(NodeId v) {
+    ARBODS_DCHECK(v < engine_->node_rngs_.size());
+    return engine_->node_rngs_[v];
+  }
 
   // --- communication (called from within process_round/initialize) ---
   virtual void send(NodeId from, NodeId to, const Message& m);
   virtual void broadcast(NodeId from, const Message& m);
 
   /// Messages delivered to v at the start of the current round.
-  virtual InboxView inbox(NodeId v) const;
+  InboxView inbox(NodeId v) const {
+    const Network& e = *engine_;
+    ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < e.offsets_.size());
+    const std::uint64_t* arena = e.in_arena_->get();
+    return InboxView(arena, e.lane_base_.data(),
+                     e.slot_stride_ == 0 ? nullptr : arena + e.slot_base_,
+                     e.slot_stride_, neighbors(v).data(), e.offsets_[v],
+                     e.offsets_[v + 1], &e.size_model_,
+                     e.config_.quantize_reals);
+  }
 
   std::int64_t current_round() const { return round_; }
 
@@ -400,7 +461,7 @@ class Network {
   /// active set in the target round (a for_nodes-only stage), the wake
   /// carries forward round by round and fires in the first round that
   /// does look — deferred, never dropped.
-  virtual void arm_at(NodeId v, std::int64_t round);
+  void arm_at(NodeId v, std::int64_t round);
 
   /// This round's active set (receivers + previously armed). Mainly for
   /// tests and diagnostics.
@@ -448,11 +509,11 @@ class Network {
 
   const RunStats& stats() const { return stats_; }
 
-  /// Total arena size in 64-bit words (both double buffers have this
-  /// size; a decorator reports its inner engine's).
-  /// Diagnostics/tests only — the alloc regression uses it to pin
-  /// "arena storage is constructed exactly once per Network".
-  virtual std::size_t arena_words() const { return arena_words_; }
+  /// Total arena size in 64-bit words, lanes plus broadcast slots (both
+  /// double buffers have this size; a decorator reports its inner
+  /// engine's). Diagnostics/tests only — the alloc regression uses it to
+  /// pin "arena storage is constructed exactly once per Network".
+  std::size_t arena_words() const { return engine_->arena_words_; }
 
   // --- observability ---
   /// The span recorder this Network records into, or nullptr when
@@ -503,8 +564,9 @@ class Network {
   /// lane arenas, RNG streams, timer wheels, and active-set state of
   /// every node, but sizes its per-worker scratch for the decorator's
   /// pool (`workers`), whose threads execute the deposits (pre-routed by
-  /// the decorator). It owns no pool and no span recorder and is never
-  /// driven via run()/run_phase().
+  /// the decorator). It owns no pool, no span recorder, and no broadcast
+  /// slots (every record reaches it per arc), and is never driven via
+  /// run()/run_phase().
   /// `workers` == 0 builds a standalone Network instead.
   struct InnerInit {
     int workers;
@@ -583,6 +645,14 @@ class Network {
   /// plain ring store; called by run_phase after each round).
   void flight_note_round(const obs::FlightRecord& rec);
   void merge_spills_and_grow();
+  /// Zeroes the length word of every lane and slot region of `arena`
+  /// under the current layout.
+  void zero_length_words(std::uint64_t* arena) const;
+  /// Zeroes the length words of the listed lanes and slots of `arena`
+  /// and empties the lists.
+  void clear_written(std::uint64_t* arena,
+                     std::vector<std::vector<EdgeSlot>>& lanes,
+                     std::vector<std::vector<NodeId>>& slots);
   struct WorkerCalendar;
   void arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round);
   /// Message widths + cap from the global instance (all constructors).
@@ -606,6 +676,18 @@ class Network {
   int deposit_encoded(EdgeSlot lane, const Message& m, NodeId sender);
   void deposit_words(std::size_t worker, EdgeSlot lane,
                      const std::uint64_t* words, std::size_t nwords);
+  /// Copies `nwords` of one wire record (or several) into every out-lane
+  /// of `from`.
+  void deposit_fanout(std::size_t worker, NodeId from,
+                      const std::uint64_t* words, std::size_t nwords);
+  /// The suffix rule: moves the records in from's out-slot into its
+  /// lanes and empties the slot, so a later lane record is not read
+  /// before them.
+  void flush_slot(std::size_t worker, NodeId from);
+  std::uint64_t* out_slot(NodeId v) {
+    return out_arena_->get() + slot_base_ +
+           static_cast<std::size_t>(v) * slot_stride_;
+  }
   bool lane_spilled(std::size_t worker, EdgeSlot lane) const;
   void reduce_stats();
 
@@ -618,6 +700,10 @@ class Network {
   // Whether this Network is a decorator's inner engine (sends then route
   // through the decorator, never through this object's send/broadcast).
   bool is_inner_ = false;
+  // The Network owning the arenas, RNG streams, and timer wheels that
+  // inbox/rng/arm_at/arena_words read: this one, or the inner engine a
+  // decorator installs after constructing it.
+  Network* engine_ = this;
 
   // CSR arc offsets (offsets_[v]..offsets_[v+1] are v's incident lanes in
   // receiver order), the out-arc -> receiver-lane mirror permutation, and
@@ -626,27 +712,37 @@ class Network {
   std::vector<EdgeSlot> mirror_;
   std::vector<NodeId> lane_receiver_;
 
-  // Shared lane layout: lane l owns words [lane_base_[l], lane_base_[l+1])
-  // of both arenas; word 0 of the region is the lane's used length (same
-  // cache line as the records it guards — a deposit or inbox scan costs
-  // one memory touch per lane, not two), records follow from word 1.
-  // Double-buffered: the in-arena holds this round's deliveries, the
-  // out-arena collects next round's. Beyond the length words the storage
-  // is deliberately *uninitialized* (every wire record fully initializes
-  // the words it claims, and the length word guards reads), so
-  // constructing a Network never pays an O(arena) zero-fill.
+  // Shared arena layout. Lane l owns words [lane_base_[l], lane_base_[l+1])
+  // of both arenas; node v's broadcast slot owns the slot_stride_ words
+  // at slot_base_ + v * slot_stride_ (slot_base_ == lane_base_.back(); no
+  // slots when slot_stride_ == 0, as in a decorator's inner engine). Word
+  // 0 of every region is its used length (same cache line as the records
+  // it guards — a deposit or inbox scan costs one memory touch per region,
+  // not two), records follow from word 1. Double-buffered: the in-arena
+  // holds this round's deliveries, the out-arena collects next round's.
+  // Beyond the length words the storage is deliberately *uninitialized*
+  // (every wire record fully initializes the words it claims, and the
+  // length word guards reads), so constructing a Network never pays an
+  // O(arena) zero-fill.
   std::vector<std::uint64_t> lane_base_;
+  std::size_t slot_base_ = 0;
+  std::size_t slot_stride_ = 0;
   std::size_t arena_words_ = 0;
   std::unique_ptr<std::uint64_t[]> arena_a_, arena_b_;
   std::unique_ptr<std::uint64_t[]>* in_arena_ = nullptr;
   std::unique_ptr<std::uint64_t[]>* out_arena_ = nullptr;
 
   // Lanes written this round / holding this round's inbox, per worker, so
-  // a flip clears O(messages) lanes instead of O(m).
+  // a flip clears O(messages) lanes instead of O(m); likewise the nodes
+  // whose slot was written (the broadcasters), so a flip clears one slot
+  // per broadcaster and the active-set builder finds their neighbours.
   std::vector<std::vector<EdgeSlot>> touched_out_;
   std::vector<std::vector<EdgeSlot>> touched_in_;
+  std::vector<std::vector<NodeId>> slots_out_;
+  std::vector<std::vector<NodeId>> slots_in_;
 
-  // Per-worker overflow buffers and broadcast encode scratch.
+  // Per-worker overflow buffers and encode scratch (records that do not
+  // fit their slot or lane, and the decorators' per-arc records).
   std::vector<WorkerSpill> spills_;
   std::vector<std::vector<std::uint64_t>> scratch_;
 

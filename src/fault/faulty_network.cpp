@@ -60,6 +60,7 @@ void FaultyNetwork::init_from_plan(const WeightedGraph& wg,
   inner_.reset(new Network(
       wg, inner_cfg, InnerInit{static_cast<int>(worker_stats_.size())}));
   inner_->tracer_ = tracer_;
+  engine_ = inner_.get();
 }
 
 std::vector<NodeId> FaultyNetwork::killed_nodes() const {

@@ -5,8 +5,8 @@
 // node, per-worker scratch sized for the decorator's pool). Algorithms,
 // ProtocolRunner phases, and the scenario runner drive the decorator
 // through the unchanged Network surface; inboxes, RNG streams, and
-// timers delegate to the inner engine, while every send/broadcast is
-// intercepted:
+// timers live in the inner engine (Network reads them there directly),
+// while every send/broadcast is intercepted:
 //
 //   1. the record is encoded once (CONGEST cap check and bit accounting
 //      exactly as on the clean path — the sender paid for the slot even
@@ -69,14 +69,8 @@ class FaultyNetwork final : public Network {
   std::vector<NodeId> killed_nodes() const;
 
   // --- Network seams ---
-  Rng& rng(NodeId v) override { return inner_->rng(v); }
   void send(NodeId from, NodeId to, const Message& m) override;
   void broadcast(NodeId from, const Message& m) override;
-  InboxView inbox(NodeId v) const override { return inner_->inbox(v); }
-  void arm_at(NodeId v, std::int64_t round) override {
-    inner_->arm_at(v, round);
-  }
-  std::size_t arena_words() const override { return inner_->arena_words(); }
   void reset_for_reuse() override;
 
  private:

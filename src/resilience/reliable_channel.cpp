@@ -84,6 +84,7 @@ ReliableNetwork::ReliableNetwork(const Network& outer)
   const int workers = num_workers();
   staging_ = std::unique_ptr<Network>(
       new Network(*wg_, config_, InnerInit{workers}));
+  engine_ = staging_.get();
   out_.resize(mirror_.size());
   in_.resize(mirror_.size());
   ready_arcs_.resize(static_cast<std::size_t>(workers));

@@ -14,11 +14,12 @@
 //     on. It derives from Network through the virtual seams (like
 //     FaultyNetwork) and owns a private *staging* engine — a plain
 //     Network built in inner mode over every node — whose arenas hold
-//     exactly the messages of the current VIRTUAL round. The algorithm's sends are captured into per-out-arc unit
-//     queues instead of hitting the wire; inbox/rng/arm delegate to the
-//     staging engine. The virtual network enforces the ORIGINAL message
-//     cap and exposes the original round counter, so the algorithm's
-//     observable world is bit-identical to a clean run.
+//     exactly the messages of the current VIRTUAL round. The algorithm's
+//     sends are captured into per-out-arc unit queues instead of hitting
+//     the wire; inbox/rng/arm read the staging engine directly. The
+//     virtual network enforces the ORIGINAL message cap and exposes the
+//     original round counter, so the algorithm's observable world is
+//     bit-identical to a clean run.
 //
 //   * ReliablePhase: the Phase wrapper (`reliable(phase)`) driven by the
 //     OUTER (physical, possibly faulty) network. Each physical round it
@@ -83,14 +84,8 @@ class ReliableNetwork final : public Network {
   ~ReliableNetwork() override;
 
   // --- Network seams the wrapped algorithm drives ---
-  Rng& rng(NodeId v) override { return staging_->rng(v); }
   void send(NodeId from, NodeId to, const Message& m) override;
   void broadcast(NodeId from, const Message& m) override;
-  InboxView inbox(NodeId v) const override { return staging_->inbox(v); }
-  void arm_at(NodeId v, std::int64_t round) override {
-    staging_->arm_at(v, round);
-  }
-  std::size_t arena_words() const override { return staging_->arena_words(); }
   void reset_for_reuse() override;
 
   /// Virtual rounds fully delivered to the wrapped algorithm so far.

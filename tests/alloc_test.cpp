@@ -11,10 +11,10 @@
 // deterministically.
 //
 // The same hook additionally watches allocations of one exact size (the
-// message arenas) to pin the protocol engine's reuse contract: a composed
-// two-phase solver on one Network constructs arena storage exactly once —
-// the pre-engine drivers built a second Network (arenas, pool, mirror
-// permutation) per phase.
+// message arenas: lanes and broadcast slots) to pin the protocol engine's
+// reuse contract: a composed two-phase solver on one Network constructs
+// arena storage exactly once — the pre-engine drivers built a second
+// Network (arenas, pool, mirror permutation) per phase.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,6 +65,43 @@ void* operator new(std::size_t size, std::align_val_t al) {
 }
 void* operator new[](std::size_t size, std::align_val_t al) {
   return count_alloc_aligned(size, static_cast<std::size_t>(al));
+}
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// a sanitizer runtime otherwise serves them from its own heap, which the
+// free()-based deletes below must never see.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return count_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void* operator new(std::size_t size, std::align_val_t al,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return count_alloc_aligned(size, static_cast<std::size_t>(al));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, std::align_val_t al,
+                     const std::nothrow_t& tag) noexcept {
+  return operator new(size, al, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -184,14 +221,17 @@ TEST(AllocRegression, TracedSteadyStateRoundsAllocateNothingParallel) {
 // The composed Theorem 1.2 pipeline (partial_ds + extension) used to
 // build one Network per phase — two arena pairs, two mirror builds. On
 // the protocol engine both phases share the caller's Network: arena
-// storage (one allocation per double buffer) is constructed exactly once,
-// and a follow-up reused run constructs none at all.
+// storage (lanes and broadcast slots, one allocation per double buffer)
+// is constructed exactly once, and a reused, identical run constructs
+// none at all. Lanes start as bare length words, so a solver's first
+// point-to-point traffic (det's completion requests) regrows them once;
+// the identical rerun must not.
 TEST(AllocRegression, TwoPhaseProtocolConstructsArenaStorageExactlyOnce) {
   Rng rng(4242);
   auto wg = WeightedGraph::uniform(gen::k_tree_union(512, 2, rng));
 
   // Learn the arena footprint from a probe Network over the same graph
-  // (the lane layout is deterministic), then watch that exact size.
+  // (the layout is deterministic), then watch that exact size.
   std::size_t arena_bytes = 0;
   {
     Network probe(wg);
@@ -205,14 +245,24 @@ TEST(AllocRegression, TwoPhaseProtocolConstructsArenaStorageExactlyOnce) {
   EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 2u)
       << "construction allocates the two double-buffer arenas";
 
+  // Broadcast-only: the slots carry everything, no lane regrows.
   MdsResult res = solve_mds_randomized(net, 2, 2);
   EXPECT_EQ(res.stats.phases.size(), 2u);
   EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 2u)
       << "the two-phase run must reuse the Network's arenas";
+  EXPECT_EQ(net.arena_words() * sizeof(std::uint64_t), arena_bytes);
 
-  // Network reuse across runs: still no new arena storage.
+  // First det run: its requests may regrow lanes. Then watch the grown
+  // footprint: identical reruns allocate no arena storage (a hit) and
+  // regrow nothing (a size change).
   solve_mds_deterministic(net, 2, 0.3);
-  EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 2u);
+  arena_bytes = net.arena_words() * sizeof(std::uint64_t);
+  g_watch_hits.store(0, std::memory_order_relaxed);
+  g_watch_size.store(arena_bytes, std::memory_order_relaxed);
+  solve_mds_deterministic(net, 2, 0.3);
+  solve_mds_randomized(net, 2, 2);
+  EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(net.arena_words() * sizeof(std::uint64_t), arena_bytes);
   g_watch_size.store(0, std::memory_order_relaxed);
 }
 

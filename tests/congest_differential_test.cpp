@@ -3,11 +3,19 @@
 // one growable outbox/inbox vector per node, swapped between rounds).
 //
 // Both simulators drive the same scripted randomized protocol — every
-// node broadcasts a quantized random real each round and coin-flips a
-// directed probe to a random neighbor — using identical per-node RNG
+// node broadcasts a quantized random real each round, coin-flips a
+// directed probe to a random neighbor (sent before or after the
+// broadcast, also by coin flip), and now and then adds a second value
+// broadcast or a many-field broadcast — using identical per-node RNG
 // streams. The per-node delivery traces (round, sender, tag, payload),
 // the round count, the message count and the exact total bit volume must
 // agree, at every worker-pool width.
+//
+// The mix drives every branch of the Network's broadcast slots: a probe
+// after a broadcast flushes the slot into the sender's lanes, a second
+// broadcast either joins the first in the slot (lifted cap, wider slots)
+// or flushes it, and the many-field record (two kind words) cannot fit
+// even an empty slot at the default cap, so it is fanned out per lane.
 //
 // Delivery-order contract encoded here: messages in an inbox arrive
 // ordered by sender id (adjacency lists are sorted and each node emits
@@ -28,13 +36,15 @@ namespace {
 
 constexpr int kTagValue = 1;
 constexpr int kTagProbe = 2;
+constexpr int kTagWide = 3;
+constexpr int kWideFlags = 20;  // + the tag: 21 fields, two kind words
 constexpr std::int64_t kSendRounds = 12;
 
 struct Delivery {
   std::int64_t round;
   NodeId sender;
   int tag;
-  std::int64_t level;
+  std::int64_t level;  // kTagValue level, or kTagWide's flags as a mask
   double real;  // quantized payload (kTagValue) or -1
   NodeId id;    // probe payload (kTagProbe) or kInvalidNode
 
@@ -52,6 +62,9 @@ Delivery record(std::int64_t round, NodeId sender, const M& m) {
   if (d.tag == kTagValue) {
     d.level = m.level_at(1);
     d.real = m.real_at(2);
+  } else if (d.tag == kTagWide) {
+    for (int i = 0; i < kWideFlags; ++i)
+      d.level |= static_cast<std::int64_t>(m.flag_at(1 + i)) << i;
   } else {
     d.id = m.id_at(1);
   }
@@ -59,17 +72,33 @@ Delivery record(std::int64_t round, NodeId sender, const M& m) {
 }
 
 // The scripted per-node round action, shared verbatim by both simulators:
-// draws from the node's RNG in a fixed order, then emits one broadcast
-// and (on a coin flip) one directed probe.
+// draws from the node's RNG in a fixed order, then emits one value
+// broadcast, on a coin flip one directed probe (before or after the
+// broadcasts, by a second coin), and with probability 1/8 each a second
+// value broadcast or a many-field broadcast.
 template <typename BroadcastFn, typename SendFn>
 void scripted_sends(NodeId v, std::int64_t round, std::span<const NodeId> nb,
                     Rng& rng, BroadcastFn&& bcast, SendFn&& probe) {
   const double x = rng.next_double();
+  const bool probe_first = rng.next_bernoulli(0.5);
+  const bool do_probe = !nb.empty() && rng.next_bernoulli(0.5);
+  const NodeId to = do_probe ? nb[rng.next_below(nb.size())] : kInvalidNode;
+  const std::uint64_t extra = rng.next_below(8);
+  auto send_probe = [&] {
+    if (do_probe) probe(to, Message::tagged(kTagProbe).add_id(v));
+  };
+  if (probe_first) send_probe();
   bcast(Message::tagged(kTagValue).add_level(round & 7).add_real(x));
-  if (!nb.empty() && rng.next_bernoulli(0.5)) {
-    const NodeId to = nb[rng.next_below(nb.size())];
-    probe(to, Message::tagged(kTagProbe).add_id(v));
+  if (extra == 0)
+    bcast(Message::tagged(kTagValue).add_level((round + 1) & 7).add_real(
+        1.0 - x));
+  if (extra == 1) {
+    Message wide = Message::tagged(kTagWide);
+    for (int i = 0; i < kWideFlags; ++i)
+      wide.add_flag(((v + round) >> i) & 1);
+    bcast(std::move(wide));
   }
+  if (!probe_first) send_probe();
 }
 
 // ------------------------------------------------- reference delivery loop
@@ -177,11 +206,14 @@ class ScriptedAlgorithm final : public DistributedAlgorithm {
 
 // ---------------------------------------------------------------- the test
 
+// `lifted_cap` raises the message cap to 256 bits, which widens every
+// broadcast slot so that two value records fit in it together.
 void expect_differential_match(const WeightedGraph& wg, std::uint64_t seed,
-                               int threads) {
+                               int threads, bool lifted_cap = false) {
   CongestConfig cfg;
   cfg.seed = seed;
   cfg.threads = threads;
+  if (lifted_cap) cfg.max_message_bits_override = 256;
   Network net(wg, cfg);
 
   Trace ref_trace;
@@ -197,8 +229,9 @@ void expect_differential_match(const WeightedGraph& wg, std::uint64_t seed,
   EXPECT_EQ(stats.max_message_bits, ref.max_message_bits);
   ASSERT_EQ(algo.trace.size(), ref_trace.size());
   for (NodeId v = 0; v < wg.num_nodes(); ++v) {
-    EXPECT_EQ(algo.trace[v], ref_trace[v]) << "trace mismatch at node " << v
-                                           << " (threads=" << threads << ")";
+    EXPECT_EQ(algo.trace[v], ref_trace[v])
+        << "trace mismatch at node " << v << " (threads=" << threads
+        << ", lifted_cap=" << lifted_cap << ")";
   }
 }
 
@@ -208,8 +241,10 @@ TEST(Differential, FlatBuffersMatchReferenceOnRandomGraphs) {
     const NodeId n = 200;
     WeightedGraph wg(gen::erdos_renyi_gnp(n, 6.0 / n, rng),
                      std::vector<Weight>(n, 1));
-    expect_differential_match(wg, seed * 1000, 1);
-    expect_differential_match(wg, seed * 1000, 8);
+    for (const int threads : {1, 3, 4}) {
+      expect_differential_match(wg, seed * 1000, threads);
+      expect_differential_match(wg, seed * 1000, threads, /*lifted_cap=*/true);
+    }
   }
 }
 
@@ -218,9 +253,11 @@ TEST(Differential, FlatBuffersMatchReferenceOnScaleFreeAndTrees) {
   WeightedGraph ba = WeightedGraph::uniform(gen::barabasi_albert(150, 2, rng));
   WeightedGraph tree =
       WeightedGraph::uniform(gen::random_tree_prufer(180, rng));
-  for (const int threads : {1, 8}) {
-    expect_differential_match(ba, 501, threads);
-    expect_differential_match(tree, 502, threads);
+  for (const int threads : {1, 3, 4}) {
+    for (const bool lifted : {false, true}) {
+      expect_differential_match(ba, 501, threads, lifted);
+      expect_differential_match(tree, 502, threads, lifted);
+    }
   }
 }
 

@@ -426,10 +426,11 @@ TEST(Network, InboxOrderIsSenderMajorWithinRound) {
 
 // ------------------------------------------------- lane spill and regrowth
 
-// Tiny lane regions force the overflow path: records spill to per-worker
-// side buffers mid-round, the next flip merges them back in send order and
-// permanently regrows the lanes, after which delivery is spill-free and
-// indistinguishable from the resident path.
+// A standalone Network's lanes start as their length word alone, so the
+// first point-to-point round takes the overflow path: records spill to
+// per-worker side buffers mid-round, the next flip merges them back in
+// send order and permanently regrows the lanes, after which delivery is
+// spill-free and indistinguishable from the resident path.
 TEST(Network, LaneOverflowSpillsAndRegrowsPreservingOrder) {
   auto wg = WeightedGraph::uniform(gen::star(4));  // hub 0, leaves 1..3
 
@@ -463,7 +464,6 @@ TEST(Network, LaneOverflowSpillsAndRegrowsPreservingOrder) {
   for (const int threads : {1, 4}) {
     CongestConfig cfg;
     cfg.threads = threads;
-    cfg.lane_capacity_words_hint = 1;  // no record fits its lane resident
     Network net(wg, cfg);
     Chatty algo;
     const RunStats stats = net.run(algo, 10);
@@ -510,6 +510,55 @@ TEST(Network, ActiveSetIsReceiversPlusArmedDeduplicated) {
   std::sort(p.round1.begin(), p.round1.end());
   EXPECT_EQ(p.round1, (std::vector<NodeId>{1, 4}));
   EXPECT_EQ(p.round2, (std::vector<NodeId>{4}));  // only the re-armed node
+}
+
+// A broadcast reaches its receivers through the sender's slot, not
+// through their lanes, yet the active set of a broadcast-only round is
+// still exactly the union of the broadcasters' neighbourhoods — no
+// broadcaster without a broadcasting neighbour, no bystander.
+TEST(Network, BroadcastOnlyRoundActivatesExactlyTheNeighbours) {
+  auto wg = WeightedGraph::uniform(gen::grid(6, 5));
+  const std::vector<NodeId> broadcasters = {0, 7, 8, 29};
+
+  class Shout final : public DistributedAlgorithm {
+   public:
+    explicit Shout(std::vector<NodeId> who) : who_(std::move(who)) {}
+    std::vector<NodeId> visited;
+    void initialize(Network& net) override {
+      for (const NodeId v : who_) net.broadcast(v, Message::tagged(1));
+    }
+    void process_round(Network& net) override {
+      std::vector<std::vector<NodeId>> per_worker(
+          static_cast<std::size_t>(net.num_workers()));
+      net.for_active_nodes([&](NodeId v) {
+        per_worker[static_cast<std::size_t>(net.worker_index())].push_back(v);
+      });
+      for (const auto& part : per_worker)
+        visited.insert(visited.end(), part.begin(), part.end());
+      std::sort(visited.begin(), visited.end());
+    }
+    bool finished(const Network& net) const override {
+      return net.current_round() >= 1;
+    }
+
+   private:
+    std::vector<NodeId> who_;
+  };
+
+  std::vector<NodeId> want;
+  for (const NodeId u : broadcasters)
+    for (const NodeId v : wg.graph().neighbors(u)) want.push_back(v);
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+
+  for (const int threads : {1, 4}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    Network net(wg, cfg);
+    Shout algo(broadcasters);
+    net.run(algo, 5);
+    EXPECT_EQ(algo.visited, want) << "threads=" << threads;
+  }
 }
 
 // An arm_at wake whose target round never consults the active set (a
