@@ -135,8 +135,8 @@ void BM_NetworkFloodActiveSet(benchmark::State& state) {
 BENCHMARK(BM_NetworkFloodActiveSet)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 15);
 
 // Flood rounds on a pooled Network across worker-pool widths: the
-// parallel send half-round plus the serial flip, warm (arenas and spill
-// growth settled by a warm-up run).
+// parallel send half-round plus the serial flip, warm (scratch and
+// active-set capacity settled by a warm-up run).
 void BM_NetworkFloodThreads(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
   Rng rng(8);
@@ -165,7 +165,7 @@ void BM_NetworkFloodThreads(benchmark::State& state) {
 
   Network net(wg, cfg);
   Flood algo;
-  net.run(algo, 2);  // warm-up: arenas and spill growth
+  net.run(algo, 2);  // warm-up: scratch and active-set capacity
   for (auto _ : state) {
     net.run(algo, 10);
   }

@@ -84,10 +84,10 @@ std::size_t Network::build_csr_topology() {
   ARBODS_CHECK_MSG(arcs < std::numeric_limits<EdgeSlot>::max(),
                    "graph too large for 32-bit edge slots");
   mirror_.resize(arcs);
-  lane_receiver_.resize(arcs);
+  arc_receiver_.resize(arcs);
   // O(arcs) mirror build, no binary searches: sweeping v in ascending
   // order enumerates the in-arcs of every u in ascending source order,
-  // which is exactly the order of u's (sorted) lane slots — so a per-node
+  // which is exactly the order of u's (sorted) arc slots — so a per-node
   // cursor yields each arc's receiver-side rank directly.
   std::vector<EdgeSlot> cursor(n, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -98,7 +98,7 @@ std::size_t Network::build_csr_topology() {
           static_cast<EdgeSlot>(offsets_[u] + cursor[u]++);
     }
     for (std::size_t l = offsets_[v]; l < offsets_[v + 1]; ++l)
-      lane_receiver_[l] = v;
+      arc_receiver_[l] = v;
   }
   return arcs;
 }
@@ -108,40 +108,34 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
     : wg_(&wg), config_(config), is_inner_(inner.workers > 0) {
   const NodeId n = wg.graph().num_nodes();
   init_size_model();
-  const std::size_t arcs = build_csr_topology();
+  build_csr_topology();
 
-  // A region with room for one cap-sized record: the length word plus
-  // header + one kind word + cap payload. A standalone Network gives one
-  // to every node as its broadcast slot and starts each lane as its
-  // length word alone (lanes carry only point-to-point traffic, which
-  // spills once and regrows the lane at the next flip); an inner engine
-  // receives every record per arc, so its lanes start at the region size
-  // and it has no slots.
+  // A standalone Network gives every node a broadcast slot with room for
+  // one cap-sized record: the length word plus header + one kind word +
+  // cap payload. An inner engine receives every record per arc, so it has
+  // no slots.
   const std::size_t region_words =
       3 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64;
-  const std::size_t lane_words = is_inner_ ? region_words : 1;
-  slot_stride_ = is_inner_ ? 0 : region_words;
-  lane_base_.resize(arcs + 1);
-  for (std::size_t l = 0; l <= arcs; ++l) lane_base_[l] = l * lane_words;
-  slot_base_ = lane_base_[arcs];
-  arena_words_ = slot_base_ + static_cast<std::size_t>(n) * slot_stride_;
-  arena_a_ = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
-  arena_b_ = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
-  zero_length_words(arena_a_.get());
-  zero_length_words(arena_b_.get());
-  in_arena_ = &arena_a_;
-  out_arena_ = &arena_b_;
+  if (!is_inner_) {
+    slot_stride_ = region_words;
+    slot_words_ = static_cast<std::size_t>(n) * slot_stride_;
+    slots_a_ = std::make_unique_for_overwrite<std::uint64_t[]>(slot_words_);
+    slots_b_ = std::make_unique_for_overwrite<std::uint64_t[]>(slot_words_);
+    for (std::size_t w = 0; w < slot_words_; w += slot_stride_)
+      slots_a_[w] = slots_b_[w] = 0;
+  }
+  in_slots_ = &slots_a_;
+  out_slots_ = &slots_b_;
+  runs_.assign(n, Run{});
 
   // An inner engine sizes its per-worker scratch for the decorator's
   // pool, whose threads execute the deposits; only a standalone Network
   // owns a pool of its own.
   const int workers = is_inner_ ? inner.workers : derive_workers(config_, n);
   worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStats{});
-  touched_out_.assign(static_cast<std::size_t>(workers), {});
-  touched_in_.assign(static_cast<std::size_t>(workers), {});
   slots_out_.assign(static_cast<std::size_t>(workers), {});
   slots_in_.assign(static_cast<std::size_t>(workers), {});
-  spills_.assign(static_cast<std::size_t>(workers), WorkerSpill{});
+  records_.assign(static_cast<std::size_t>(workers), {});
   scratch_.assign(static_cast<std::size_t>(workers), {});
   for (auto& s : scratch_)
     s.reserve(std::max<std::size_t>(2 * region_words, 64));
@@ -172,8 +166,8 @@ Network::Network(const WeightedGraph& wg, CongestConfig config, DecoratorInit)
   const NodeId n = wg.graph().num_nodes();
   init_size_model();
   // Topology only: the decorator routes every send through the out-arc
-  // -> lane mirror, but the lane arenas (and every other per-node
-  // structure) live in the inner Network it owns.
+  // mirror, but the record lists (and every other per-node structure)
+  // live in the inner Network it owns.
   build_csr_topology();
 
   const int workers = derive_workers(config_, n);
@@ -188,13 +182,6 @@ Network::Network(const WeightedGraph& wg, CongestConfig config, DecoratorInit)
   }
   active_list_.reserve(64);
   rng_streams_fresh_ = true;
-}
-
-void Network::zero_length_words(std::uint64_t* arena) const {
-  const std::size_t arcs = lane_base_.size() - 1;
-  for (std::size_t l = 0; l < arcs; ++l) arena[lane_base_[l]] = 0;
-  for (std::size_t w = slot_base_; w < arena_words_; w += slot_stride_)
-    arena[w] = 0;
 }
 
 void Network::reseed_node_rngs() {
@@ -230,12 +217,6 @@ std::size_t Network::worker_slot() const {
   return w < worker_stats_.size() ? w : 0;
 }
 
-bool Network::lane_spilled(std::size_t worker, EdgeSlot lane) const {
-  const WorkerSpill& sp = spills_[worker];
-  if (sp.recs.empty()) return false;  // the steady-state answer
-  return sp.lane_marked[lane] != 0;
-}
-
 std::size_t Network::encode_into_scratch(std::size_t w, const Message& m,
                                          NodeId sender, int* bits) {
   std::vector<std::uint64_t>& scratch = scratch_[w];
@@ -248,56 +229,31 @@ std::size_t Network::encode_into_scratch(std::size_t w, const Message& m,
   return need;
 }
 
-int Network::deposit_encoded(EdgeSlot lane, const Message& m, NodeId sender) {
-  const std::size_t w = worker_slot();
-  // wire_words_bound is O(1); the exact size and the accounted bits fall
-  // out of the single encode pass below.
-  const std::size_t bound = wire_words_bound(m);
-  std::uint64_t* lane_words = out_arena_->get() + lane_base_[lane];
-  std::uint64_t& len = lane_words[0];
-  // Once a lane spills, later records must spill too or send order within
-  // the lane would be lost.
-  const bool spilled = lane_spilled(w, lane);
-  const std::size_t cap = lane_base_[lane + 1] - lane_base_[lane] - 1;
+int Network::append_encoded(std::size_t w, EdgeSlot arc, const Message& m,
+                            NodeId sender) {
+  // Encode straight onto the list. The record is only committed after
+  // the cap check, so an oversized message throws with no side effects
+  // (the words past the last committed record are never read).
+  RecordList& list = records_[w];
+  const std::size_t at = list.words.size();
+  list.words.resize(at + wire_words_bound(m));
   int bits = 0;
-  if (!spilled && len + bound <= cap) {
-    // Encode straight into the lane. The length word is only committed
-    // after the cap check, so an oversized message throws with no side
-    // effects (words beyond the length are never read).
-    const std::size_t need = wire_encode(
-        m, sender, size_model_, config_.quantize_reals, lane_words + 1 + len,
-        &bits);
-    check_cap(bits);
-    if (len == 0) touched_out_[w].push_back(lane);
-    len += need;
-  } else {
-    // Tight or spilled lane: encode into the worker scratch first, check,
-    // then route through the ordinary word-deposit path.
-    const std::size_t need = encode_into_scratch(w, m, sender, &bits);
-    deposit_words(w, lane, scratch_[w].data(), need);
-  }
+  const std::size_t need =
+      wire_encode(m, sender, size_model_, config_.quantize_reals,
+                  list.words.data() + at, &bits);
+  list.words.resize(at + need);
+  check_cap(bits);
+  list.recs.push_back({arc, section_, static_cast<std::uint32_t>(at)});
   return bits;
 }
 
-void Network::deposit_words(std::size_t w, EdgeSlot lane,
-                            const std::uint64_t* words, std::size_t nwords) {
-  std::uint64_t* lane_words = out_arena_->get() + lane_base_[lane];
-  std::uint64_t& len = lane_words[0];
-  const bool spilled = lane_spilled(w, lane);
-  if (len == 0 && !spilled) touched_out_[w].push_back(lane);
-  const std::size_t cap = lane_base_[lane + 1] - lane_base_[lane] - 1;
-  if (!spilled && len + nwords <= cap) {
-    std::copy_n(words, nwords, lane_words + 1 + len);
-    len += nwords;
-  } else {
-    WorkerSpill& sp = spills_[w];
-    if (sp.lane_marked.empty()) sp.lane_marked.assign(lane_receiver_.size(), 0);
-    sp.lane_marked[lane] = 1;
-    const std::size_t b = sp.words.size();
-    sp.words.insert(sp.words.end(), words, words + nwords);
-    sp.recs.push_back({lane, static_cast<std::uint32_t>(b),
-                       static_cast<std::uint32_t>(b + nwords)});
-  }
+void Network::append_record(std::size_t w, EdgeSlot arc,
+                            std::uint32_t section, const std::uint64_t* words,
+                            std::size_t nwords) {
+  RecordList& list = records_[w];
+  list.recs.push_back(
+      {arc, section, static_cast<std::uint32_t>(list.words.size())});
+  list.words.insert(list.words.end(), words, words + nwords);
 }
 
 std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
@@ -310,9 +266,10 @@ std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
 
 void Network::send(NodeId from, NodeId to, const Message& m) {
   ARBODS_DCHECK(!is_inner_);  // inner engines receive pre-routed deposits
-  const EdgeSlot lane = mirror_[resolve_arc(from, to)];
-  if (out_slot(from)[0] != 0) flush_slot(worker_slot(), from);
-  account_bits(deposit_encoded(lane, m, from));
+  const EdgeSlot arc = mirror_[resolve_arc(from, to)];
+  const std::size_t w = worker_slot();
+  if (out_slot(from)[0] != 0) flush_slot(w, from);
+  account_bits(append_encoded(w, arc, m, from));
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
@@ -345,9 +302,10 @@ void Network::broadcast(NodeId from, const Message& m) {
       len += need;
     } else {
       // Too big for the slot's free room: keep the suffix rule by moving
-      // the slot's records to the lanes first, then fan this one out.
+      // the slot's records to the record list first, then fan this one
+      // out there too.
       flush_slot(w, from);
-      deposit_fanout(w, from, scratch_[w].data(), need);
+      append_fanout(w, from, scratch_[w].data(), need);
     }
   }
   WorkerStats& ws = worker_stats_[w];
@@ -356,18 +314,23 @@ void Network::broadcast(NodeId from, const Message& m) {
   ws.max_message_bits = std::max(ws.max_message_bits, bits);
 }
 
-void Network::deposit_fanout(std::size_t w, NodeId from,
-                             const std::uint64_t* words, std::size_t nwords) {
+void Network::append_fanout(std::size_t w, NodeId from,
+                            const std::uint64_t* words, std::size_t nwords) {
   for (std::size_t arc = offsets_[from]; arc != offsets_[from + 1]; ++arc)
-    deposit_words(w, mirror_[arc], words, nwords);
+    append_record(w, mirror_[arc], section_, words, nwords);
 }
 
 void Network::flush_slot(std::size_t w, NodeId from) {
   std::uint64_t* slot = out_slot(from);
-  if (slot[0] == 0) return;
-  deposit_fanout(w, from, slot + 1, slot[0]);
+  for (std::size_t at = 0; at < slot[0];) {
+    const std::uint64_t* rec = slot + 1 + at;
+    const std::size_t len =
+        MessageView(rec, &size_model_, config_.quantize_reals).words();
+    append_fanout(w, from, rec, len);
+    at += len;
+  }
   // `from` stays on slots_out_: clearing an empty slot is harmless and
-  // its neighbours are lane receivers now anyway.
+  // its neighbours are record receivers now anyway.
   slot[0] = 0;
 }
 
@@ -407,13 +370,12 @@ void Network::arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round) {
 }
 
 void Network::flip_buffers() {
-  // The in-buffer holds last round's (already consumed) messages; clear
-  // exactly the lanes and slots that were written, then promote the
-  // out-buffer.
-  clear_written(in_arena_->get(), touched_in_, slots_in_);
-  std::swap(in_arena_, out_arena_);
-  std::swap(touched_in_, touched_out_);
+  // The in-slots hold last round's (already consumed) broadcasts; clear
+  // exactly the slots that were written, then promote the out-slots.
+  clear_slots(in_slots_->get(), slots_in_);
+  std::swap(in_slots_, out_slots_);
   std::swap(slots_in_, slots_out_);
+  sort_records_into_inbox();
   // A timer bucket due in the round that just ended survives to the flip
   // only if the algorithm never consulted the active set this round (a
   // for_nodes-only stage). Carry its arms into the next round instead of
@@ -429,106 +391,82 @@ void Network::flip_buffers() {
     for (const NodeId v : carry_nodes_) arm_into(cal, v, round_ + 1);
     carry_nodes_.clear();
   }
-  bool any_spill = false;
-  for (const WorkerSpill& sp : spills_) any_spill |= !sp.recs.empty();
-  if (any_spill) merge_spills_and_grow();
   // The active set is rebuilt lazily on first use within the round;
   // algorithms that never touch the active-set API pay nothing here.
   active_dirty_ = true;
 }
 
-void Network::clear_written(std::uint64_t* arena,
-                            std::vector<std::vector<EdgeSlot>>& lanes,
-                            std::vector<std::vector<NodeId>>& slots) {
-  for (auto& list : lanes) {
-    touched_highwater_ = std::max(touched_highwater_, list.size());
-    for (const EdgeSlot lane : list) arena[lane_base_[lane]] = 0;
-    list.clear();
-  }
-  for (auto& list : slots) {
+void Network::clear_slots(std::uint64_t* slots,
+                          std::vector<std::vector<NodeId>>& lists) {
+  for (auto& list : lists) {
     touched_highwater_ = std::max(touched_highwater_, list.size());
     for (const NodeId v : list)
-      arena[slot_base_ + static_cast<std::size_t>(v) * slot_stride_] = 0;
+      slots[static_cast<std::size_t>(v) * slot_stride_] = 0;
     list.clear();
   }
 }
 
-void Network::merge_spills_and_grow() {
-  // Records that overflowed their lane last round, now sitting on the
-  // in-side after the swap. Each lane has a single writer, so all of a
-  // lane's chunks live in one worker's buffer in send order; a stable sort
-  // groups lanes without reordering chunks.
-  struct Chunk {
-    EdgeSlot lane;
-    const std::uint64_t* src;
-    std::size_t nwords;
-  };
-  std::vector<Chunk> chunks;
-  for (const WorkerSpill& sp : spills_)
-    for (const SpillRec& r : sp.recs)
-      chunks.push_back({r.lane, sp.words.data() + r.begin,
-                        static_cast<std::size_t>(r.end - r.begin)});
-  std::stable_sort(chunks.begin(), chunks.end(),
-                   [](const Chunk& a, const Chunk& b) { return a.lane < b.lane; });
+void Network::retire_inbox() {
+  for (const NodeId v : receivers_) runs_[v] = Run{};
+  receivers_.clear();
+  inbox_.clear();
+  inbox_words_.clear();
+}
 
-  // New layout: overflowed lanes at least double so repeated traffic on a
-  // chatty edge regrows O(log) times, then never again.
-  const std::size_t arcs = lane_receiver_.size();
-  std::vector<std::uint64_t> new_base(arcs + 1);
-  new_base[0] = 0;
-  const std::uint64_t* old_in = in_arena_->get();
-  std::size_t ci = 0;
-  for (std::size_t lane = 0; lane < arcs; ++lane) {
-    std::size_t cap = lane_base_[lane + 1] - lane_base_[lane];
-    std::size_t extra = 0;
-    for (std::size_t j = ci; j < chunks.size() && chunks[j].lane == lane; ++j)
-      extra += chunks[j].nwords;
-    if (extra > 0) {
-      const std::size_t needed = 1 + old_in[lane_base_[lane]] + extra;
-      cap = std::max(2 * cap, std::bit_ceil(needed));
-    }
-    while (ci < chunks.size() && chunks[ci].lane == lane) ++ci;
-    new_base[lane + 1] = new_base[lane] + cap;
-  }
-
-  // Rebuild both arenas under the new layout (the slots move up behind
-  // the grown lanes): zero every length word, copy the in-side's resident
-  // lane and slot regions (length + records), then append each lane's
-  // spill chunks in order. The out-side is empty at this point (the flip
-  // just zeroed and swapped it), so it is released first and rebuilt last
-  // with zero lengths only — a regrow never holds four arenas at once.
-  out_arena_->reset();
-  const std::size_t old_slot_base = slot_base_;
-  std::vector<std::uint64_t> old_base = std::move(lane_base_);
-  lane_base_ = std::move(new_base);
-  slot_base_ = lane_base_[arcs];
-  arena_words_ = slot_base_ + (arena_words_ - old_slot_base);
-  auto new_in = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
-  zero_length_words(new_in.get());
-  for (const auto& list : touched_in_)
-    for (const EdgeSlot lane : list)
-      std::copy_n(old_in + old_base[lane], 1 + old_in[old_base[lane]],
-                  new_in.get() + lane_base_[lane]);
-  for (const auto& list : slots_in_) {
-    for (const NodeId v : list) {
-      const std::size_t off = static_cast<std::size_t>(v) * slot_stride_;
-      std::copy_n(old_in + old_slot_base + off,
-                  1 + old_in[old_slot_base + off],
-                  new_in.get() + slot_base_ + off);
+void Network::sort_records_into_inbox() {
+  retire_inbox();
+  // Count each receiver's records (runs_[v].end doubles as the counter),
+  // listing the receivers on their first record.
+  std::size_t total_words = 0;
+  for (const RecordList& list : records_) {
+    total_words += list.words.size();
+    for (const Record& r : list.recs) {
+      const NodeId v = arc_receiver_[r.arc];
+      if (runs_[v].end++ == 0) receivers_.push_back(v);
     }
   }
-  for (const Chunk& c : chunks) {
-    std::uint64_t& len = new_in[lane_base_[c.lane]];
-    std::copy_n(c.src, c.nwords, new_in.get() + lane_base_[c.lane] + 1 + len);
-    len += c.nwords;
+  if (receivers_.empty()) return;
+  // Lay the runs out back to back (in discovery order: inbox(v) only ever
+  // reads its own run), then place each worker's records in list order.
+  std::uint32_t total = 0;
+  for (const NodeId v : receivers_) {
+    const std::uint32_t count = runs_[v].end;
+    runs_[v] = Run{total, total};
+    total += count;
   }
-  *in_arena_ = std::move(new_in);
-  *out_arena_ = std::make_unique_for_overwrite<std::uint64_t[]>(arena_words_);
-  zero_length_words(out_arena_->get());
-  for (WorkerSpill& sp : spills_) {
-    for (const SpillRec& r : sp.recs) sp.lane_marked[r.lane] = 0;
-    sp.words.clear();
-    sp.recs.clear();
+  records_highwater_ = std::max<std::size_t>(records_highwater_, total);
+  record_words_highwater_ = std::max(record_words_highwater_, total_words);
+  placed_.resize(total);
+  for (std::size_t w = 0; w < records_.size(); ++w)
+    for (const Record& r : records_[w].recs)
+      placed_[runs_[arc_receiver_[r.arc]].end++] = {
+          r.arc, r.section, static_cast<std::uint32_t>(w), r.offset};
+  // Order each run by (arc, section, send order). A node's records of one
+  // section all sit on one worker's list, so ties on (arc, section) are
+  // broken by list position; the key is unique, so the order is too.
+  for (const NodeId v : receivers_) {
+    const Run run = runs_[v];
+    if (run.end - run.begin > 1)
+      std::sort(placed_.begin() + run.begin, placed_.begin() + run.end,
+                [](const Placed& a, const Placed& b) {
+                  return std::tie(a.arc, a.section, a.worker, a.offset) <
+                         std::tie(b.arc, b.section, b.worker, b.offset);
+                });
+  }
+  // Copy the words in that order, so a run is one sequential read.
+  inbox_.resize(total);
+  inbox_words_.reserve(total_words);
+  for (std::uint32_t i = 0; i < total; ++i) {
+    const Placed& p = placed_[i];
+    const std::uint64_t* words = records_[p.worker].words.data() + p.offset;
+    const std::size_t len =
+        MessageView(words, &size_model_, config_.quantize_reals).words();
+    inbox_[i] = {p.arc, static_cast<std::uint32_t>(inbox_words_.size())};
+    inbox_words_.insert(inbox_words_.end(), words, words + len);
+  }
+  for (RecordList& list : records_) {
+    list.words.clear();
+    list.recs.clear();
   }
 }
 
@@ -544,15 +482,13 @@ void Network::rebuild_active_set() {
       active_list_.push_back(v);
     }
   };
-  for (const auto& list : touched_in_)
-    for (const EdgeSlot lane : list) mark(lane_receiver_[lane]);
+  for (const NodeId v : receivers_) mark(v);
   // A broadcaster's slot reaches every neighbour (a flushed, now empty
-  // slot reached them through their lanes above).
-  const std::uint64_t* in_words = in_arena_->get();
+  // slot reached them through the record list above).
+  const std::uint64_t* in_slots = in_slots_->get();
   for (const auto& list : slots_in_) {
     for (const NodeId u : list) {
-      if (in_words[slot_base_ + static_cast<std::size_t>(u) * slot_stride_] ==
-          0)
+      if (in_slots[static_cast<std::size_t>(u) * slot_stride_] == 0)
         continue;
       for (const NodeId v : graph().neighbors(u)) mark(v);
     }
@@ -570,7 +506,7 @@ void Network::rebuild_active_set() {
     bucket.nodes.clear();
   }
   // Keep the worklist in ascending node order so chunked iteration touches
-  // per-node arrays (and the lane arena) as sequentially as a 0..n sweep —
+  // per-node arrays as sequentially as a 0..n sweep —
   // the list arrives in delivery order, which is cache-hostile when dense.
   // Dense rounds re-extract from the marks with one sequential pass;
   // sparse rounds sort the short list. Either way the order (not just the
@@ -591,13 +527,13 @@ void Network::rebuild_active_set() {
                     static_cast<std::int64_t>(active_list_.size()));
 }
 
-void Network::clear_all_lanes() {
-  clear_written(in_arena_->get(), touched_in_, slots_in_);
-  clear_written(out_arena_->get(), touched_out_, slots_out_);
-  for (WorkerSpill& sp : spills_) {
-    for (const SpillRec& r : sp.recs) sp.lane_marked[r.lane] = 0;
-    sp.words.clear();
-    sp.recs.clear();
+void Network::clear_in_flight() {
+  clear_slots(in_slots_->get(), slots_in_);
+  clear_slots(out_slots_->get(), slots_out_);
+  retire_inbox();
+  for (RecordList& list : records_) {
+    list.words.clear();
+    list.recs.clear();
   }
   for (WorkerCalendar& cal : calendars_) {
     for (CalendarBucket& bucket : cal.ring) {
@@ -610,8 +546,6 @@ void Network::clear_all_lanes() {
 }
 
 void Network::shrink_scratch() {
-  for (auto& list : touched_in_) maybe_shrink(list, touched_highwater_);
-  for (auto& list : touched_out_) maybe_shrink(list, touched_highwater_);
   for (auto& list : slots_in_) maybe_shrink(list, touched_highwater_);
   for (auto& list : slots_out_) maybe_shrink(list, touched_highwater_);
   for (WorkerCalendar& cal : calendars_)
@@ -619,17 +553,15 @@ void Network::shrink_scratch() {
       maybe_shrink(bucket.nodes, armed_highwater_);
   maybe_shrink(active_list_, active_highwater_);
   maybe_shrink(active_scratch_, active_highwater_);
-  for (WorkerSpill& sp : spills_) {
-    // A run that ends right after a spilling round leaves records that were
-    // never merged (and never delivered); drop them before releasing the
-    // mark array they index, which costs O(arcs) bytes per worker that
-    // spilled this run and must not outlive the run.
-    sp.words.clear();
-    sp.recs.clear();
-    maybe_shrink(sp.words, 0);
-    maybe_shrink(sp.recs, 0);
-    std::vector<std::uint8_t>().swap(sp.lane_marked);
+  // Contents survive the shrink, so the last round's inbox stays readable.
+  for (RecordList& list : records_) {
+    maybe_shrink(list.recs, records_highwater_);
+    maybe_shrink(list.words, record_words_highwater_);
   }
+  maybe_shrink(inbox_, records_highwater_);
+  maybe_shrink(placed_, records_highwater_);
+  maybe_shrink(receivers_, records_highwater_);
+  maybe_shrink(inbox_words_, record_words_highwater_);
 }
 
 void Network::reduce_stats() {
@@ -655,10 +587,12 @@ void Network::reduce_stats() {
 void Network::run_index_chunks(
     std::size_t count, FunctionRef<void(std::size_t, std::size_t)> chunk_fn,
     const char* span_name) {
+  ++section_;
   if (!pool_) {
     obs::ScopedSpan span(tracer_, 0, span_name,
                          static_cast<std::int64_t>(count));
     chunk_fn(0, count);
+    ++section_;
     return;
   }
   const std::size_t workers = static_cast<std::size_t>(pool_->num_workers());
@@ -675,6 +609,7 @@ void Network::run_index_chunks(
     tls_worker = 0;
   };
   pool_->run(worker_fn);
+  ++section_;
 }
 
 void Network::reset_for_reuse() {
@@ -683,6 +618,8 @@ void Network::reset_for_reuse() {
   round_ = 0;
   phase_max_message_bits_ = 0;
   touched_highwater_ = 0;
+  records_highwater_ = 0;
+  record_words_highwater_ = 0;
   armed_highwater_ = 0;
   active_highwater_ = 0;
   // Drop the previous run's spans (owner only — a shared sink belongs to
@@ -691,7 +628,7 @@ void Network::reset_for_reuse() {
   if (tracer_owned_) tracer_owned_->clear();
   flight_next_ = 0;
   flight_count_ = 0;
-  clear_all_lanes();
+  clear_in_flight();
   reseed_node_rngs();
 }
 
@@ -705,6 +642,7 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   // messages from the previous phase are dropped, matching the old
   // drivers' per-phase Networks; statistics counted them at send time.
   round_ = 0;
+  section_ = 0;
   // Discard per-worker stat deltas that a mid-round exception left
   // unreduced (e.g. a solver CheckError before a `<solver>+repair` retry):
   // which nodes ran before the throw depends on worker scheduling, so
@@ -713,7 +651,7 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   // the aborted round's partial accounting is dropped. A no-op after a
   // phase that finished normally.
   for (WorkerStats& slot : worker_stats_) slot = WorkerStats{};
-  clear_all_lanes();
+  clear_in_flight();
   reseed_node_rngs();
   rng_streams_fresh_ = false;  // this phase now owns (and advances) them
   const std::int64_t messages_before = stats_.messages;
@@ -801,7 +739,6 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
                        : static_cast<std::int64_t>(active_list_.size());
       rec.delivered = stats_.messages - before.delivered;
       rec.bits = stats_.total_bits - before.bits;
-      rec.spilled = pending_spill_records();
       rec.dropped = stats_.dropped - before.dropped;
       rec.duplicated = stats_.duplicated - before.duplicated;
       rec.delayed = stats_.delayed - before.delayed;
@@ -835,11 +772,16 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   return stats_.phases.back();
 }
 
-std::int64_t Network::pending_spill_records() const {
-  std::int64_t total = 0;
-  for (const WorkerSpill& sp : spills_)
-    total += static_cast<std::int64_t>(sp.recs.size());
-  return total;
+std::size_t Network::arena_words() const {
+  const Network& e = *engine_;
+  std::size_t record_bytes =
+      e.inbox_words_.capacity() * sizeof(std::uint64_t) +
+      e.inbox_.capacity() * sizeof(InboxView::Entry) +
+      e.placed_.capacity() * sizeof(Placed);
+  for (const RecordList& list : e.records_)
+    record_bytes += list.words.capacity() * sizeof(std::uint64_t) +
+                    list.recs.capacity() * sizeof(Record);
+  return e.slot_words_ + record_bytes / (2 * sizeof(std::uint64_t));
 }
 
 void Network::flight_note_round(const obs::FlightRecord& rec) {

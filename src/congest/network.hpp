@@ -13,47 +13,47 @@
 //     restricted to the NodeView API plus its own per-node state.
 //
 // Delivery internals (the scaling hot path):
-//   * Messages live bit-packed in two flat std::uint64_t arenas (double
-//     buffering; see message.hpp for the record layout). Each directed
-//     edge owns a word region (a "lane") in both arenas, indexed by CSR
-//     edge offsets: the lane for a message u->v sits inside v's
-//     contiguous CSR range, so inbox(v) is a pointer walk over v's region
-//     and messages arrive ordered by sender id. A precomputed mirror
-//     permutation maps each outgoing arc to the receiver-side lane, so a
-//     send encodes straight into its destination region — no per-message
-//     heap object exists anywhere on the path, and a steady-state round
-//     performs zero allocations.
-//   * Broadcasts are stored once per sender, not once per edge: every
-//     node also owns a fixed-size word region (a "slot", one cap-sized
-//     record) in both arenas, and a broadcast encodes its record once into
-//     the sender's slot. inbox(v) walks each incoming lane's own records,
-//     then the records in that lane's sender's slot, so the order stays
-//     sender-major with per-sender send order preserved. That needs the
-//     *suffix rule*: a sender's slot only ever holds the tail of its
-//     records for the round. A send() from a node whose slot is non-empty
-//     first flushes the slot into the node's lanes, and a broadcast that
-//     does not fit the slot's free room does the same flush and then
-//     copies its record into every lane. Message and bit accounting count
-//     a broadcast as deg(v) deliveries either way.
-//   * Lanes therefore carry only point-to-point traffic (and slot
-//     flushes). A standalone Network's lane starts as its length word
-//     alone; a lane that outgrows its region in one round spills to a
-//     per-worker side buffer, and the next flip merges the spill back and
-//     permanently doubles that lane's region (amortized re-layout), so
-//     chatty edges stop allocating after warm-up too. The decorators'
-//     inner engines have no slots (faults and sequence numbers are per
-//     arc), and their lanes start with room for one cap-sized record.
-//   * Each directed edge and each slot has exactly one writer (its tail /
-//     owner), so sends from distinct nodes never race: per-round work is
-//     partitioned across a worker pool (`CongestConfig::threads`) with no
-//     locks on the delivery path. Per-worker statistics slots and
-//     per-node RNG streams keep runs bit-identical regardless of thread
-//     count.
-//   * Only lanes and slots actually written are cleared between rounds
-//     (tracked per worker), so a flip costs O(written lanes + broadcasting
-//     nodes), not O(m).
+//   * Messages live bit-packed as wire records (see message.hpp for the
+//     layout); no per-message heap object exists anywhere on the path,
+//     and a steady-state round performs zero allocations.
+//   * Broadcasts are stored once per sender: every node owns a fixed-size
+//     word region (a "slot", room for one cap-sized record; word 0 is its
+//     used length) in each of two double-buffered arenas, and a broadcast
+//     encodes its record once into the sender's out-slot. Message and bit
+//     accounting count a broadcast as deg(v) deliveries all the same.
+//   * Point-to-point records go to the calling worker's record list: the
+//     encoded words plus the receiver-side arc (a precomputed mirror
+//     permutation maps each out-arc to its position in the receiver's
+//     sorted CSR range) and the index of the parallel section the send
+//     ran in.
+//     At the flip the round's records are sorted into one inbox list with
+//     a per-receiver index, ordered within a receiver by (receiver-side
+//     arc, section, send order). The arc orders senders by id; a node's
+//     records within one section all sit on one worker's list in send
+//     order, and sections run in program order, so every sender's send
+//     order survives any pool width. The flip pays only for what was
+//     sent: a round without point-to-point records sorts nothing.
+//   * inbox(v) walks v's in-arcs in order and, for each, yields that
+//     arc's records from v's run, then the records in the sender's slot.
+//     That keeps the order sender-major with per-sender send order as
+//     long as a slot only ever holds the *suffix* of its sender's records
+//     for the round. So a send() from a node whose slot is non-empty first
+//     flushes the slot into the record list (one record per out-arc), and
+//     a broadcast that does not fit the slot's free room does the same
+//     flush and then appends its record for every out-arc.
+//   * The decorators' inner engines have no slots (faults and sequence
+//     numbers are per arc): every record reaches them through the same
+//     record lists, and their inbox walks v's run alone.
+//   * Each slot and each worker's record list has exactly one writer, so
+//     sends from distinct nodes never race: per-round work is partitioned
+//     across a worker pool (`CongestConfig::threads`) with no locks on the
+//     delivery path. Per-worker statistics slots and per-node RNG streams
+//     keep runs bit-identical regardless of thread count.
+//   * Only the slots actually written are cleared between rounds (tracked
+//     per worker), so a flip costs O(records + broadcasting nodes), not
+//     O(m).
 //   * The simulator additionally maintains an *active set*: the nodes that
-//     received at least one message this round (lane receivers plus the
+//     received at least one message this round (record receivers plus the
 //     neighbours of every broadcasting node) plus the nodes that called
 //     arm() last round. Event-driven algorithms route their loops through
 //     for_active_nodes and pay O(active + delivered) per round instead of
@@ -231,17 +231,23 @@ class DistributedAlgorithm {
   virtual bool finished(const Network& net) const = 0;
 };
 
-/// Iterable view over the messages delivered to one node this round: a
-/// cursor walk over the node's contiguous CSR lane regions in the arena,
-/// each lane followed by its sender's broadcast slot (standalone engines
-/// only), skipping empty regions. Word 0 of every region is its used
-/// length (so length check and record read hit the same cache line);
-/// records start at word 1. Messages appear ordered by sender id
-/// (adjacency lists are sorted), with per-sender send order preserved:
-/// a slot holds a suffix of its sender's records for the round, so the
-/// lane's records come first. Dereferencing yields MessageView values;
-/// they (and the InboxView) are valid only for the current round.
+/// Iterable view over the messages delivered to one node this round. It
+/// walks the node's in-arcs in CSR order (ascending sender id) and yields,
+/// for each, the arc's records from the node's run of the inbox list, then
+/// the records in that sender's broadcast slot (standalone engines only;
+/// a slot-less engine walks the run alone). Per-sender send order is
+/// preserved: a slot holds a suffix of its sender's records for the round.
+/// Dereferencing yields MessageView values; they (and the InboxView) are
+/// valid only for the current round.
 class InboxView {
+  /// One point-to-point record of the round's inbox list: the
+  /// receiver-side arc it arrived on and where its words start in the
+  /// list's word buffer.
+  struct Entry {
+    std::uint32_t arc;
+    std::uint32_t offset;
+  };
+
  public:
   class const_iterator {
    public:
@@ -250,12 +256,17 @@ class InboxView {
     using difference_type = std::ptrdiff_t;
 
     MessageView operator*() const {
-      ARBODS_DCHECK(lane_ != view_->end_lane_);
-      return MessageView(region_ + 1 + word_, view_->model_,
-                         view_->quantized_);
+      ARBODS_DCHECK(arc_ != view_->end_arc_);
+      return MessageView(in_slot_ ? slot_ + 1 + word_
+                                  : view_->words_ + rec_->offset,
+                         view_->model_, view_->quantized_);
     }
     const_iterator& operator++() {
-      word_ += (**this).words();
+      if (in_slot_) {
+        word_ += (**this).words();
+      } else {
+        ++rec_;
+      }
       settle();
       return *this;
     }
@@ -265,48 +276,54 @@ class InboxView {
       return old;
     }
     friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.lane_ == b.lane_ && a.in_slot_ == b.in_slot_ &&
+      return a.arc_ == b.arc_ && a.rec_ == b.rec_ && a.in_slot_ == b.in_slot_ &&
              a.word_ == b.word_;
     }
 
    private:
     friend class InboxView;
-    const_iterator(const InboxView* view, std::size_t lane)
-        : view_(view), lane_(lane) {
-      if (lane_ != view_->end_lane_) region_ = view_->lane_region(lane_);
+    const_iterator(const InboxView* view, std::size_t arc, const Entry* rec)
+        : view_(view), rec_(rec), arc_(arc) {
       settle();
     }
-    // Steps past exhausted regions: a lane's own records, then its
-    // sender's slot, then the next lane.
+    // Steps to the next message: the current arc's records in the run,
+    // then its sender's slot, then the next arc.
     void settle() {
-      while (lane_ != view_->end_lane_) {
-        if (word_ < region_[0]) return;
-        word_ = 0;
-        if (!in_slot_ && view_->slots_ != nullptr) {
-          in_slot_ = true;
-          region_ = view_->slot_region(lane_);
-          // Slot reads gather from random senders; fetching a few lanes
-          // ahead overlaps the cache misses of a high-degree inbox.
-          if (lane_ + 8 < view_->end_lane_)
-            __builtin_prefetch(view_->slot_region(lane_ + 8));
-        } else {
-          in_slot_ = false;
-          if (++lane_ != view_->end_lane_) region_ = view_->lane_region(lane_);
-        }
+      if (view_->slots_ == nullptr) {
+        arc_ = rec_ != view_->run_end_ ? rec_->arc : view_->end_arc_;
+        return;
       }
-      in_slot_ = false;
-      word_ = 0;
+      while (arc_ != view_->end_arc_) {
+        if (!in_slot_) {
+          if (rec_ != view_->run_end_ && rec_->arc == arc_) return;
+          in_slot_ = true;
+          slot_ = view_->slot_region(arc_);
+          // Slot reads gather from random senders; fetching a few arcs
+          // ahead overlaps the cache misses of a high-degree inbox.
+          if (arc_ + 8 < view_->end_arc_)
+            __builtin_prefetch(view_->slot_region(arc_ + 8));
+        }
+        if (word_ < slot_[0]) return;
+        in_slot_ = false;
+        word_ = 0;
+        ++arc_;
+      }
     }
 
     const InboxView* view_ = nullptr;
-    const std::uint64_t* region_ = nullptr;  // length word of the region
-    std::size_t lane_ = 0;
+    const std::uint64_t* slot_ = nullptr;  // length word of the slot
+    const Entry* rec_ = nullptr;
+    std::size_t arc_ = 0;
     std::size_t word_ = 0;
     bool in_slot_ = false;
   };
 
-  const_iterator begin() const { return const_iterator(this, first_lane_); }
-  const_iterator end() const { return const_iterator(this, end_lane_); }
+  const_iterator begin() const {
+    return const_iterator(this, first_arc_, run_begin_);
+  }
+  const_iterator end() const {
+    return const_iterator(this, end_arc_, run_end_);
+  }
   bool empty() const { return begin() == end(); }
   /// First delivered message; the inbox must be non-empty.
   MessageView front() const {
@@ -319,31 +336,29 @@ class InboxView {
 
  private:
   friend class Network;
-  InboxView(const std::uint64_t* arena, const std::uint64_t* lane_base,
-            const std::uint64_t* slots, std::size_t slot_stride,
-            const NodeId* senders, std::size_t first_lane,
-            std::size_t end_lane, const MessageSizeModel* model,
-            bool quantized)
-      : arena_(arena), lane_base_(lane_base), slots_(slots),
-        slot_stride_(slot_stride), senders_(senders),
-        first_lane_(first_lane), end_lane_(end_lane), model_(model),
+  InboxView(const std::uint64_t* words, const Entry* run_begin,
+            const Entry* run_end, const std::uint64_t* slots,
+            std::size_t slot_stride, const NodeId* senders,
+            std::size_t first_arc, std::size_t end_arc,
+            const MessageSizeModel* model, bool quantized)
+      : words_(words), run_begin_(run_begin), run_end_(run_end),
+        slots_(slots), slot_stride_(slot_stride), senders_(senders),
+        first_arc_(first_arc), end_arc_(end_arc), model_(model),
         quantized_(quantized) {}
 
-  const std::uint64_t* lane_region(std::size_t lane) const {
-    return arena_ + lane_base_[lane];
-  }
-  const std::uint64_t* slot_region(std::size_t lane) const {
-    return slots_ + static_cast<std::size_t>(senders_[lane - first_lane_]) *
-                        slot_stride_;
+  const std::uint64_t* slot_region(std::size_t arc) const {
+    return slots_ +
+           static_cast<std::size_t>(senders_[arc - first_arc_]) * slot_stride_;
   }
 
-  const std::uint64_t* arena_;
-  const std::uint64_t* lane_base_;
+  const std::uint64_t* words_;  // the inbox list's word buffer
+  const Entry* run_begin_;
+  const Entry* run_end_;
   const std::uint64_t* slots_;  // nullptr: an engine without slots
   std::size_t slot_stride_;
   const NodeId* senders_;       // the receiver's sorted neighbour list
-  std::size_t first_lane_;
-  std::size_t end_lane_;
+  std::size_t first_arc_;
+  std::size_t end_arc_;
   const MessageSizeModel* model_;
   bool quantized_;
 };
@@ -362,9 +377,9 @@ class ReliableNetwork;
 /// the per-round internals) around a plain inner Network, so
 /// ProtocolRunner, every Phase, and the scenario runner drive them
 /// through the exact same API. inbox/rng/arm_at are not seams: they go
-/// straight to the engine that owns the arenas, RNG streams, and timer
-/// wheels (this Network, or a decorator's inner one), so the per-node
-/// inbox() call costs no virtual dispatch.
+/// straight to the engine that owns the slots, inbox, RNG streams, and
+/// timer wheels (this Network, or a decorator's inner one), so the
+/// per-node inbox() call costs no virtual dispatch.
 class Network {
  public:
   Network(const WeightedGraph& wg, CongestConfig config = {});
@@ -403,9 +418,9 @@ class Network {
   InboxView inbox(NodeId v) const {
     const Network& e = *engine_;
     ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < e.offsets_.size());
-    const std::uint64_t* arena = e.in_arena_->get();
-    return InboxView(arena, e.lane_base_.data(),
-                     e.slot_stride_ == 0 ? nullptr : arena + e.slot_base_,
+    const Run run = e.runs_[v];
+    return InboxView(e.inbox_words_.data(), e.inbox_.data() + run.begin,
+                     e.inbox_.data() + run.end, e.in_slots_->get(),
                      e.slot_stride_, neighbors(v).data(), e.offsets_[v],
                      e.offsets_[v + 1], &e.size_model_,
                      e.config_.quantize_reals);
@@ -486,10 +501,10 @@ class Network {
   /// bit-identical results.
   RunStats run(DistributedAlgorithm& algo, std::int64_t max_rounds = 1'000'000);
 
-  /// Restores the fresh-construction *observable* state — round 0, empty
-  /// lanes/timer wheels/active set, zeroed statistics, per-node RNG
-  /// streams re-derived from the config seed — while keeping every
-  /// allocation alive: arenas (at their grown sizes), worker pool,
+  /// Restores the fresh-construction *observable* state — round 0, no
+  /// records in flight, empty timer wheels/active set, zeroed statistics,
+  /// per-node RNG streams re-derived from the config seed — while keeping
+  /// every allocation alive: slot arenas, record lists, worker pool,
   /// per-worker scratch, RNG stream storage. A run after reset_for_reuse
   /// is byte-identical to a run on a newly constructed Network over the
   /// same graph/config, minus the construction cost (tested).
@@ -498,7 +513,7 @@ class Network {
   /// Runs one named phase of a composed protocol on this Network and
   /// appends its PhaseStats to stats().phases, accumulating into the
   /// run totals. Every phase starts from the fresh-construction
-  /// observable state (round 0, empty lanes/timers, freshly seeded RNG
+  /// observable state (round 0, no records or timers, freshly seeded RNG
   /// streams) exactly as if it ran on its own Network — which is what
   /// the pre-phase drivers did — but reuses all storage. Cumulative
   /// statistics (stats()) are NOT reset; callers composing several
@@ -509,11 +524,13 @@ class Network {
 
   const RunStats& stats() const { return stats_; }
 
-  /// Total arena size in 64-bit words, lanes plus broadcast slots (both
-  /// double buffers have this size; a decorator reports its inner
-  /// engine's). Diagnostics/tests only — the alloc regression uses it to
-  /// pin "arena storage is constructed exactly once per Network".
-  std::size_t arena_words() const { return engine_->arena_words_; }
+  /// Delivery storage in 64-bit words per half of the double buffer: one
+  /// broadcast-slot arena plus half the capacity of the point-to-point
+  /// path (the per-worker record lists on the send side, the inbox list
+  /// on the receive side), so 16 * arena_words() bytes is all of it. A
+  /// decorator reports its inner engine's. Diagnostics/tests only; a
+  /// fresh Network's value is exactly its slot arena.
+  std::size_t arena_words() const;
 
   // --- observability ---
   /// The span recorder this Network records into, or nullptr when
@@ -543,9 +560,9 @@ class Network {
 
  protected:
   /// Tag for the decorator constructor: topology indices, worker pool,
-  /// per-worker encode scratch, and the span recorder only — no lane
-  /// arenas, RNG streams, timer wheels, or active-set marks (those live
-  /// in the plain inner Network the decorator owns).
+  /// per-worker encode scratch, and the span recorder only — no slot
+  /// arenas, record lists, RNG streams, timer wheels, or active-set marks
+  /// (those live in the plain inner Network the decorator owns).
   struct DecoratorInit {};
   Network(const WeightedGraph& wg, CongestConfig config, DecoratorInit);
 
@@ -557,12 +574,12 @@ class Network {
   friend class fault::FaultyNetwork;
   friend class resilience::ReliableNetwork;
 
-  /// Lane index into the flat per-directed-edge buffers.
+  /// Receiver-side arc index (a position in the CSR adjacency arrays).
   using EdgeSlot = std::uint32_t;
 
   /// Inner-engine construction for a decorator: the Network owns the
-  /// lane arenas, RNG streams, timer wheels, and active-set state of
-  /// every node, but sizes its per-worker scratch for the decorator's
+  /// record lists, inbox, RNG streams, timer wheels, and active-set state
+  /// of every node, but sizes its per-worker scratch for the decorator's
   /// pool (`workers`), whose threads execute the deposits (pre-routed by
   /// the decorator). It owns no pool, no span recorder, and no broadcast
   /// slots (every record reaches it per arc), and is never driven via
@@ -584,39 +601,49 @@ class Network {
     std::int64_t killed = 0;
   };
 
-  /// One worker's overflow storage: whole wire records that did not fit
-  /// their lane region this round, merged back (and the lane regrown) at
-  /// the next flip.
-  struct SpillRec {
-    EdgeSlot lane;
-    std::uint32_t begin;  // word range in `words`
-    std::uint32_t end;
+  /// One point-to-point record on a worker's list: its receiver-side arc,
+  /// the parallel section it was sent in, and where its words start.
+  struct Record {
+    EdgeSlot arc;
+    std::uint32_t section;
+    std::uint32_t offset;  // into RecordList::words
   };
-  struct WorkerSpill {
+  /// One worker's point-to-point sends of the current round, in send
+  /// order; the flip sorts every list into the inbox and empties it.
+  struct RecordList {
     std::vector<std::uint64_t> words;
-    std::vector<SpillRec> recs;
-    // Byte mark per lane (allocated lazily on a worker's first spill, freed
-    // by the post-run shrink) so the has-this-lane-spilled check on every
-    // deposit stays O(1) even on spill-heavy rounds; entries set here are
-    // cleared from `recs` when the spill is merged.
-    std::vector<std::uint8_t> lane_marked;
+    std::vector<Record> recs;
+  };
+  /// A record's place in the flip's sort. The key (arc, section, worker,
+  /// offset) is unique, and its order is the inbox order.
+  struct Placed {
+    EdgeSlot arc;
+    std::uint32_t section;
+    std::uint32_t worker;
+    std::uint32_t offset;  // into records_[worker].words
+  };
+  /// A receiver's records in inbox_: [begin, end).
+  struct Run {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
   };
 
   // Virtual per-round / per-phase seams: run(), run_phase(), and
   // reset_for_reuse() are written once against these, and the fault
   // decorator overrides them to drive its inner engine (inject held
-  // records, flip the inner arenas, mirror its active set).
+  // records, flip the inner engine, mirror its active set).
   virtual void flip_buffers();
-  virtual void clear_all_lanes();
+  virtual void clear_in_flight();
   virtual void reseed_node_rngs();
   virtual void rebuild_active_set();
   virtual void shrink_scratch();
-  /// Deposits an already-encoded wire record into the out-arena lane
-  /// addressed by a receiver-side arc index, from the calling worker's
-  /// slot: the path the decorators deliver into their inner engine by.
-  void deposit_wire(EdgeSlot lane, const std::uint64_t* words,
-                    std::size_t nwords) {
-    deposit_words(worker_slot(), lane, words, nwords);
+  /// Appends an already-encoded wire record for the receiver-side arc to
+  /// the calling worker's record list, stamped with `section` (the
+  /// decorator's own section index, since its pool runs the sends): the
+  /// path the decorators deliver into their inner engine by.
+  void deposit_wire(EdgeSlot arc, const std::uint64_t* words,
+                    std::size_t nwords, std::uint32_t section) {
+    append_record(worker_slot(), arc, section, words, nwords);
   }
   /// The pool dispatch behind for_nodes/for_active_nodes: partitions
   /// [0, count) into contiguous static chunks (count * w / workers, one
@@ -625,14 +652,10 @@ class Network {
   /// worker_index() resolve to the executing worker inside chunk_fn),
   /// and returns after all chunks complete. Serial (inline, slot 0) when
   /// the instance owns no pool. Not reentrant. `span_name` labels the
-  /// per-worker trace spans.
+  /// per-worker trace spans. Each call is its own section (see section_).
   void run_index_chunks(std::size_t count,
                         FunctionRef<void(std::size_t, std::size_t)> chunk_fn,
                         const char* span_name);
-  /// Wire records currently parked in spill buffers awaiting the next
-  /// flip's merge (flight-recorder diagnostics; the fault decorator
-  /// forwards to its inner engine).
-  virtual std::int64_t pending_spill_records() const;
   /// Build the active set if the current round's flip marked it dirty.
   /// The single seam behind for_active_nodes/active_nodes — and
   /// deliberately NOT called by the flight recorder: forcing a rebuild
@@ -644,21 +667,20 @@ class Network {
   /// Appends one flight-recorder line for the round just processed (a
   /// plain ring store; called by run_phase after each round).
   void flight_note_round(const obs::FlightRecord& rec);
-  void merge_spills_and_grow();
-  /// Zeroes the length word of every lane and slot region of `arena`
-  /// under the current layout.
-  void zero_length_words(std::uint64_t* arena) const;
-  /// Zeroes the length words of the listed lanes and slots of `arena`
-  /// and empties the lists.
-  void clear_written(std::uint64_t* arena,
-                     std::vector<std::vector<EdgeSlot>>& lanes,
-                     std::vector<std::vector<NodeId>>& slots);
+  /// Zeroes the length words of the listed slots and empties the lists.
+  void clear_slots(std::uint64_t* slots,
+                   std::vector<std::vector<NodeId>>& lists);
+  /// Forgets the current inbox (runs, receivers, records).
+  void retire_inbox();
+  /// The flip's point-to-point half: sorts every worker's record list
+  /// into the inbox list and the per-receiver runs, then empties the lists.
+  void sort_records_into_inbox();
   struct WorkerCalendar;
   void arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round);
   /// Message widths + cap from the global instance (all constructors).
   void init_size_model();
-  /// CSR offsets, out-arc -> receiver-lane mirror permutation, and
-  /// lane -> receiver map; returns the arc count.
+  /// CSR offsets, out-arc -> receiver-side arc mirror permutation, and
+  /// arc -> receiver map; returns the arc count.
   std::size_t build_csr_topology();
   /// Arc index of edge (from, to) via binary search over from's sorted
   /// neighbors; throws on a non-edge.
@@ -666,29 +688,27 @@ class Network {
   /// Encodes m into scratch_[w] (growing it as needed) and cap-checks
   /// before anything is deposited; returns the wire word count and the
   /// accounted bits through *bits. The single encode-side contract shared
-  /// by broadcast, tight-lane deposits, and the decorators.
+  /// by broadcast and the decorators.
   std::size_t encode_into_scratch(std::size_t w, const Message& m,
                                   NodeId sender, int* bits);
   void check_cap(int bits) const;
   void account_bits(int bits);
-  /// Encodes m into the lane (or spill), cap-checking before committing;
-  /// returns the accounted bits from the encode pass.
-  int deposit_encoded(EdgeSlot lane, const Message& m, NodeId sender);
-  void deposit_words(std::size_t worker, EdgeSlot lane,
+  /// Encodes m onto worker w's record list for `arc`, cap-checking before
+  /// the record is committed; returns the accounted bits.
+  int append_encoded(std::size_t w, EdgeSlot arc, const Message& m,
+                     NodeId sender);
+  void append_record(std::size_t w, EdgeSlot arc, std::uint32_t section,
                      const std::uint64_t* words, std::size_t nwords);
-  /// Copies `nwords` of one wire record (or several) into every out-lane
-  /// of `from`.
-  void deposit_fanout(std::size_t worker, NodeId from,
-                      const std::uint64_t* words, std::size_t nwords);
-  /// The suffix rule: moves the records in from's out-slot into its
-  /// lanes and empties the slot, so a later lane record is not read
-  /// before them.
-  void flush_slot(std::size_t worker, NodeId from);
+  /// Appends one wire record for every out-arc of `from`.
+  void append_fanout(std::size_t w, NodeId from, const std::uint64_t* words,
+                     std::size_t nwords);
+  /// The suffix rule: moves the records in from's out-slot to the record
+  /// list, one per out-arc, and empties the slot, so a later
+  /// point-to-point record is not read before them.
+  void flush_slot(std::size_t w, NodeId from);
   std::uint64_t* out_slot(NodeId v) {
-    return out_arena_->get() + slot_base_ +
-           static_cast<std::size_t>(v) * slot_stride_;
+    return out_slots_->get() + static_cast<std::size_t>(v) * slot_stride_;
   }
-  bool lane_spilled(std::size_t worker, EdgeSlot lane) const;
   void reduce_stats();
 
   const WeightedGraph* wg_;
@@ -700,50 +720,57 @@ class Network {
   // Whether this Network is a decorator's inner engine (sends then route
   // through the decorator, never through this object's send/broadcast).
   bool is_inner_ = false;
-  // The Network owning the arenas, RNG streams, and timer wheels that
-  // inbox/rng/arm_at/arena_words read: this one, or the inner engine a
-  // decorator installs after constructing it.
+  // The Network owning the slots, inbox, RNG streams, and timer wheels
+  // that inbox/rng/arm_at/arena_words read: this one, or the inner engine
+  // a decorator installs after constructing it.
   Network* engine_ = this;
 
-  // CSR arc offsets (offsets_[v]..offsets_[v+1] are v's incident lanes in
-  // receiver order), the out-arc -> receiver-lane mirror permutation, and
-  // the lane -> receiver map used by the active-set builder.
+  // CSR arc offsets (offsets_[v]..offsets_[v+1] are v's incident arcs in
+  // receiver order), the out-arc -> receiver-side arc mirror permutation,
+  // and the arc -> receiver map the flip sorts records by.
   std::vector<std::size_t> offsets_;
   std::vector<EdgeSlot> mirror_;
-  std::vector<NodeId> lane_receiver_;
+  std::vector<NodeId> arc_receiver_;
 
-  // Shared arena layout. Lane l owns words [lane_base_[l], lane_base_[l+1])
-  // of both arenas; node v's broadcast slot owns the slot_stride_ words
-  // at slot_base_ + v * slot_stride_ (slot_base_ == lane_base_.back(); no
-  // slots when slot_stride_ == 0, as in a decorator's inner engine). Word
-  // 0 of every region is its used length (same cache line as the records
-  // it guards — a deposit or inbox scan costs one memory touch per region,
-  // not two), records follow from word 1. Double-buffered: the in-arena
-  // holds this round's deliveries, the out-arena collects next round's.
-  // Beyond the length words the storage is deliberately *uninitialized*
-  // (every wire record fully initializes the words it claims, and the
-  // length word guards reads), so constructing a Network never pays an
-  // O(arena) zero-fill.
-  std::vector<std::uint64_t> lane_base_;
-  std::size_t slot_base_ = 0;
+  // Broadcast slots: node v owns the slot_stride_ words at v * slot_stride_
+  // of both arenas (none when slot_stride_ == 0, as in a decorator's inner
+  // engine). Word 0 is the used length, records follow from word 1.
+  // Double-buffered: the in-slots hold this round's broadcasts, the
+  // out-slots collect next round's. Beyond the length words the storage is
+  // deliberately *uninitialized* (every wire record fully initializes the
+  // words it claims, and the length word guards reads), so constructing a
+  // Network never pays an O(n * stride) zero-fill.
   std::size_t slot_stride_ = 0;
-  std::size_t arena_words_ = 0;
-  std::unique_ptr<std::uint64_t[]> arena_a_, arena_b_;
-  std::unique_ptr<std::uint64_t[]>* in_arena_ = nullptr;
-  std::unique_ptr<std::uint64_t[]>* out_arena_ = nullptr;
-
-  // Lanes written this round / holding this round's inbox, per worker, so
-  // a flip clears O(messages) lanes instead of O(m); likewise the nodes
-  // whose slot was written (the broadcasters), so a flip clears one slot
-  // per broadcaster and the active-set builder finds their neighbours.
-  std::vector<std::vector<EdgeSlot>> touched_out_;
-  std::vector<std::vector<EdgeSlot>> touched_in_;
+  std::size_t slot_words_ = 0;
+  std::unique_ptr<std::uint64_t[]> slots_a_, slots_b_;
+  std::unique_ptr<std::uint64_t[]>* in_slots_ = nullptr;
+  std::unique_ptr<std::uint64_t[]>* out_slots_ = nullptr;
+  // The nodes whose slot was written (the broadcasters), per worker, so a
+  // flip clears one slot per broadcaster and the active-set builder finds
+  // their neighbours.
   std::vector<std::vector<NodeId>> slots_out_;
   std::vector<std::vector<NodeId>> slots_in_;
 
-  // Per-worker overflow buffers and encode scratch (records that do not
-  // fit their slot or lane, and the decorators' per-arc records).
-  std::vector<WorkerSpill> spills_;
+  // Point-to-point path. Senders append to their worker's record list;
+  // the flip sorts the lists into inbox_ (records, receiver-major, each
+  // receiver's run ordered by arc, section, send order) and inbox_words_
+  // (their words, in the same order), indexed by runs_[receiver]. The
+  // receivers with a non-empty run are listed in receivers_, so retiring
+  // the inbox and building the active set cost O(records), not O(n).
+  std::vector<RecordList> records_;
+  std::vector<Placed> placed_;  // the flip's sort scratch
+  std::vector<InboxView::Entry> inbox_;
+  std::vector<std::uint64_t> inbox_words_;
+  std::vector<Run> runs_;
+  std::vector<NodeId> receivers_;
+  // Index of the current parallel section: run_index_chunks advances it
+  // on entry and on exit, so sends before, inside, and after a dispatch
+  // carry increasing values and a node's records keep their send order
+  // even when consecutive sections run it on different workers.
+  std::uint32_t section_ = 0;
+
+  // Per-worker encode scratch (broadcasts that do not fit their slot's
+  // free room, and the decorators' per-arc records).
   std::vector<std::vector<std::uint64_t>> scratch_;
 
   // Active set: nodes receiving messages this round + nodes whose timer
@@ -779,6 +806,8 @@ class Network {
 
   // Per-run high-water marks driving the post-run scratch shrink policy.
   std::size_t touched_highwater_ = 0;
+  std::size_t records_highwater_ = 0;
+  std::size_t record_words_highwater_ = 0;
   std::size_t armed_highwater_ = 0;
   std::size_t active_highwater_ = 0;
 

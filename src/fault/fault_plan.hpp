@@ -2,7 +2,7 @@
 //
 // A plan is the rich form of a FaultSpec: uniform per-record
 // probabilities plus optional per-arc drop/duplicate overrides (indexed
-// by receiver-side CSR arc, the Network's lane indexing) and an explicit
+// by receiver-side CSR arc, the Network's record indexing) and an explicit
 // node-kill schedule keyed by round.
 // make_fault_plan derives one from a spec — sampling the kill set with a
 // pure hash of (fault_seed, node) — or a test/bench builds one directly

@@ -28,7 +28,7 @@ struct FaultSpec {
   /// Maximum extra rounds a delayed copy is held (delay is uniform on
   /// [1, max_delay_rounds]); 0 disables delays regardless of delay_prob.
   int max_delay_rounds = 0;
-  /// Probability a copy is diverted to a uniformly random lane of the
+  /// Probability a copy is diverted to a uniformly random in-arc of the
   /// SAME receiver — it arrives at a different inbox position with its
   /// true sender id intact, so sender-order assumptions break while the
   /// message content stays honest.

@@ -48,9 +48,9 @@ void FaultyNetwork::init_from_plan(const WeightedGraph& wg,
   for (HoldWheel& wheel : wheels_) wheel.ring.resize(ring);
 
   // The inner delivery engine: a plain Network in inner mode — it owns
-  // arenas, RNG streams, timers, and active-set state for every node,
-  // sizes its per-worker scratch for the decorator's pool (whose threads
-  // execute the deposits), and owns no pool of its own.
+  // the record lists, inbox, RNG streams, timers, and active-set state for
+  // every node, sizes its per-worker lists for the decorator's pool (whose
+  // threads execute the deposits), and owns no pool of its own.
   CongestConfig inner_cfg = config;
   inner_cfg.fault = FaultSpec{};  // the decorator owns the faults
   // One recorder per decorator stack: the decorator (DecoratorInit above)
@@ -93,7 +93,7 @@ void FaultyNetwork::broadcast(NodeId from, const Message& m) {
 }
 
 void FaultyNetwork::inject_record(std::size_t w, NodeId from,
-                                  std::uint32_t glane, std::size_t nwords,
+                                  std::uint32_t to_arc, std::size_t nwords,
                                   int bits) {
   WorkerStats& ws = worker_stats_[w];
   if (any_kills_ && node_dead(from, round_)) {
@@ -107,27 +107,28 @@ void FaultyNetwork::inject_record(std::size_t w, NodeId from,
 
   // Per-(arc, round) record index: together with the arc and round it
   // names this record uniquely, and the arc's tail is its only writer.
-  if (seq_round_[glane] != round_) {
-    seq_round_[glane] = round_;
-    seq_idx_[glane] = 0;
+  if (seq_round_[to_arc] != round_) {
+    seq_round_[to_arc] = round_;
+    seq_idx_[to_arc] = 0;
   }
-  const std::uint32_t seq = seq_idx_[glane]++;
-  std::uint64_t h = fault_hash(plan_.seed, glane, round_, seq);
+  const std::uint32_t seq = seq_idx_[to_arc]++;
+  std::uint64_t h = fault_hash(plan_.seed, to_arc, round_, seq);
   auto draw = [&h]() {
     h = mix64(h + 0x9e3779b97f4a7c15ULL);
     return h;
   };
 
   const double p_drop =
-      plan_.arc_drop.empty() ? plan_.drop_prob : plan_.arc_drop[glane];
+      plan_.arc_drop.empty() ? plan_.drop_prob : plan_.arc_drop[to_arc];
   if (p_drop > 0.0 && unit_real(draw()) < p_drop) {
     ++ws.dropped;  // the sender still paid: messages/bits stay counted
     return;
   }
-  const double p_dup = plan_.arc_duplicate.empty() ? plan_.duplicate_prob
-                                                   : plan_.arc_duplicate[glane];
+  const double p_dup = plan_.arc_duplicate.empty()
+                           ? plan_.duplicate_prob
+                           : plan_.arc_duplicate[to_arc];
   const bool duplicate = p_dup > 0.0 && unit_real(draw()) < p_dup;
-  const NodeId receiver = lane_receiver_[glane];
+  const NodeId receiver = arc_receiver_[to_arc];
   const std::uint64_t* words = scratch_[w].data();
 
   const int copies = duplicate ? 2 : 1;
@@ -137,13 +138,13 @@ void FaultyNetwork::inject_record(std::size_t w, NodeId from,
         unit_real(draw()) < plan_.delay_prob)
       d = 1 + static_cast<int>(
                   draw() % static_cast<std::uint64_t>(plan_.max_delay_rounds));
-    std::uint32_t lane = glane;
+    std::uint32_t dest = to_arc;
     if (plan_.reorder_prob > 0 && unit_real(draw()) < plan_.reorder_prob) {
-      // Divert to a uniformly random lane of the SAME receiver: the true
+      // Divert to a uniformly random in-arc of the SAME receiver: the true
       // sender id rides inside the record, so only the inbox position
       // (the sender-sorted arrival order) changes.
       const std::size_t deg = offsets_[receiver + 1] - offsets_[receiver];
-      lane = static_cast<std::uint32_t>(offsets_[receiver] + draw() % deg);
+      dest = static_cast<std::uint32_t>(offsets_[receiver] + draw() % deg);
     }
     const std::int64_t arrival = round_ + 1 + d;
     if (any_kills_ && node_dead(receiver, arrival)) {
@@ -152,13 +153,14 @@ void FaultyNetwork::inject_record(std::size_t w, NodeId from,
     }
     if (c == 1) ++ws.duplicated;
     if (d > 0) ++ws.delayed;
-    if (d == 0 && lane == glane) {
-      // Undisturbed: straight into the inner engine from this worker,
-      // exactly the clean delivery path (bit-identical for a zero plan).
-      inner_->deposit_wire(glane, words, nwords);
+    if (d == 0 && dest == to_arc) {
+      // Undisturbed: straight onto the inner engine's record list from
+      // this worker, exactly the clean delivery path (bit-identical for a
+      // zero plan).
+      inner_->deposit_wire(to_arc, words, nwords, section_);
     } else {
       hold(w, arrival,
-           HeldRec{lane, 0, 0, glane, seq, round_,
+           HeldRec{dest, 0, 0, to_arc, seq, round_,
                    static_cast<std::uint8_t>(c)},
            words, nwords);
     }
@@ -188,12 +190,11 @@ void FaultyNetwork::hold(std::size_t w, std::int64_t arrival,
 }
 
 void FaultyNetwork::flip_buffers() {
-  // Inject every held record due next round, in a canonical order that no
+  // Append every held record due next round, in a canonical order that no
   // per-worker bucketing can perturb: the sort key is unique per record,
-  // so the arena bytes after the drain are a pure function of the
-  // algorithm + plan. Held records land after this round's direct
-  // deposits within a lane — also width-independent, since direct
-  // deposits have the lane's single writer.
+  // so the inbox after the flip is a pure function of the algorithm +
+  // plan. A section index of their own puts the held records behind this
+  // round's direct records on every arc.
   const std::int64_t arrival = round_ + 1;
   drain_.clear();
   for (HoldWheel& wheel : wheels_) {
@@ -205,15 +206,16 @@ void FaultyNetwork::flip_buffers() {
   if (!drain_.empty()) {
     std::sort(drain_.begin(), drain_.end(),
               [](const DrainRef& a, const DrainRef& b) {
-                return std::tie(a.rec->lane, a.rec->send_round, a.rec->arc,
+                return std::tie(a.rec->dest, a.rec->send_round, a.rec->arc,
                                 a.rec->seq, a.rec->copy) <
-                       std::tie(b.rec->lane, b.rec->send_round, b.rec->arc,
+                       std::tie(b.rec->dest, b.rec->send_round, b.rec->arc,
                                 b.rec->seq, b.rec->copy);
               });
+    ++section_;
     for (const DrainRef& ref : drain_)
-      inner_->deposit_wire(ref.rec->lane,
+      inner_->deposit_wire(ref.rec->dest,
                            ref.bucket->words.data() + ref.rec->begin,
-                           ref.rec->end - ref.rec->begin);
+                           ref.rec->end - ref.rec->begin, section_);
     drain_.clear();
     for (HoldWheel& wheel : wheels_) {
       HoldBucket& bucket = wheel.ring[static_cast<std::size_t>(arrival) &
@@ -232,16 +234,12 @@ void FaultyNetwork::flip_buffers() {
   active_dirty_ = true;
 }
 
-std::int64_t FaultyNetwork::pending_spill_records() const {
-  return inner_->pending_spill_records();
-}
-
-void FaultyNetwork::clear_all_lanes() {
+void FaultyNetwork::clear_in_flight() {
   // Phase/reuse boundary: drop everything in flight (undelivered held
   // records included — statistics counted them at send time, exactly as
-  // the clean simulator drops undelivered out-arena records).
+  // the clean simulator drops undelivered records).
   inner_->round_ = round_;
-  inner_->clear_all_lanes();
+  inner_->clear_in_flight();
   for (HoldWheel& wheel : wheels_) {
     for (HoldBucket& bucket : wheel.ring) {
       wheel.words_highwater =

@@ -2,7 +2,8 @@
 //
 // The decorator derives from Network through its virtual seams and owns
 // an *inner* delivery engine: a plain Network built in inner mode (every
-// node, per-worker scratch sized for the decorator's pool). Algorithms,
+// node, per-worker record lists sized for the decorator's pool, no
+// broadcast slots). Algorithms,
 // ProtocolRunner phases, and the scenario runner drive the decorator
 // through the unchanged Network surface; inboxes, RNG streams, and
 // timers live in the inner engine (Network reads them there directly),
@@ -16,17 +17,18 @@
 //      dead sender -> suppress (killed), drop -> discard (dropped),
 //      duplicate -> a second copy with independent draws (duplicated),
 //      bounded delay d in [1, max_delay_rounds] (delayed), reorder ->
-//      divert to a uniformly random lane of the same receiver (the
+//      divert to a uniformly random in-arc of the same receiver (the
 //      record keeps its true sender id, so only its inbox position —
 //      i.e. the sender-sorted arrival order — changes);
-//   3. an undisturbed copy (d == 0, original lane) deposits straight
-//      into the inner engine through the deposit_wire seam — the same
-//      single-writer lane path as a clean send, from the same worker;
-//      disturbed copies park in the calling worker's timer-wheel-backed
-//      holding buffer and are injected at the flip of their arrival
-//      round, after sorting by (lane, send round, origin arc, record
-//      index, copy) — a unique total order, so the arena bytes are
-//      identical at every pool width.
+//   3. an undisturbed copy (d == 0, original arc) goes straight onto the
+//      inner engine's record list through the deposit_wire seam — the
+//      same path as a clean send, from the same worker, stamped with the
+//      decorator's section index; disturbed copies park in the calling
+//      worker's timer-wheel-backed holding buffer and are appended at the
+//      flip of their arrival round, after sorting by (arc, send round,
+//      origin arc, record index, copy) — a unique total order — with a
+//      section index past every direct record of the round, so they land
+//      behind them on their arc, identically at every pool width.
 //
 // Determinism contract: a fixed FaultPlan yields bit-identical results,
 // traces, and fault counters at every thread width, and a zero-fault
@@ -75,11 +77,11 @@ class FaultyNetwork final : public Network {
 
  private:
   /// One disturbed record parked until its arrival round. The sort key
-  /// (lane, send_round, arc, seq, copy) is unique per record — `arc` is
-  /// the origin arc, so two records diverted into the same lane with
+  /// (dest, send_round, arc, seq, copy) is unique per record — `arc` is
+  /// the origin arc, so two records diverted onto the same arc with
   /// equal sequence numbers still order deterministically.
   struct HeldRec {
-    std::uint32_t lane;   // delivery lane (after any diversion)
+    std::uint32_t dest;   // delivery arc (after any diversion)
     std::uint32_t begin;  // word range in the bucket's `words`
     std::uint32_t end;
     std::uint32_t arc;    // origin receiver-side arc
@@ -102,15 +104,14 @@ class FaultyNetwork final : public Network {
   };
 
   void flip_buffers() override;
-  void clear_all_lanes() override;
+  void clear_in_flight() override;
   void reseed_node_rngs() override;
   void rebuild_active_set() override;
   void shrink_scratch() override;
-  std::int64_t pending_spill_records() const override;
 
   void init_from_plan(const WeightedGraph& wg, const CongestConfig& config);
   /// The per-record intercept described in the header comment.
-  void inject_record(std::size_t w, NodeId from, std::uint32_t glane,
+  void inject_record(std::size_t w, NodeId from, std::uint32_t to_arc,
                      std::size_t nwords, int bits);
   void hold(std::size_t w, std::int64_t arrival, const HeldRec& rec,
             const std::uint64_t* words, std::size_t nwords);

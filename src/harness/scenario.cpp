@@ -319,7 +319,7 @@ void write_scenario_json(std::ostream& os, std::span<const ScenarioRow> rows) {
       if (i > 0) os << ", ";
       os << "{\"round\": " << r.round << ", \"active\": " << r.active
          << ", \"delivered\": " << r.delivered << ", \"bits\": " << r.bits
-         << ", \"spilled\": " << r.spilled << ", \"dropped\": " << r.dropped
+         << ", \"dropped\": " << r.dropped
          << ", \"duplicated\": " << r.duplicated
          << ", \"delayed\": " << r.delayed << ", \"killed\": " << r.killed
          << "}";

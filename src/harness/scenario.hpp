@@ -191,8 +191,10 @@ std::size_t median_index(std::span<const double> samples);
 /// in-process sharding and placement columns and the merge time along
 /// with the sharding engine itself; every v8 row is what v7 reported
 /// with a shard count of 1, so compare_bench.py matches such v7 rows
-/// against v8 ones.
-inline constexpr int kScenarioJsonSchemaVersion = 8;
+/// against v8 ones. v9 dropped `spilled` from the `last_rounds` entries
+/// (point-to-point records no longer overflow into spill buffers); no
+/// top-level column changed, so v8 rows match v9 ones as they stand.
+inline constexpr int kScenarioJsonSchemaVersion = 9;
 
 /// One JSON object per row, as a JSON array (the exp12 schema):
 /// schema_version/instance/family/n/m/solver/threads/seed/fault/

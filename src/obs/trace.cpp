@@ -195,12 +195,10 @@ void dump_flight_records(std::ostream& os, std::string_view header,
     const std::string active =
         r.active < 0 ? std::string("-") : std::to_string(r.active);
     std::snprintf(buf, sizeof buf,
-                  "  round %-6lld active %-8s delivered %-10lld bits %-12lld"
-                  " spilled %-8lld",
+                  "  round %-6lld active %-8s delivered %-10lld bits %-12lld",
                   static_cast<long long>(r.round), active.c_str(),
                   static_cast<long long>(r.delivered),
-                  static_cast<long long>(r.bits),
-                  static_cast<long long>(r.spilled));
+                  static_cast<long long>(r.bits));
     out += buf;
     if (r.dropped || r.duplicated || r.delayed || r.killed) {
       std::snprintf(buf, sizeof buf,

@@ -96,8 +96,6 @@ struct FlightRecord {
   std::int64_t active = -1;
   std::int64_t delivered = 0;
   std::int64_t bits = 0;
-  /// Overflow records awaiting the next flip's spill merge.
-  std::int64_t spilled = 0;
   std::int64_t dropped = 0;
   std::int64_t duplicated = 0;
   std::int64_t delayed = 0;

@@ -145,7 +145,7 @@ bool ReliableNetwork::virtual_round_complete() const {
 void ReliableNetwork::abandon_outstanding() {
   // The wrapped phase finished: whatever is captured but unacked dies
   // with the phase, exactly as a clean run drops the final round's
-  // undelivered out-arena records.
+  // undelivered records.
   for (OutArc& oa : out_) {
     oa.base_seq = oa.next_seq;
     oa.acked = oa.next_seq;
@@ -237,7 +237,7 @@ void ReliableNetwork::transmit_pass(Network& outer) {
     const std::size_t begin = offsets_[v];
     const std::size_t end = offsets_[v + 1];
     // Due DATA units, in arc order then seq order (deterministic
-    // per-lane record order at every pool width).
+    // per-arc record order at every pool width).
     for (std::size_t arc = begin; arc < end; ++arc) {
       const std::uint32_t g = mirror_[arc];
       OutArc& oa = out_[g];
@@ -310,9 +310,9 @@ void ReliableNetwork::transmit_unit(Network& outer, NodeId sender,
 
 void ReliableNetwork::deliver_and_flip() {
   // Deposit the completed virtual round's payloads into the staging
-  // engine: per in-lane, in seq order — the canonical order a clean
-  // sender would have written them in, from the lane's single writer
-  // (the receiving node's chunk worker).
+  // engine: per in-arc, in seq order — the canonical order a clean
+  // sender would have written them in, all from the receiving node's
+  // chunk worker.
   for_nodes([&](NodeId v) {
     const std::size_t w = worker_slot();
     const std::size_t begin = offsets_[v];
@@ -326,7 +326,7 @@ void ReliableNetwork::deliver_and_flip() {
         const std::size_t need = encode_into_scratch(
             w, ia.pending[ia.pending_head].msg, sender, &bits);
         staging_->deposit_wire(static_cast<EdgeSlot>(q), scratch_[w].data(),
-                               need);
+                               need, section_);
         ++ia.pending_head;
       }
       if (ia.pending_head == ia.pending.size()) {
@@ -349,7 +349,7 @@ void ReliableNetwork::deliver_and_flip() {
 // The virtual network is never driven through run()/run_phase(), but the
 // seams delegate to the staging engine anyway (FaultyNetwork-style) so
 // incidental calls — e.g. via the base-class reset_for_reuse — stay
-// well-defined on this arena-less decorator.
+// well-defined on this engine-less decorator.
 
 void ReliableNetwork::flip_buffers() {
   staging_->flip_buffers();
@@ -357,9 +357,9 @@ void ReliableNetwork::flip_buffers() {
   active_dirty_ = true;
 }
 
-void ReliableNetwork::clear_all_lanes() {
+void ReliableNetwork::clear_in_flight() {
   staging_->round_ = round_;
-  staging_->clear_all_lanes();
+  staging_->clear_in_flight();
   active_list_.clear();
   active_dirty_ = false;
 }

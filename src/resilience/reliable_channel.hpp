@@ -13,7 +13,7 @@
 //   * ReliableNetwork: the *virtual* network the wrapped algorithm runs
 //     on. It derives from Network through the virtual seams (like
 //     FaultyNetwork) and owns a private *staging* engine — a plain
-//     Network built in inner mode over every node — whose arenas hold
+//     Network built in inner mode over every node — whose inbox holds
 //     exactly the messages of the current VIRTUAL round. The algorithm's
 //     sends are captured into per-out-arc unit queues instead of hitting
 //     the wire; inbox/rng/arm read the staging engine directly. The
@@ -27,7 +27,7 @@
 //     per-arc sequence number, buffer out-of-order arrivals, apply
 //     cumulative acks; (2) when every arc has closed the next virtual
 //     round (seen its end-of-round MARKER in order), deposits that
-//     round's payloads into the staging engine in canonical per-lane seq
+//     round's payloads into the staging engine in canonical per-arc seq
 //     order, flips it, and runs the wrapped algorithm's next
 //     process_round; (3) transmits due units — DATA frames carrying
 //     (seq, piggybacked cumulative ack, marker flag, payload fields) —
@@ -135,7 +135,7 @@ class ReliableNetwork final : public Network {
   // run()/run_phase(); these keep incidental calls well-defined by
   // delegating to the staging engine, FaultyNetwork-style).
   void flip_buffers() override;
-  void clear_all_lanes() override;
+  void clear_in_flight() override;
   void reseed_node_rngs() override;
   void rebuild_active_set() override;
   void shrink_scratch() override;
@@ -149,7 +149,7 @@ class ReliableNetwork final : public Network {
   /// (recomputed by the last receive_pass).
   bool virtual_round_complete() const;
   /// Deposits the completed virtual round's payloads into the staging
-  /// engine in canonical per-lane seq order and flips it.
+  /// engine in canonical per-arc seq order and flips it.
   void deliver_and_flip();
   /// Drops every captured-but-undelivered unit (wrapped phase finished;
   /// whatever is still in flight dies with the phase).

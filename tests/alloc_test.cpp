@@ -11,10 +11,10 @@
 // deterministically.
 //
 // The same hook additionally watches allocations of one exact size (the
-// message arenas: lanes and broadcast slots) to pin the protocol engine's
-// reuse contract: a composed two-phase solver on one Network constructs
-// arena storage exactly once — the pre-engine drivers built a second
-// Network (arenas, pool, mirror permutation) per phase.
+// broadcast-slot arenas) to pin the protocol engine's reuse contract: a
+// composed two-phase solver on one Network constructs arena storage
+// exactly once — the pre-engine drivers built a second Network (arenas,
+// pool, mirror permutation) per phase.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -121,12 +121,15 @@ namespace {
 
 // Every node floods a (tag, id, real) record each round, reads its whole
 // inbox through the cursor, and re-arms itself — exercising send, encode,
-// delivery, active-set rebuild and the armed path together.
+// delivery, active-set rebuild and the armed path together. With
+// `requests`, it also sends one record to a rotating neighbour.
 class FloodProbe final : public DistributedAlgorithm {
  public:
+  explicit FloodProbe(bool requests = false) : requests_(requests) {}
+
   // Warm-up must cover one full cycle of the 16-slot timer ring (each
-  // bucket's first use allocates its node vector) plus the arena/touched
-  // capacity growth of the first rounds.
+  // bucket's first use allocates its node vector) plus the slot-list,
+  // record-list and inbox capacity growth of the first rounds.
   static constexpr std::int64_t kWarmupRounds = 20;
   static constexpr std::int64_t kMeasuredRounds = 12;
 
@@ -162,14 +165,21 @@ class FloodProbe final : public DistributedAlgorithm {
   void prepare(NodeId n) { sums_.assign(n, 0.0); }
 
  private:
-  static void flood(Network& net, NodeId v) {
+  void flood(Network& net, NodeId v) const {
     net.broadcast(v, Message::tagged(1).add_id(v).add_real(0.5));
+    if (!requests_) return;
+    const auto nb = net.neighbors(v);
+    const std::size_t pick =
+        static_cast<std::size_t>(net.current_round() + v) % nb.size();
+    net.send(v, nb[pick], Message::tagged(1).add_id(v).add_real(0.5));
   }
 
+  bool requests_;
   std::vector<double> sums_;
 };
 
-void expect_zero_steady_state_allocs(int threads, bool traced = false) {
+void expect_zero_steady_state_allocs(int threads, bool traced = false,
+                                     bool requests = false) {
   auto wg = WeightedGraph::uniform(gen::grid(48, 48));  // n = 2304, m = 4512
   CongestConfig cfg;
   cfg.threads = threads;
@@ -181,14 +191,14 @@ void expect_zero_steady_state_allocs(int threads, bool traced = false) {
     cfg.trace.flight_rounds = 8;
   }
   Network net(wg, cfg);
-  FloodProbe probe;
+  FloodProbe probe(requests);
   probe.prepare(wg.num_nodes());
   const RunStats stats = net.run(probe, 100);
   EXPECT_GT(stats.messages, 0);
   ASSERT_GT(probe.allocs_at_start, 0u);  // warm-up did allocate
   EXPECT_EQ(probe.allocs_at_end - probe.allocs_at_start, 0u)
       << "steady-state rounds allocated (threads=" << threads
-      << ", traced=" << traced << ")";
+      << ", traced=" << traced << ", requests=" << requests << ")";
 }
 
 TEST(AllocRegression, SteadyStateRoundsAllocateNothingSerial) {
@@ -218,20 +228,32 @@ TEST(AllocRegression, TracedSteadyStateRoundsAllocateNothingParallel) {
   expect_zero_steady_state_allocs(4, /*traced=*/true);
 }
 
+// Point-to-point traffic holds the same contract: with `requests`, each
+// node also sends one record to a rotating neighbour after its broadcast
+// (the send flushes the broadcast out of the slot onto the record list,
+// per the suffix rule), so every flip sorts ~3n records into the inbox.
+TEST(AllocRegression, PointToPointSteadyStateRoundsAllocateNothingSerial) {
+  expect_zero_steady_state_allocs(1, /*traced=*/false, /*requests=*/true);
+}
+
+TEST(AllocRegression, PointToPointSteadyStateRoundsAllocateNothingParallel) {
+  expect_zero_steady_state_allocs(4, /*traced=*/false, /*requests=*/true);
+}
+
 // The composed Theorem 1.2 pipeline (partial_ds + extension) used to
 // build one Network per phase — two arena pairs, two mirror builds. On
-// the protocol engine both phases share the caller's Network: arena
-// storage (lanes and broadcast slots, one allocation per double buffer)
-// is constructed exactly once, and a reused, identical run constructs
-// none at all. Lanes start as bare length words, so a solver's first
-// point-to-point traffic (det's completion requests) regrows them once;
-// the identical rerun must not.
+// the protocol engine both phases share the caller's Network: the slot
+// arenas (one allocation per double buffer) are constructed exactly once
+// and never again. Point-to-point traffic (det's completion requests)
+// goes to the record lists, so not even a solver's first requests touch
+// the arenas, and an identical rerun grows no delivery storage at all.
 TEST(AllocRegression, TwoPhaseProtocolConstructsArenaStorageExactlyOnce) {
   Rng rng(4242);
   auto wg = WeightedGraph::uniform(gen::k_tree_union(512, 2, rng));
 
   // Learn the arena footprint from a probe Network over the same graph
-  // (the layout is deterministic), then watch that exact size.
+  // (the layout is deterministic; a fresh Network's delivery storage is
+  // its slot arena alone), then watch that exact size.
   std::size_t arena_bytes = 0;
   {
     Network probe(wg);
@@ -245,24 +267,23 @@ TEST(AllocRegression, TwoPhaseProtocolConstructsArenaStorageExactlyOnce) {
   EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 2u)
       << "construction allocates the two double-buffer arenas";
 
-  // Broadcast-only: the slots carry everything, no lane regrows.
+  // Broadcast-only: the slots carry everything, no record storage grows.
   MdsResult res = solve_mds_randomized(net, 2, 2);
   EXPECT_EQ(res.stats.phases.size(), 2u);
   EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 2u)
       << "the two-phase run must reuse the Network's arenas";
   EXPECT_EQ(net.arena_words() * sizeof(std::uint64_t), arena_bytes);
 
-  // First det run: its requests may regrow lanes. Then watch the grown
-  // footprint: identical reruns allocate no arena storage (a hit) and
-  // regrow nothing (a size change).
+  // det's requests grow the record lists once; the arenas stay put, and
+  // an identical rerun grows nothing.
   solve_mds_deterministic(net, 2, 0.3);
-  arena_bytes = net.arena_words() * sizeof(std::uint64_t);
-  g_watch_hits.store(0, std::memory_order_relaxed);
-  g_watch_size.store(arena_bytes, std::memory_order_relaxed);
+  EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 2u);
+  const std::size_t grown = net.arena_words();
+  EXPECT_GT(grown * sizeof(std::uint64_t), arena_bytes);
   solve_mds_deterministic(net, 2, 0.3);
+  EXPECT_EQ(net.arena_words(), grown);
   solve_mds_randomized(net, 2, 2);
-  EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 0u);
-  EXPECT_EQ(net.arena_words() * sizeof(std::uint64_t), arena_bytes);
+  EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 2u);
   g_watch_size.store(0, std::memory_order_relaxed);
 }
 

@@ -1,5 +1,5 @@
 // Tests for the CONGEST simulator: message encoding and bit accounting,
-// the packed wire format, delivery semantics, lane spill/regrowth, cap
+// the packed wire format, delivery semantics and record order, cap
 // enforcement, active-set scheduling, per-node randomness, statistics.
 #include <gtest/gtest.h>
 
@@ -424,14 +424,13 @@ TEST(Network, InboxOrderIsSenderMajorWithinRound) {
   EXPECT_TRUE(net.inbox(1).empty());
 }
 
-// ------------------------------------------------- lane spill and regrowth
+// ------------------------------------------------ point-to-point record order
 
-// A standalone Network's lanes start as their length word alone, so the
-// first point-to-point round takes the overflow path: records spill to
-// per-worker side buffers mid-round, the next flip merges them back in
-// send order and permanently regrows the lanes, after which delivery is
-// spill-free and indistinguishable from the resident path.
-TEST(Network, LaneOverflowSpillsAndRegrowsPreservingOrder) {
+// Several records per arc, from several senders, round after round: the
+// flip sorts each round's record lists into receiver runs, and every run
+// must come out sender-major with each sender's send order intact — on the
+// first round and on every later one, which reuses the lists' storage.
+TEST(Network, RecordBurstsKeepSenderMajorSendOrderEveryRound) {
   auto wg = WeightedGraph::uniform(gen::star(4));  // hub 0, leaves 1..3
 
   class Chatty final : public DistributedAlgorithm {
@@ -469,6 +468,46 @@ TEST(Network, LaneOverflowSpillsAndRegrowsPreservingOrder) {
     const RunStats stats = net.run(algo, 10);
     EXPECT_EQ(algo.checked_rounds, 3);
     EXPECT_EQ(stats.messages, 27);
+  }
+}
+
+// A node that sends on one arc from two parallel sections of one round
+// keeps its send order. Node 0 is the only active node in round 1, so the
+// one-node for_active_nodes dispatch runs it on the last worker; the
+// for_nodes dispatch that follows runs it on worker 0. Delivery must not
+// order the two sections' records by worker.
+class TwoSectionSender final : public DistributedAlgorithm {
+ public:
+  std::vector<int> got;
+  void initialize(Network& net) override { net.arm(0); }
+  void process_round(Network& net) override {
+    if (net.current_round() == 1) {
+      net.for_active_nodes([&](NodeId v) {
+        if (v != 0) return;
+        net.send(0, 1, Message::tagged(1));
+        net.send(0, 1, Message::tagged(2));
+      });
+      net.for_nodes([&](NodeId v) {
+        if (v == 0) net.send(0, 1, Message::tagged(3));
+      });
+      return;
+    }
+    for (const MessageView m : net.inbox(1)) got.push_back(m.tag());
+  }
+  bool finished(const Network& net) const override {
+    return net.current_round() >= 2;
+  }
+};
+
+TEST(Network, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
+  auto wg = WeightedGraph::uniform(gen::path(8));
+  for (const int threads : {1, 3, 4}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    Network net(wg, cfg);
+    TwoSectionSender algo;
+    net.run(algo, 5);
+    EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
   }
 }
 

@@ -308,6 +308,46 @@ TEST(FaultyNetwork, ZeroFaultPlanIsBitIdenticalToUndecorated) {
   }
 }
 
+// A zero plan sends every record down the direct path, so a node that
+// sends on one arc from two parallel sections of one round must keep its
+// send order there too. Node 0 is the only active node in round 1: the
+// one-node for_active_nodes dispatch runs it on the last worker, the
+// for_nodes dispatch that follows runs it on worker 0.
+TEST(FaultyNetwork, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
+  class TwoSectionSender final : public DistributedAlgorithm {
+   public:
+    std::vector<int> got;
+    void initialize(Network& net) override { net.arm(0); }
+    void process_round(Network& net) override {
+      if (net.current_round() == 1) {
+        net.for_active_nodes([&](NodeId v) {
+          if (v != 0) return;
+          net.send(0, 1, Message::tagged(1));
+          net.send(0, 1, Message::tagged(2));
+        });
+        net.for_nodes([&](NodeId v) {
+          if (v == 0) net.send(0, 1, Message::tagged(3));
+        });
+        return;
+      }
+      for (const MessageView m : net.inbox(1)) got.push_back(m.tag());
+    }
+    bool finished(const Network& net) const override {
+      return net.current_round() >= 2;
+    }
+  };
+
+  const auto wg = WeightedGraph::uniform(gen::path(8));
+  for (const int threads : {1, 3, 4}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    FaultyNetwork net(wg, cfg, FaultPlan{});
+    TwoSectionSender algo;
+    net.run(algo, 5);
+    EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
+  }
+}
+
 // --------------------------------------------------------- cross-width
 
 // A faulty run's outcome: either a result or the (deterministic) check
@@ -479,7 +519,7 @@ TEST(FaultyScenario, FaultAxisStampsRowsAndSchemaJson) {
   std::ostringstream os;
   harness::write_scenario_json(os, rows);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 9"), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"fault\": \"lossy\""), std::string::npos);

@@ -381,7 +381,7 @@ TEST(ScenarioJson, SchemaV7EmitsTimingColumnsAtFixedPrecision) {
   harness::write_scenario_json(os,
                                std::span<const harness::ScenarioRow>(&row, 1));
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 9"), std::string::npos);
   // Fixed 9-decimal seconds: sub-millisecond values survive round-trip.
   EXPECT_NE(json.find("\"seconds\": 0.000123456"), std::string::npos);
   EXPECT_NE(json.find("\"compute_seconds\": 1.500000000"),
@@ -395,6 +395,8 @@ TEST(ScenarioJson, SchemaV7EmitsTimingColumnsAtFixedPrecision) {
   EXPECT_NE(json.find("\"last_rounds\": [{\"round\": 9, \"active\": 4, "
                       "\"delivered\": 10"),
             std::string::npos);
+  // v9 dropped the flight records' `spilled` count after `bits`.
+  EXPECT_NE(json.find("\"bits\": 0, \"dropped\": 0"), std::string::npos);
 }
 
 }  // namespace

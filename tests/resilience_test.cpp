@@ -321,7 +321,7 @@ TEST(Repair, ScenarioRowsAreDeterministicAndPassTheSurvivingOracle) {
   std::ostringstream os;
   harness::write_scenario_json(os, rows);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 9"), std::string::npos);
   EXPECT_NE(json.find("\"hit_round_limit\": "), std::string::npos);
   EXPECT_NE(json.find("\"repair_rounds\": "), std::string::npos);
   EXPECT_NE(json.find("\"repaired_nodes\": "), std::string::npos);
