@@ -62,6 +62,57 @@ void BM_WireDecodeCursor(benchmark::State& state) {
 }
 BENCHMARK(BM_WireDecodeCursor);
 
+// The join-round receive loop of the primal-dual solvers on a live
+// Network: after one value broadcast on BA(n, 3), every node walks its
+// inbox, checks the tag and sums the packing values. Only that walk is
+// timed (the loop runs inside the round that receives the broadcast);
+// time_per_msg is the cost per delivered message.
+void BM_WireInboxValueSum(benchmark::State& state) {
+  const NodeId n = static_cast<NodeId>(state.range(0));
+  Rng rng(9);
+  WeightedGraph wg =
+      WeightedGraph::uniform(gen::barabasi_albert(n, 3, rng));
+  constexpr int kTagValue = 1;
+
+  class ValueSum final : public DistributedAlgorithm {
+   public:
+    explicit ValueSum(benchmark::State& state) : state_(state) {}
+    void initialize(Network& net) override {
+      net.for_nodes([&](NodeId v) {
+        net.broadcast(v, Message::tagged(kTagValue).add_real(
+                             1.0 / (static_cast<double>(v) + 2.0)));
+      });
+    }
+    void process_round(Network& net) override {
+      for (auto _ : state_) {
+        for (NodeId v = 0; v < net.num_nodes(); ++v) {
+          double sum = 0;
+          for (const MessageView m : net.inbox(v))
+            if (m.tag() == kTagValue) sum += m.real_at(1);
+          benchmark::DoNotOptimize(sum);
+        }
+      }
+      done_ = true;
+    }
+    bool finished(const Network&) const override { return done_; }
+
+   private:
+    benchmark::State& state_;
+    bool done_ = false;
+  };
+
+  Network net(wg);
+  ValueSum algo(state);
+  net.run(algo, 1);
+  const double delivered =
+      static_cast<double>(state.iterations()) * 2.0 *
+      static_cast<double>(wg.graph().num_edges());
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+  state.counters["time_per_msg"] = benchmark::Counter(
+      delivered, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WireInboxValueSum)->Arg(1 << 15);
+
 void BM_NetworkBroadcastRound(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
   Rng rng(1);

@@ -50,15 +50,17 @@ void BarenboimElkinOrientation::process_round(Network& net) {
   const NodeId n = net.num_nodes();
   const std::int64_t phase = net.current_round();
   // First absorb last round's retirement announcements, then decide from
-  // the updated local active degree, then broadcast one 1-bit flag.
-  for (NodeId v = 0; v < n; ++v) {
+  // the updated local active degree, then broadcast one 1-bit flag. The
+  // announcements land on the active set (the retirees' neighbours), so
+  // only it is read, on the worker pool; the decide loop is serial.
+  net.for_active_nodes([&](NodeId v) {
     for (const MessageView m : net.inbox(v)) {
       if (m.tag() == 0 && m.flag_at(1)) {
         ARBODS_CHECK(active_degree_[v] > 0);
         --active_degree_[v];
       }
     }
-  }
+  });
   for (NodeId v = 0; v < n; ++v) {
     if (active_[v] && active_degree_[v] <= threshold_) {
       active_[v] = false;

@@ -6,13 +6,6 @@
 
 namespace arbods {
 
-FixedPointCodec::FixedPointCodec(int exp_bits, int mant_bits)
-    : exp_bits_(exp_bits), mant_bits_(mant_bits) {
-  ARBODS_CHECK(exp_bits >= 2 && exp_bits <= 11);
-  ARBODS_CHECK(mant_bits >= 1 && mant_bits <= 52);
-  bias_ = (1 << (exp_bits - 1)) - 1;
-}
-
 std::uint64_t FixedPointCodec::encode(double v) const {
   ARBODS_CHECK_MSG(std::isfinite(v), "cannot encode non-finite value " << v);
   std::uint64_t sign = v < 0.0 ? 1 : 0;
@@ -42,13 +35,9 @@ std::uint64_t FixedPointCodec::encode(double v) const {
          (static_cast<std::uint64_t>(biased) << mant_bits_) | mant;
 }
 
-double FixedPointCodec::decode(std::uint64_t bits) const {
-  const std::uint64_t mant_mask = (std::uint64_t{1} << mant_bits_) - 1;
-  const std::uint64_t exp_mask = (std::uint64_t{1} << exp_bits_) - 1;
-  std::uint64_t mant = bits & mant_mask;
-  std::uint64_t biased = (bits >> mant_bits_) & exp_mask;
-  std::uint64_t sign = (bits >> (mant_bits_ + exp_bits_)) & 1;
-  if (biased == 0 && mant == 0) return sign ? -0.0 : 0.0;
+double FixedPointCodec::decode_by_ldexp(std::uint64_t sign,
+                                        std::uint64_t biased,
+                                        std::uint64_t mant) const {
   double m = 1.0 + static_cast<double>(mant) * std::ldexp(1.0, -mant_bits_);
   double a = std::ldexp(m, static_cast<int>(biased) - bias_);
   return sign ? -a : a;
@@ -56,11 +45,6 @@ double FixedPointCodec::decode(std::uint64_t bits) const {
 
 double FixedPointCodec::relative_error_bound() const {
   return std::ldexp(1.0, -mant_bits_);
-}
-
-const FixedPointCodec& default_value_codec() {
-  static const FixedPointCodec codec(6, 25);
-  return codec;
 }
 
 }  // namespace arbods

@@ -6,18 +6,6 @@
 
 namespace arbods {
 
-int MessageSizeModel::width_of(FieldKind kind) const {
-  switch (kind) {
-    case FieldKind::kNodeId: return id_bits;
-    case FieldKind::kWeight: return weight_bits;
-    case FieldKind::kLevel: return level_bits;
-    case FieldKind::kFlag: return flag_bits;
-    case FieldKind::kReal: return real_bits;
-    case FieldKind::kTag: return tag_bits;
-  }
-  return 0;
-}
-
 // ----------------------------------------------------------------- builder
 
 Message& Message::push(const Field& f) {
@@ -117,14 +105,8 @@ void Message::quantize_reals(const FixedPointCodec& codec) {
 
 namespace {
 
-constexpr std::size_t kKindsPerWord = 16;  // 4-bit nibbles
-
-std::size_t kind_words(std::size_t num_fields) {
-  return (num_fields + kKindsPerWord - 1) / kKindsPerWord;
-}
-
-// Bit stream helpers over a zeroed payload region. `pos` is a bit offset;
-// values span at most two words (width <= 64).
+// Writes `width` bits at bit offset `pos` of a zeroed payload region (the
+// writer of wire::get_bits); values span at most two words (width <= 64).
 void put_bits(std::uint64_t* payload, std::size_t pos, std::uint64_t value,
               int width) {
   if (width == 0) return;
@@ -137,18 +119,6 @@ void put_bits(std::uint64_t* payload, std::size_t pos, std::uint64_t value,
   if (off + width > 64) payload[word + 1] |= value >> (64 - off);
 }
 
-std::uint64_t get_bits(const std::uint64_t* payload, std::size_t pos,
-                       int width) {
-  if (width == 0) return 0;
-  const std::uint64_t mask =
-      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  const std::size_t word = pos >> 6;
-  const int off = static_cast<int>(pos & 63);
-  std::uint64_t v = payload[word] >> off;
-  if (off + width > 64) v |= payload[word + 1] << (64 - off);
-  return v & mask;
-}
-
 // The integer payload of a field as the wire carries it.
 std::uint64_t field_wire_value(const Field& f, bool quantized_reals) {
   if (f.kind != FieldKind::kReal)
@@ -158,14 +128,6 @@ std::uint64_t field_wire_value(const Field& f, bool quantized_reals) {
 }
 
 }  // namespace
-
-int wire_field_bits(FieldKind kind, const MessageSizeModel& model,
-                    bool quantized_reals) {
-  if (kind == FieldKind::kReal && !quantized_reals) return 64;
-  const int w = model.width_of(kind);
-  ARBODS_DCHECK(w >= 0 && w <= 64);
-  return w;
-}
 
 int wire_payload_bits(const Message& m, const MessageSizeModel& model) {
   return m.bit_size(model);
@@ -178,7 +140,7 @@ std::size_t wire_words(const Message& m, const MessageSizeModel& model,
   for (std::size_t i = 0; i < nf; ++i)
     payload_bits += static_cast<std::size_t>(
         wire_field_bits(m.kind_at(i), model, quantized_reals));
-  return 1 + kind_words(nf) + (payload_bits + 63) / 64;
+  return 1 + wire::kind_words(nf) + (payload_bits + 63) / 64;
 }
 
 std::size_t wire_encode(const Message& m, NodeId sender,
@@ -186,7 +148,7 @@ std::size_t wire_encode(const Message& m, NodeId sender,
                         std::uint64_t* dst, int* accounted_bits) {
   const std::size_t nf = m.num_fields();
   ARBODS_CHECK_MSG(nf <= 0xffff, "message with " << nf << " fields");
-  const std::size_t kwords = kind_words(nf);
+  const std::size_t kwords = wire::kind_words(nf);
   std::uint64_t* payload = dst + 1 + kwords;
 
   // Kind nibbles, payload bit length and accounted bit length in one pass.
@@ -194,8 +156,8 @@ std::size_t wire_encode(const Message& m, NodeId sender,
   int model_bits = 0;
   for (std::size_t w = 0; w < kwords; ++w) {
     std::uint64_t packed = 0;
-    const std::size_t base = w * kKindsPerWord;
-    const std::size_t end = std::min(nf - base, kKindsPerWord);
+    const std::size_t base = w * wire::kKindsPerWord;
+    const std::size_t end = std::min(nf - base, wire::kKindsPerWord);
     for (std::size_t j = 0; j < end; ++j) {
       const FieldKind kind = m.kind_at(base + j);
       packed |= static_cast<std::uint64_t>(kind) << (4 * j);
@@ -232,66 +194,6 @@ std::size_t wire_encode(const Message& m, NodeId sender,
     pos += static_cast<std::size_t>(width);
   }
   return total;
-}
-
-// ------------------------------------------------------------------ views
-
-FieldKind MessageView::kind_at(std::size_t i) const {
-  ARBODS_CHECK_MSG(i < num_fields(), "field index " << i << " out of range");
-  const std::uint64_t word = words_[1 + i / kKindsPerWord];
-  return static_cast<FieldKind>((word >> (4 * (i % kKindsPerWord))) & 0xf);
-}
-
-std::uint64_t MessageView::payload_bits_at(std::size_t i, FieldKind kind) const {
-  const std::size_t nf = num_fields();
-  ARBODS_CHECK_MSG(i < nf, "field index " << i << " out of range");
-  ARBODS_CHECK_MSG(kind_at(i) == kind, "field " << i << " kind mismatch");
-  const std::uint64_t* payload = words_ + 1 + kind_words(nf);
-  std::size_t pos = 0;
-  for (std::size_t j = 0; j < i; ++j)
-    pos += static_cast<std::size_t>(
-        wire_field_bits(kind_at(j), *model_, quantized_));
-  return get_bits(payload, pos, wire_field_bits(kind, *model_, quantized_));
-}
-
-int MessageView::tag() const {
-  // The hottest accessor in the simulator (called once per delivered
-  // message by every multiplexing algorithm): hand-specialized for field 0
-  // at payload offset 0 — three dependent loads and a mask, no scans.
-  const std::size_t nf = (words_[0] >> 32) & 0xffffu;
-  if (nf == 0 || static_cast<FieldKind>(words_[1] & 0xf) != FieldKind::kTag)
-    return -1;
-  const std::uint64_t* payload = words_ + 1 + kind_words(nf);
-  const int width = model_->tag_bits;
-  const std::uint64_t mask =
-      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  return static_cast<int>(payload[0] & mask);
-}
-
-int MessageView::tag_at(std::size_t i) const {
-  return static_cast<int>(payload_bits_at(i, FieldKind::kTag));
-}
-
-NodeId MessageView::id_at(std::size_t i) const {
-  return static_cast<NodeId>(payload_bits_at(i, FieldKind::kNodeId));
-}
-
-Weight MessageView::weight_at(std::size_t i) const {
-  return static_cast<Weight>(payload_bits_at(i, FieldKind::kWeight));
-}
-
-std::int64_t MessageView::level_at(std::size_t i) const {
-  return static_cast<std::int64_t>(payload_bits_at(i, FieldKind::kLevel));
-}
-
-bool MessageView::flag_at(std::size_t i) const {
-  return payload_bits_at(i, FieldKind::kFlag) != 0;
-}
-
-double MessageView::real_at(std::size_t i) const {
-  const std::uint64_t bits = payload_bits_at(i, FieldKind::kReal);
-  if (quantized_) return default_value_codec().decode(bits);
-  return std::bit_cast<double>(bits);
 }
 
 }  // namespace arbods

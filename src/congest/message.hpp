@@ -17,7 +17,10 @@
 //     so the CONGEST bit accounting is the wire length by construction.
 //     Receivers read through `MessageView`, a two-pointer cursor over the
 //     arena with the same typed accessors as Message; no per-message object
-//     is ever materialized on the delivery path.
+//     is ever materialized on the delivery path. The view's accessors are
+//     defined inline in this header, because every delivered message goes
+//     through them; they keep every field-range and kind-mismatch check
+//     (CheckError).
 //
 // Wire layout of one message (64-bit little-endian words, each message
 // word-aligned so a cursor can hop records in O(1)):
@@ -40,9 +43,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/fixed_point.hpp"
 #include "common/types.hpp"
 
@@ -73,7 +78,17 @@ struct MessageSizeModel {
   int real_bits = 32;
   int tag_bits = 4;
 
-  int width_of(FieldKind kind) const;
+  int width_of(FieldKind kind) const {
+    switch (kind) {
+      case FieldKind::kNodeId: return id_bits;
+      case FieldKind::kWeight: return weight_bits;
+      case FieldKind::kLevel: return level_bits;
+      case FieldKind::kFlag: return flag_bits;
+      case FieldKind::kReal: return real_bits;
+      case FieldKind::kTag: return tag_bits;
+    }
+    return 0;
+  }
 };
 
 /// Accounted bits of the reliable-transport DATA header under `model`:
@@ -160,8 +175,38 @@ class Message {
 /// for every kind except kReal with quantization disabled, which ships the
 /// raw 64-bit double (the *accounted* size still uses the model width, as
 /// it always has).
-int wire_field_bits(FieldKind kind, const MessageSizeModel& model,
-                    bool quantized_reals);
+inline int wire_field_bits(FieldKind kind, const MessageSizeModel& model,
+                           bool quantized_reals) {
+  if (kind == FieldKind::kReal && !quantized_reals) return 64;
+  const int w = model.width_of(kind);
+  ARBODS_DCHECK(w >= 0 && w <= 64);
+  return w;
+}
+
+namespace wire {
+
+inline constexpr std::size_t kKindsPerWord = 16;  // 4-bit nibbles
+
+/// Words of kind nibbles a record with `num_fields` fields carries.
+inline std::size_t kind_words(std::size_t num_fields) {
+  return (num_fields + kKindsPerWord - 1) / kKindsPerWord;
+}
+
+/// Reads `width` bits at bit offset `pos` of a payload; a value spans at
+/// most two words (width <= 64).
+inline std::uint64_t get_bits(const std::uint64_t* payload, std::size_t pos,
+                              int width) {
+  if (width == 0) return 0;
+  const std::uint64_t mask =
+      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+  const std::size_t word = pos >> 6;
+  const int off = static_cast<int>(pos & 63);
+  std::uint64_t v = payload[word] >> off;
+  if (off + width > 64) v |= payload[word + 1] << (64 - off);
+  return v & mask;
+}
+
+}  // namespace wire
 
 /// CONGEST-accounted payload bits of `m` (== m.bit_size(model)).
 int wire_payload_bits(const Message& m, const MessageSizeModel& model);
@@ -175,7 +220,7 @@ std::size_t wire_words(const Message& m, const MessageSizeModel& model,
 /// (every stored field width is <= 64 bits). For sizing encode scratch.
 inline std::size_t wire_words_bound(const Message& m) {
   const std::size_t nf = m.num_fields();
-  return 1 + (nf + 15) / 16 + nf;
+  return 1 + wire::kind_words(nf) + nf;
 }
 
 /// Encodes `m` into dst[0 .. wire_words(m)). Fully initializes every word
@@ -205,20 +250,57 @@ class MessageView {
     return static_cast<std::size_t>((words_[0] >> 48) & 0xffffu);
   }
 
-  FieldKind kind_at(std::size_t i) const;
+  FieldKind kind_at(std::size_t i) const {
+    ARBODS_CHECK_MSG(i < num_fields(), "field index " << i << " out of range");
+    const std::uint64_t word = words_[1 + i / wire::kKindsPerWord];
+    return static_cast<FieldKind>((word >> (4 * (i % wire::kKindsPerWord))) &
+                                  0xf);
+  }
 
   /// Typed accessors; kind mismatches are contract violations, exactly as
   /// on the builder.
-  int tag() const;  // tag of field 0 (kTag); -1 if untagged
-  int tag_at(std::size_t i) const;
-  NodeId id_at(std::size_t i) const;
-  Weight weight_at(std::size_t i) const;
-  std::int64_t level_at(std::size_t i) const;
-  bool flag_at(std::size_t i) const;
-  double real_at(std::size_t i) const;
+  int tag() const {  // tag of field 0 (kTag); -1 if untagged
+    // Called once per delivered message by every multiplexing algorithm:
+    // specialized for field 0 at payload offset 0, no scans.
+    const std::size_t nf = num_fields();
+    if (nf == 0 || static_cast<FieldKind>(words_[1] & 0xf) != FieldKind::kTag)
+      return -1;
+    return static_cast<int>(
+        wire::get_bits(words_ + 1 + wire::kind_words(nf), 0, model_->tag_bits));
+  }
+  int tag_at(std::size_t i) const {
+    return static_cast<int>(payload_bits_at(i, FieldKind::kTag));
+  }
+  NodeId id_at(std::size_t i) const {
+    return static_cast<NodeId>(payload_bits_at(i, FieldKind::kNodeId));
+  }
+  Weight weight_at(std::size_t i) const {
+    return static_cast<Weight>(payload_bits_at(i, FieldKind::kWeight));
+  }
+  std::int64_t level_at(std::size_t i) const {
+    return static_cast<std::int64_t>(payload_bits_at(i, FieldKind::kLevel));
+  }
+  bool flag_at(std::size_t i) const {
+    return payload_bits_at(i, FieldKind::kFlag) != 0;
+  }
+  double real_at(std::size_t i) const {
+    const std::uint64_t bits = payload_bits_at(i, FieldKind::kReal);
+    if (quantized_) return default_value_codec().decode(bits);
+    return std::bit_cast<double>(bits);
+  }
 
  private:
-  std::uint64_t payload_bits_at(std::size_t i, FieldKind kind) const;
+  std::uint64_t payload_bits_at(std::size_t i, FieldKind kind) const {
+    const std::size_t nf = num_fields();
+    ARBODS_CHECK_MSG(i < nf, "field index " << i << " out of range");
+    ARBODS_CHECK_MSG(kind_at(i) == kind, "field " << i << " kind mismatch");
+    std::size_t pos = 0;
+    for (std::size_t j = 0; j < i; ++j)
+      pos += static_cast<std::size_t>(
+          wire_field_bits(kind_at(j), *model_, quantized_));
+    return wire::get_bits(words_ + 1 + wire::kind_words(nf), pos,
+                          wire_field_bits(kind, *model_, quantized_));
+  }
 
   const std::uint64_t* words_;
   const MessageSizeModel* model_;

@@ -508,16 +508,16 @@ void Network::rebuild_active_set() {
   // Keep the worklist in ascending node order so chunked iteration touches
   // per-node arrays as sequentially as a 0..n sweep —
   // the list arrives in delivery order, which is cache-hostile when dense.
-  // Dense rounds re-extract from the marks with one sequential pass;
+  // Dense rounds re-extract from the marks with one sequential pass, in
+  // place (the marks hold the same nodes, so the list's capacity fits);
   // sparse rounds sort the short list. Either way the order (not just the
   // contents) is now independent of the pool width.
   const std::size_t n = active_mark_.size();
   if (active_list_.size() >= n / 8) {
-    active_scratch_.clear();
+    active_list_.clear();
     for (std::size_t v = 0; v < n; ++v)
       if (active_mark_[v] == epoch)
-        active_scratch_.push_back(static_cast<NodeId>(v));
-    active_list_.swap(active_scratch_);
+        active_list_.push_back(static_cast<NodeId>(v));
   } else {
     std::sort(active_list_.begin(), active_list_.end());
   }
@@ -552,7 +552,6 @@ void Network::shrink_scratch() {
     for (CalendarBucket& bucket : cal.ring)
       maybe_shrink(bucket.nodes, armed_highwater_);
   maybe_shrink(active_list_, active_highwater_);
-  maybe_shrink(active_scratch_, active_highwater_);
   // Contents survive the shrink, so the last round's inbox stays readable.
   for (RecordList& list : records_) {
     maybe_shrink(list.recs, records_highwater_);

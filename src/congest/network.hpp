@@ -449,7 +449,11 @@ class Network {
   /// node is visited exactly once, on exactly one worker. The set's
   /// contents are a pure function of the algorithm (never of the pool
   /// width); only the visit order varies, which the locality contract
-  /// makes unobservable.
+  /// makes unobservable. A stage that only reacts to rare announcements
+  /// (JOIN, retire) reads them here: every receiver is in the set and
+  /// every inbox outside it is empty, so the scan costs O(announcers'
+  /// degrees), not O(n); work that must visit every node (a bump, a
+  /// sample, a broadcast) stays in a separate for_nodes.
   template <typename F>
   void for_active_nodes(F&& fn) {
     ensure_active_set();
@@ -783,7 +787,6 @@ class Network {
   // active-set API pay nothing for it.
   bool active_dirty_ = false;
   std::vector<NodeId> active_list_;
-  std::vector<NodeId> active_scratch_;
   std::vector<std::uint64_t> active_mark_;
   std::uint64_t active_epoch_ = 0;
 

@@ -47,8 +47,12 @@ void PartialDominatingSet::initialize(Network& net) {
 }
 
 void PartialDominatingSet::absorb_joins(Network& net, NodeId v) {
+  if (dominated_[v]) return;
   for (const MessageView m : net.inbox(v)) {
-    if (m.tag() == kTagJoin) dominated_[v] = true;
+    if (m.tag() == kTagJoin) {
+      dominated_[v] = true;
+      return;
+    }
   }
 }
 
@@ -84,10 +88,12 @@ void PartialDominatingSet::process_round(Network& net) {
 
     case Stage::kValueRound: {
       // Step 3 of the previous iteration (bump undominated), fused with the
-      // value broadcast that opens this iteration.
+      // value broadcast that opens this iteration. Only joiners broadcast
+      // in a join round, so the JOINs land on the active set (their
+      // neighbours); the inboxes outside it are empty and are not read.
       const bool trailing = iter_done_ == r_;  // last bump; the loop is over
+      net.for_active_nodes([&](NodeId v) { absorb_joins(net, v); });
       net.for_nodes([&](NodeId v) {
-        absorb_joins(net, v);
         if (!dominated_[v]) x_[v] *= one_plus_eps;
         if (!trailing)
           net.broadcast(v, Message::tagged(kTagValue).add_real(x_[v]));

@@ -116,20 +116,8 @@ void RandomizedExtension::process_round(Network& net) {
 
     case Stage::kSample: {
       ++iter_;
-      const bool phase_opening = iter_ == 1;
-      net.for_nodes([&](NodeId u) {
-        if (phase_opening) {
-          // Rebuild X_u from the phase-start broadcasts.
-          double sum = dominated_[u] ? 0.0 : x_[u];
-          for (const MessageView m : net.inbox(u))
-            if (m.tag() == kTagValue) sum += m.real_at(1);
-          big_x_[u] = sum;
-        } else {
-          // Deduct neighbors that announced domination last round.
-          for (const MessageView m : net.inbox(u))
-            if (m.tag() == kTagDominated) big_x_[u] -= m.real_at(1);
-        }
-        // Gamma membership + sampling.
+      // Gamma membership + sampling; every node draws from its own stream.
+      auto sample = [&](NodeId u) {
         if (in_set_[u]) return;
         if (big_x_[u] <
             static_cast<double>(net.weight(u)) / params_.gamma)
@@ -145,7 +133,25 @@ void RandomizedExtension::process_round(Network& net) {
         net.broadcast(u, Message::tagged(kTagJoin)
                              .add_real(x_[u])
                              .add_flag(was_undominated));
-      });
+      };
+      if (iter_ == 1) {
+        net.for_nodes([&](NodeId u) {
+          // Rebuild X_u from the phase-start broadcasts.
+          double sum = dominated_[u] ? 0.0 : x_[u];
+          for (const MessageView m : net.inbox(u))
+            if (m.tag() == kTagValue) sum += m.real_at(1);
+          big_x_[u] = sum;
+          sample(u);
+        });
+      } else {
+        // Deduct neighbors that announced domination last round; the
+        // announcements land on the active set (their neighbours).
+        net.for_active_nodes([&](NodeId u) {
+          for (const MessageView m : net.inbox(u))
+            if (m.tag() == kTagDominated) big_x_[u] -= m.real_at(1);
+        });
+        net.for_nodes(sample);
+      }
       reduce_dominated();
       p_ = std::min(p_ * params_.gamma, 1.0);
       stage_ = Stage::kDominate;
@@ -153,7 +159,9 @@ void RandomizedExtension::process_round(Network& net) {
     }
 
     case Stage::kDominate: {
-      net.for_nodes([&](NodeId v) {
+      // Only the sample round's joiners broadcast, so their announcements
+      // land on the active set; the inboxes outside it are empty.
+      net.for_active_nodes([&](NodeId v) {
         bool newly_dominated = false;
         for (const MessageView m : net.inbox(v)) {
           if (m.tag() != kTagJoin) continue;

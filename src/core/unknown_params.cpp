@@ -109,17 +109,19 @@ void AdaptiveMds::process_round(Network& net) {
     case Stage::kValueRound: {
       ++iterations_;
       const bool first = first_value_round_;
-      net.for_nodes([&](NodeId v) {
-        // (1) absorb join announcements from the previous join round.
-        if (!dominated_[v]) {
-          for (const MessageView m : net.inbox(v)) {
-            if (m.tag() == kTagJoin) {
-              dominated_[v] = true;
-              ++dominated_delta_[net.worker_index()].value;
-              break;
-            }
+      // (1) absorb join announcements from the previous join round. Only
+      // joiners broadcast there, so they land on the active set.
+      net.for_active_nodes([&](NodeId v) {
+        if (dominated_[v]) return;
+        for (const MessageView m : net.inbox(v)) {
+          if (m.tag() == kTagJoin) {
+            dominated_[v] = true;
+            ++dominated_delta_[net.worker_index()].value;
+            return;
           }
         }
+      });
+      net.for_nodes([&](NodeId v) {
         // (2) step 3 of the previous iteration: bump if still undominated.
         if (!first && !dominated_[v]) x_[v] *= one_plus_eps;
         // (3) the Remarks' extra step: self-completion once past lambda_v.

@@ -43,6 +43,8 @@ Graph GraphBuilder::build() && {
     auto unique_end = std::unique(first, last);
     new_offsets[v] = compact.size();
     compact.insert(compact.end(), first, unique_end);
+    g.max_degree_ = std::max(
+        g.max_degree_, static_cast<NodeId>(unique_end - first));
   }
   new_offsets[n_] = compact.size();
   g.offsets_ = std::move(new_offsets);

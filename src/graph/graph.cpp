@@ -25,12 +25,6 @@ NodeId Graph::degree(NodeId v) const {
   return static_cast<NodeId>(offsets_[v + 1] - offsets_[v]);
 }
 
-NodeId Graph::max_degree() const {
-  NodeId d = 0;
-  for (NodeId v = 0; v < n_; ++v) d = std::max(d, degree(v));
-  return d;
-}
-
 bool Graph::has_edge(NodeId u, NodeId v) const {
   ARBODS_DCHECK(u < n_ && v < n_);
   auto nb = neighbors(u);

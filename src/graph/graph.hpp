@@ -30,8 +30,9 @@ class Graph {
 
   NodeId degree(NodeId v) const;
 
-  /// Maximum degree Delta (0 for the empty graph).
-  NodeId max_degree() const;
+  /// Maximum degree Delta (0 for the empty graph); computed once when the
+  /// graph is built, so O(1).
+  NodeId max_degree() const { return max_degree_; }
 
   /// O(log degree(u)) membership test.
   bool has_edge(NodeId u, NodeId v) const;
@@ -49,6 +50,7 @@ class Graph {
   NodeId n_ = 0;
   std::vector<std::size_t> offsets_;  // size n+1
   std::vector<NodeId> adj_;           // size 2m, sorted per node
+  NodeId max_degree_ = 0;
 };
 
 }  // namespace arbods

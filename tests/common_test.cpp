@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/fixed_point.hpp"
@@ -257,6 +260,56 @@ TEST(FixedPoint, MonotoneOnSamples) {
     EXPECT_GE(q, prev);
     prev = q;
   }
+}
+
+// Reference decode through std::ldexp; decode() builds the IEEE-754 bits
+// directly and must match it bit for bit on every layout.
+double ldexp_decode(std::uint64_t bits, int exp_bits, int mant_bits) {
+  const std::uint64_t mant = bits & ((std::uint64_t{1} << mant_bits) - 1);
+  const std::uint64_t biased =
+      (bits >> mant_bits) & ((std::uint64_t{1} << exp_bits) - 1);
+  const std::uint64_t sign = (bits >> (mant_bits + exp_bits)) & 1;
+  if (biased == 0 && mant == 0) return sign ? -0.0 : 0.0;
+  const int bias = (1 << (exp_bits - 1)) - 1;
+  const double m =
+      1.0 + static_cast<double>(mant) * std::ldexp(1.0, -mant_bits);
+  const double a = std::ldexp(m, static_cast<int>(biased) - bias);
+  return sign ? -a : a;
+}
+
+TEST(FixedPoint, DecodeMatchesLdexpReferenceOnEveryLayout) {
+  Rng rng(4242);
+  int checked = 0;
+  for (int eb = 2; eb <= 11; ++eb) {
+    for (int mb = 1; mb <= 52; ++mb) {
+      const FixedPointCodec c(eb, mb);
+      const std::uint64_t sign = std::uint64_t{1} << (eb + mb);
+      const std::uint64_t all_ones = (std::uint64_t{1} << mb) - 1;
+      const std::uint64_t max_biased = (std::uint64_t{1} << eb) - 1;
+      std::vector<std::uint64_t> codes;
+      for (const std::uint64_t biased : {std::uint64_t{0}, std::uint64_t{1},
+                                         max_biased - 1, max_biased})
+        for (const std::uint64_t mant : {std::uint64_t{0}, std::uint64_t{1},
+                                         all_ones})
+          codes.push_back((biased << mb) | mant);
+      const std::uint64_t width_mask =
+          eb + mb + 1 >= 64 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << (eb + mb + 1)) - 1;
+      for (int i = 0; i < 16; ++i) codes.push_back(rng.next_u64() & width_mask);
+      for (const double v : {1.0, -0.75, 3.5e-3, 1234.5})
+        codes.push_back(c.encode(v));
+      for (const std::uint64_t code : codes) {
+        for (const std::uint64_t bits : {code, code ^ sign}) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(c.decode(bits)),
+                    std::bit_cast<std::uint64_t>(ldexp_decode(bits, eb, mb)))
+              << "exp_bits=" << eb << " mant_bits=" << mb
+              << " bits=" << bits;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 10 * 52 * 2 * (12 + 16 + 4));
 }
 
 // -------------------------------------------------------------------- table

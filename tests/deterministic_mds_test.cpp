@@ -8,6 +8,7 @@
 
 #include "baselines/exact.hpp"
 #include "core/deterministic_mds.hpp"
+#include "core/partial_ds.hpp"
 #include "core/solvers.hpp"
 #include "gen/arboricity_families.hpp"
 #include "gen/classic.hpp"
@@ -117,6 +118,38 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Theorem11Test, ::testing::ValuesIn(all_cases()),
                                   std::to_string(
                                       static_cast<int>(info.param.eps * 10));
                          });
+
+// Exact round count: the weight round, r join rounds and r value rounds
+// (the last one only bumps), then the two completion rounds. Pins that no
+// stage of the loop gains or loses a round.
+TEST(Theorem11, RoundCountIsExactlyTwoIterationsPlusThree) {
+  struct Exact {
+    std::string name;
+    WeightedGraph wg;
+    NodeId alpha;
+  };
+  std::vector<Exact> instances;
+  for (const NodeId delta : {15u, 255u, 4095u})
+    instances.push_back({"star" + std::to_string(delta),
+                         WeightedGraph::uniform(gen::star(delta + 1)), 1});
+  Rng rng(777);
+  instances.push_back(
+      {"ba4096_3",
+       WeightedGraph::uniform(gen::barabasi_albert(4096, 3, rng)), 3});
+  for (const Exact& inst : instances) {
+    const NodeId delta = inst.wg.graph().max_degree();
+    for (const double eps : {0.1, 0.25, 0.5}) {
+      const std::int64_t r = partial_ds_iterations(
+          eps, theorem11_lambda(inst.alpha, eps), delta);
+      const MdsResult res = solve_mds_deterministic(inst.wg, inst.alpha, eps);
+      EXPECT_EQ(res.iterations, r) << inst.name << " eps=" << eps;
+      EXPECT_EQ(res.stats.rounds, 2 * r + 3) << inst.name << " eps=" << eps;
+      ASSERT_EQ(res.stats.phases.size(), 2u);
+      EXPECT_EQ(res.stats.phases[0].rounds, 2 * r + 1)
+          << inst.name << " eps=" << eps;
+    }
+  }
+}
 
 // ------------------------------------------------- exact-ratio spot checks
 
