@@ -5,15 +5,14 @@
 #include <iostream>
 #include <limits>
 #include <thread>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
-#include "common/shrink.hpp"
 
 namespace arbods {
-
-using detail::maybe_shrink;
 
 namespace {
 
@@ -25,7 +24,7 @@ namespace {
 // worker's index — safely accounts to its own slot 0.
 thread_local int tls_worker = 0;
 
-// Pool width for a standalone (non-inner) Network.
+// Pool width of a Network.
 int derive_workers(const CongestConfig& config, NodeId n) {
   int workers = config.threads;
   if (workers <= 0) {
@@ -35,6 +34,22 @@ int derive_workers(const CongestConfig& config, NodeId n) {
   if (n > 0 && workers > static_cast<int>(n)) workers = static_cast<int>(n);
   if (n == 0) workers = 1;
   return workers;
+}
+
+// Post-run shrink policy for per-worker scratch vectors: a run that once
+// touched millions of entries must not pin that capacity for the
+// Network's lifetime. Contents are preserved; only excess capacity (4x
+// past twice the observed high-water mark, and past a 1024-entry floor)
+// is released.
+template <typename T>
+void maybe_shrink(std::vector<T>& v, std::size_t used) {
+  const std::size_t target = std::max<std::size_t>(2 * used, 64);
+  if (v.capacity() > 1024 && v.capacity() / 4 > target) {
+    std::vector<T> tmp;
+    tmp.reserve(std::max(target, v.size()));
+    tmp.assign(v.begin(), v.end());
+    v.swap(tmp);
+  }
 }
 
 }  // namespace
@@ -53,7 +68,10 @@ std::size_t InboxView::size() const {
 }
 
 Network::Network(const WeightedGraph& wg, CongestConfig config)
-    : Network(wg, config, InnerInit{0}) {}
+    : Network(wg, config,
+              config.fault.enabled()
+                  ? fault::make_fault_plan(wg.graph(), config.fault)
+                  : fault::FaultPlan{}) {}
 
 void Network::init_size_model() {
   const NodeId n = wg_->num_nodes();
@@ -104,19 +122,20 @@ std::size_t Network::build_csr_topology() {
 }
 
 Network::Network(const WeightedGraph& wg, CongestConfig config,
-                 InnerInit inner)
-    : wg_(&wg), config_(config), is_inner_(inner.workers > 0) {
+                 fault::FaultPlan plan)
+    : wg_(&wg), config_(config), plan_(std::move(plan)) {
   const NodeId n = wg.graph().num_nodes();
+  fault::validate_fault_plan(wg.graph(), plan_);
+  faulty_ = plan_.enabled();
   init_size_model();
-  build_csr_topology();
+  const std::size_t arcs = build_csr_topology();
 
-  // A standalone Network gives every node a broadcast slot with room for
-  // one cap-sized record: the length word plus header + one kind word +
-  // cap payload. An inner engine receives every record per arc, so it has
-  // no slots.
+  // Every node gets a broadcast slot with room for one cap-sized record:
+  // the length word plus header + one kind word + cap payload. Under a
+  // fault plan every record travels per arc, so there are no slots.
   const std::size_t region_words =
       3 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64;
-  if (!is_inner_) {
+  if (!faulty_) {
     slot_stride_ = region_words;
     slot_words_ = static_cast<std::size_t>(n) * slot_stride_;
     slots_a_ = std::make_unique_for_overwrite<std::uint64_t[]>(slot_words_);
@@ -128,10 +147,7 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   out_slots_ = &slots_b_;
   runs_.assign(n, Run{});
 
-  // An inner engine sizes its per-worker scratch for the decorator's
-  // pool, whose threads execute the deposits; only a standalone Network
-  // owns a pool of its own.
-  const int workers = is_inner_ ? inner.workers : derive_workers(config_, n);
+  const int workers = derive_workers(config_, n);
   worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStats{});
   slots_out_.assign(static_cast<std::size_t>(workers), {});
   slots_in_.assign(static_cast<std::size_t>(workers), {});
@@ -141,15 +157,10 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
     s.reserve(std::max<std::size_t>(2 * region_words, 64));
   calendars_.assign(static_cast<std::size_t>(workers), {});
   for (WorkerCalendar& cal : calendars_) cal.ring.resize(16);
-  if (!is_inner_ && workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
-  // Only the outermost Network of a decorator stack owns a recorder (an
-  // inner engine records through its decorator's sink, installed by the
-  // decorator after construction).
-  if (config_.trace.enabled && !is_inner_) {
-    tracer_owned_ = std::make_unique<obs::TraceRecorder>(
+  if (workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
+  if (config_.trace.enabled)
+    tracer_ = std::make_unique<obs::TraceRecorder>(
         workers, config_.trace.ring_capacity);
-    tracer_ = tracer_owned_.get();
-  }
 
   active_mark_.assign(n, 0);
   active_list_.reserve(64);
@@ -159,29 +170,29 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   for (NodeId v = 0; v < n; ++v) node_rngs_.push_back(base.split(v));
   rng_image_ = node_rngs_;
   rng_streams_fresh_ = true;
+
+  if (faulty_) {
+    seq_round_.assign(arcs, -1);
+    seq_idx_.assign(arcs, 0);
+    if (!plan_.kills.empty()) {
+      kill_round_.assign(n, std::numeric_limits<std::int64_t>::max());
+      for (const fault::KillEvent& k : plan_.kills)
+        kill_round_[k.node] = std::min(kill_round_[k.node], k.round);
+    }
+    // Ring size strictly exceeds the largest delay + the one-round
+    // delivery offset, so live arrival rounds map to distinct buckets.
+    const std::size_t ring = std::bit_ceil(
+        static_cast<std::size_t>(std::max(plan_.max_delay_rounds, 0)) + 2);
+    wheels_.resize(static_cast<std::size_t>(workers));
+    for (HoldWheel& wheel : wheels_) wheel.ring.resize(ring);
+  }
 }
 
-Network::Network(const WeightedGraph& wg, CongestConfig config, DecoratorInit)
-    : wg_(&wg), config_(config) {
-  const NodeId n = wg.graph().num_nodes();
-  init_size_model();
-  // Topology only: the decorator routes every send through the out-arc
-  // mirror, but the record lists (and every other per-node structure)
-  // live in the inner Network it owns.
-  build_csr_topology();
-
-  const int workers = derive_workers(config_, n);
-  worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStats{});
-  scratch_.assign(static_cast<std::size_t>(workers), {});
-  for (auto& s : scratch_) s.reserve(64);
-  if (workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
-  if (config_.trace.enabled) {
-    tracer_owned_ = std::make_unique<obs::TraceRecorder>(
-        workers, config_.trace.ring_capacity);
-    tracer_ = tracer_owned_.get();
-  }
-  active_list_.reserve(64);
-  rng_streams_fresh_ = true;
+std::vector<NodeId> Network::killed_nodes() const {
+  std::vector<NodeId> killed;
+  for (NodeId v = 0; v < num_nodes(); ++v)
+    if (!alive(v)) killed.push_back(v);
+  return killed;
 }
 
 void Network::reseed_node_rngs() {
@@ -265,18 +276,33 @@ std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
 }
 
 void Network::send(NodeId from, NodeId to, const Message& m) {
-  ARBODS_DCHECK(!is_inner_);  // inner engines receive pre-routed deposits
   const EdgeSlot arc = mirror_[resolve_arc(from, to)];
   const std::size_t w = worker_slot();
+  if (faulty_) {
+    int bits = 0;
+    const std::size_t need = encode_into_scratch(w, m, from, &bits);
+    inject_record(w, from, arc, need, bits);
+    return;
+  }
   if (out_slot(from)[0] != 0) flush_slot(w, from);
   account_bits(append_encoded(w, arc, m, from));
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
-  ARBODS_DCHECK(!is_inner_);  // inner engines receive pre-routed deposits
   const std::int64_t fanout =
       static_cast<std::int64_t>(offsets_[from + 1] - offsets_[from]);
   if (fanout == 0) return;
+  if (faulty_) {
+    // Encode (and cap-check) once; every fan-out record then draws its
+    // own fault decisions, and the per-arc accounting sums to exactly the
+    // clean broadcast's folded update.
+    const std::size_t w = worker_slot();
+    int bits = 0;
+    const std::size_t need = encode_into_scratch(w, m, from, &bits);
+    for (std::size_t arc = offsets_[from]; arc != offsets_[from + 1]; ++arc)
+      inject_record(w, from, mirror_[arc], need, bits);
+    return;
+  }
   // Encode once into the sender's slot — the CONGEST accounting falls out
   // of the same pass — and fold the statistics for the whole fan-out into
   // one worker-slot update. The cap check runs before the length word is
@@ -334,13 +360,160 @@ void Network::flush_slot(std::size_t w, NodeId from) {
   slot[0] = 0;
 }
 
+void Network::inject_record(std::size_t w, NodeId from, EdgeSlot to_arc,
+                            std::size_t nwords, int bits) {
+  using fault::detail::unit_real;
+  WorkerStats& ws = worker_stats_[w];
+  if (node_dead(from, round_)) {
+    // A crashed node sends nothing; the record never existed on the wire.
+    ++ws.killed;
+    return;
+  }
+  ++ws.messages;
+  ws.total_bits += bits;
+  ws.max_message_bits = std::max(ws.max_message_bits, bits);
+
+  // Per-(arc, round) record index: together with the arc and round it
+  // names this record uniquely, and the arc's tail is its only writer.
+  if (seq_round_[to_arc] != round_) {
+    seq_round_[to_arc] = round_;
+    seq_idx_[to_arc] = 0;
+  }
+  const std::uint32_t seq = seq_idx_[to_arc]++;
+  std::uint64_t h = fault::detail::fault_hash(plan_.seed, to_arc, round_, seq);
+  auto draw = [&h]() {
+    h = mix64(h + 0x9e3779b97f4a7c15ULL);
+    return h;
+  };
+
+  const double p_drop =
+      plan_.arc_drop.empty() ? plan_.drop_prob : plan_.arc_drop[to_arc];
+  if (p_drop > 0.0 && unit_real(draw()) < p_drop) {
+    ++ws.dropped;  // the sender still paid: messages/bits stay counted
+    return;
+  }
+  const double p_dup = plan_.arc_duplicate.empty()
+                           ? plan_.duplicate_prob
+                           : plan_.arc_duplicate[to_arc];
+  const bool duplicate = p_dup > 0.0 && unit_real(draw()) < p_dup;
+  const NodeId receiver = arc_receiver_[to_arc];
+  const std::uint64_t* words = scratch_[w].data();
+
+  const int copies = duplicate ? 2 : 1;
+  for (int c = 0; c < copies; ++c) {
+    int d = 0;
+    if (plan_.delay_prob > 0 && plan_.max_delay_rounds > 0 &&
+        unit_real(draw()) < plan_.delay_prob)
+      d = 1 + static_cast<int>(
+                  draw() % static_cast<std::uint64_t>(plan_.max_delay_rounds));
+    EdgeSlot dest = to_arc;
+    if (plan_.reorder_prob > 0 && unit_real(draw()) < plan_.reorder_prob) {
+      // Divert to a uniformly random in-arc of the SAME receiver: the true
+      // sender id rides inside the record, so only the inbox position
+      // (the sender-sorted arrival order) changes.
+      const std::size_t deg = offsets_[receiver + 1] - offsets_[receiver];
+      dest = static_cast<EdgeSlot>(offsets_[receiver] + draw() % deg);
+    }
+    const std::int64_t arrival = round_ + 1 + d;
+    if (node_dead(receiver, arrival)) {
+      ++ws.killed;  // arrives after the receiver crashed: suppressed
+      continue;
+    }
+    if (c == 1) ++ws.duplicated;
+    if (d > 0) ++ws.delayed;
+    if (d == 0 && dest == to_arc) {
+      // Undisturbed: straight onto this worker's record list, exactly the
+      // clean point-to-point path.
+      append_record(w, to_arc, section_, words, nwords);
+    } else {
+      hold(w, arrival,
+           HeldRec{dest, 0, 0, to_arc, seq, round_,
+                   static_cast<std::uint8_t>(c)},
+           words, nwords);
+    }
+  }
+}
+
+void Network::hold(std::size_t w, std::int64_t arrival, const HeldRec& rec,
+                   const std::uint64_t* words, std::size_t nwords) {
+  HoldWheel& wheel = wheels_[w];
+  HoldBucket& bucket =
+      wheel.ring[static_cast<std::size_t>(arrival) & (wheel.ring.size() - 1)];
+  if (bucket.round != arrival) {
+    // Stale (released or phase-cleared) bucket: recycle. A live collision
+    // is impossible — the ring is wider than the delay bound.
+    ARBODS_DCHECK(bucket.round <= round_);
+    bucket.round = arrival;
+    bucket.words.clear();
+    bucket.recs.clear();
+  }
+  const std::uint32_t b = static_cast<std::uint32_t>(bucket.words.size());
+  bucket.words.insert(bucket.words.end(), words, words + nwords);
+  HeldRec held = rec;
+  held.begin = b;
+  held.end = b + static_cast<std::uint32_t>(nwords);
+  bucket.recs.push_back(held);
+}
+
+void Network::release_held() {
+  // The sort key is unique per record, so the order — and the inbox after
+  // the flip — is a pure function of the algorithm and the plan, whatever
+  // worker held each record.
+  const std::int64_t arrival = round_ + 1;
+  drain_.clear();
+  for (HoldWheel& wheel : wheels_) {
+    HoldBucket& bucket = wheel.ring[static_cast<std::size_t>(arrival) &
+                                    (wheel.ring.size() - 1)];
+    if (bucket.round != arrival) continue;
+    for (const HeldRec& rec : bucket.recs) drain_.push_back({&bucket, &rec});
+  }
+  if (drain_.empty()) return;
+  std::sort(drain_.begin(), drain_.end(),
+            [](const DrainRef& a, const DrainRef& b) {
+              return std::tie(a.rec->dest, a.rec->send_round, a.rec->arc,
+                              a.rec->seq, a.rec->copy) <
+                     std::tie(b.rec->dest, b.rec->send_round, b.rec->arc,
+                              b.rec->seq, b.rec->copy);
+            });
+  ++section_;
+  const std::size_t w = worker_slot();
+  for (const DrainRef& ref : drain_)
+    append_record(w, ref.rec->dest, section_,
+                  ref.bucket->words.data() + ref.rec->begin,
+                  ref.rec->end - ref.rec->begin);
+  drain_.clear();
+  for (HoldWheel& wheel : wheels_) {
+    HoldBucket& bucket = wheel.ring[static_cast<std::size_t>(arrival) &
+                                    (wheel.ring.size() - 1)];
+    if (bucket.round != arrival) continue;
+    wheel.words_highwater = std::max(wheel.words_highwater, bucket.words.size());
+    wheel.recs_highwater = std::max(wheel.recs_highwater, bucket.recs.size());
+    bucket.round = -1;
+    bucket.words.clear();
+    bucket.recs.clear();
+  }
+}
+
+void Network::clear_held() {
+  for (HoldWheel& wheel : wheels_) {
+    for (HoldBucket& bucket : wheel.ring) {
+      wheel.words_highwater =
+          std::max(wheel.words_highwater, bucket.words.size());
+      wheel.recs_highwater = std::max(wheel.recs_highwater, bucket.recs.size());
+      bucket.round = -1;
+      bucket.words.clear();
+      bucket.recs.clear();
+    }
+  }
+  std::fill(seq_round_.begin(), seq_round_.end(), -1);
+}
+
 void Network::arm_at(NodeId v, std::int64_t round) {
-  Network& e = *engine_;
-  ARBODS_DCHECK(v < e.active_mark_.size());
-  ARBODS_CHECK_MSG(round > e.round_,
+  ARBODS_DCHECK(v < active_mark_.size());
+  ARBODS_CHECK_MSG(round > round_,
                    "arm_at(" << v << ", " << round << ") is not in the future"
-                             << " (current round " << e.round_ << ")");
-  e.arm_into(e.calendars_[e.worker_slot()], v, round);
+                             << " (current round " << round_ << ")");
+  arm_into(calendars_[worker_slot()], v, round);
 }
 
 void Network::arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round) {
@@ -370,6 +543,8 @@ void Network::arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round) {
 }
 
 void Network::flip_buffers() {
+  // Held records due next round land behind this round's direct ones.
+  if (faulty_) release_held();
   // The in-slots hold last round's (already consumed) broadcasts; clear
   // exactly the slots that were written, then promote the out-slots.
   clear_slots(in_slots_->get(), slots_in_);
@@ -543,6 +718,53 @@ void Network::clear_in_flight() {
   }
   active_list_.clear();
   active_dirty_ = false;
+  // Undelivered held records die with the phase too (statistics counted
+  // them at send time, exactly as for undelivered direct records).
+  clear_held();
+}
+
+void Network::discard_outgoing() {
+  clear_slots(out_slots_->get(), slots_out_);
+  for (RecordList& list : records_) {
+    list.words.clear();
+    list.recs.clear();
+  }
+}
+
+void Network::for_each_outgoing(
+    FunctionRef<void(EdgeSlot, const MessageView&)> fn) const {
+  // Every list is in nondecreasing section order, so taking the smallest
+  // pending section across the lists, list by list, visits each arc's
+  // records in send order.
+  std::vector<std::size_t> next(records_.size(), 0);
+  for (;;) {
+    std::uint32_t section = std::numeric_limits<std::uint32_t>::max();
+    for (std::size_t w = 0; w < records_.size(); ++w)
+      if (next[w] < records_[w].recs.size())
+        section = std::min(section, records_[w].recs[next[w]].section);
+    if (section == std::numeric_limits<std::uint32_t>::max()) break;
+    for (std::size_t w = 0; w < records_.size(); ++w) {
+      const RecordList& list = records_[w];
+      for (; next[w] < list.recs.size() && list.recs[next[w]].section == section;
+           ++next[w]) {
+        const Record& r = list.recs[next[w]];
+        fn(r.arc, MessageView(list.words.data() + r.offset, &size_model_,
+                              config_.quantize_reals));
+      }
+    }
+  }
+  for (const auto& list : slots_out_) {
+    for (const NodeId u : list) {
+      const std::uint64_t* slot = out_slot(u);
+      for (std::size_t at = 0; at < slot[0];) {
+        const MessageView mv(slot + 1 + at, &size_model_,
+                             config_.quantize_reals);
+        for (std::size_t arc = offsets_[u]; arc != offsets_[u + 1]; ++arc)
+          fn(mirror_[arc], mv);
+        at += mv.words();
+      }
+    }
+  }
 }
 
 void Network::shrink_scratch() {
@@ -561,6 +783,15 @@ void Network::shrink_scratch() {
   maybe_shrink(placed_, records_highwater_);
   maybe_shrink(receivers_, records_highwater_);
   maybe_shrink(inbox_words_, record_words_highwater_);
+  for (HoldWheel& wheel : wheels_) {
+    for (HoldBucket& bucket : wheel.ring) {
+      maybe_shrink(bucket.words, wheel.words_highwater);
+      maybe_shrink(bucket.recs, wheel.recs_highwater);
+    }
+    wheel.words_highwater = 0;
+    wheel.recs_highwater = 0;
+  }
+  maybe_shrink(drain_, 0);
 }
 
 void Network::reduce_stats() {
@@ -588,7 +819,7 @@ void Network::run_index_chunks(
     const char* span_name) {
   ++section_;
   if (!pool_) {
-    obs::ScopedSpan span(tracer_, 0, span_name,
+    obs::ScopedSpan span(tracer_.get(), 0, span_name,
                          static_cast<std::int64_t>(count));
     chunk_fn(0, count);
     ++section_;
@@ -601,7 +832,8 @@ void Network::run_index_chunks(
     const std::size_t end =
         count * (static_cast<std::size_t>(w) + 1) / workers;
     {
-      obs::ScopedSpan span(tracer_, static_cast<std::size_t>(w), span_name,
+      obs::ScopedSpan span(tracer_.get(), static_cast<std::size_t>(w),
+                           span_name,
                            static_cast<std::int64_t>(end - begin));
       chunk_fn(begin, end);
     }
@@ -621,10 +853,9 @@ void Network::reset_for_reuse() {
   record_words_highwater_ = 0;
   armed_highwater_ = 0;
   active_highwater_ = 0;
-  // Drop the previous run's spans (owner only — a shared sink belongs to
-  // the outer decorator, whose own reset clears it) and flight records,
-  // so a post-run snapshot covers exactly the next run.
-  if (tracer_owned_) tracer_owned_->clear();
+  // Drop the previous run's spans and flight records, so a post-run
+  // snapshot covers exactly the next run.
+  if (tracer_ != nullptr) tracer_->clear();
   flight_next_ = 0;
   flight_count_ = 0;
   clear_in_flight();
@@ -772,15 +1003,14 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
 }
 
 std::size_t Network::arena_words() const {
-  const Network& e = *engine_;
   std::size_t record_bytes =
-      e.inbox_words_.capacity() * sizeof(std::uint64_t) +
-      e.inbox_.capacity() * sizeof(InboxView::Entry) +
-      e.placed_.capacity() * sizeof(Placed);
-  for (const RecordList& list : e.records_)
+      inbox_words_.capacity() * sizeof(std::uint64_t) +
+      inbox_.capacity() * sizeof(InboxView::Entry) +
+      placed_.capacity() * sizeof(Placed);
+  for (const RecordList& list : records_)
     record_bytes += list.words.capacity() * sizeof(std::uint64_t) +
                     list.recs.capacity() * sizeof(Record);
-  return e.slot_words_ + record_bytes / (2 * sizeof(std::uint64_t));
+  return slot_words_ + record_bytes / (2 * sizeof(std::uint64_t));
 }
 
 void Network::flight_note_round(const obs::FlightRecord& rec) {

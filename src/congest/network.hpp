@@ -41,9 +41,12 @@
 //     flushes the slot into the record list (one record per out-arc), and
 //     a broadcast that does not fit the slot's free room does the same
 //     flush and then appends its record for every out-arc.
-//   * The decorators' inner engines have no slots (faults and sequence
-//     numbers are per arc): every record reaches them through the same
-//     record lists, and their inbox walks v's run alone.
+//   * A Network running an enabled fault plan (fault/fault_plan.hpp) has
+//     no slots, because faults are per arc: send and broadcast take one
+//     branch into the fault injector, which appends every undisturbed
+//     copy to the calling worker's record list and parks held copies
+//     until the flip of their arrival round. Its inbox walks v's run
+//     alone.
 //   * Each slot and each worker's record list has exactly one writer, so
 //     sends from distinct nodes never race: per-round work is partitioned
 //     across a worker pool (`CongestConfig::threads`) with no locks on the
@@ -72,6 +75,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -84,7 +88,7 @@
 #include "common/types.hpp"
 #include "congest/message.hpp"
 #include "congest/worker_pool.hpp"
-#include "fault/fault_spec.hpp"
+#include "fault/fault_plan.hpp"
 #include "graph/weighted_graph.hpp"
 #include "obs/trace.hpp"
 
@@ -105,10 +109,9 @@ struct CongestConfig {
   /// (default); 0 = std::thread::hardware_concurrency(). Results are
   /// bit-identical for every value.
   int threads = 1;
-  /// Adversarial fault model applied to every message and node. Honored
-  /// by fault::make_network, which wraps the simulator in a
-  /// fault::FaultyNetwork when the spec is enabled(); constructing a
-  /// Network directly ignores it. A default (inert) spec costs nothing.
+  /// Adversarial fault model applied to every message and node. The
+  /// Network constructor elaborates an enabled() spec into a
+  /// fault::FaultPlan and runs it; a default (inert) spec costs nothing.
   fault::FaultSpec fault{};
   /// Hard per-phase round cap applied on top of the caller's max_rounds
   /// (the effective limit is the smaller of the two); 0 = no extra cap.
@@ -124,10 +127,11 @@ struct CongestConfig {
   /// the wrapped algorithm still sees exactly the original cap.
   bool reliable_transport = false;
   /// Observability: span tracing + flight recorder (obs/trace.hpp). The
-  /// outermost Network of a decorator stack owns the recorder; inner
-  /// layers share it, so one run produces one trace. Default-off is free
-  /// on the hot path, and enabling it cannot change results — the timing
-  /// breakdown is excluded from every stats comparison.
+  /// Network driven by the run owns the recorder (a reliable-transport
+  /// staging Network records nothing), so one run produces one trace.
+  /// Default-off is free on the hot path, and enabling it cannot change
+  /// results — the timing breakdown is excluded from every stats
+  /// comparison.
   obs::TraceOptions trace{};
 
   friend bool operator==(const CongestConfig&, const CongestConfig&) = default;
@@ -150,7 +154,7 @@ struct PhaseStats {
   int max_message_bits = 0;
   bool hit_round_limit = false;
   // Fault-injection tallies (always 0 on a clean simulator); see
-  // fault/faulty_network.hpp for exactly what each one counts.
+  // fault/fault_plan.hpp for exactly what each one counts.
   std::int64_t dropped = 0;
   std::int64_t duplicated = 0;
   std::int64_t delayed = 0;
@@ -234,8 +238,8 @@ class DistributedAlgorithm {
 /// Iterable view over the messages delivered to one node this round. It
 /// walks the node's in-arcs in CSR order (ascending sender id) and yields,
 /// for each, the arc's records from the node's run of the inbox list, then
-/// the records in that sender's broadcast slot (standalone engines only;
-/// a slot-less engine walks the run alone). Per-sender send order is
+/// the records in that sender's broadcast slot (a Network running a fault
+/// plan has no slots and walks the run alone). Per-sender send order is
 /// preserved: a slot holds a suffix of its sender's records for the round.
 /// Dereferencing yields MessageView values; they (and the InboxView) are
 /// valid only for the current round.
@@ -363,27 +367,26 @@ class InboxView {
   bool quantized_;
 };
 
-namespace fault {
-class FaultyNetwork;
-}  // namespace fault
-
 namespace resilience {
-class ReliableNetwork;
+class ReliablePhase;
 }  // namespace resilience
 
-/// The round-synchronous simulator. Its two decorators,
-/// fault::FaultyNetwork and resilience::ReliableNetwork, derive from it
-/// and override the handful of virtual seams below (send/broadcast plus
-/// the per-round internals) around a plain inner Network, so
-/// ProtocolRunner, every Phase, and the scenario runner drive them
-/// through the exact same API. inbox/rng/arm_at are not seams: they go
-/// straight to the engine that owns the slots, inbox, RNG streams, and
-/// timer wheels (this Network, or a decorator's inner one), so the
-/// per-node inbox() call costs no virtual dispatch.
+/// The round-synchronous simulator, and the only one: ProtocolRunner,
+/// every Phase and the scenario runner drive this class. Fault injection
+/// is part of its delivery path (an enabled fault::FaultPlan switches
+/// send/broadcast to per-arc records with per-arc fault decisions), and
+/// reliable transport (resilience::ReliablePhase) runs the wrapped
+/// algorithm on a second, clean Network. No member is virtual.
 class Network {
  public:
+  /// Elaborates config.fault (fault::make_fault_plan) when it is
+  /// enabled(); an inert spec builds the clean simulator.
   Network(const WeightedGraph& wg, CongestConfig config = {});
-  virtual ~Network() = default;
+  /// Runs a caller-built fault plan, validated against the graph, in
+  /// place of config.fault. A plan that is not enabled() builds the clean
+  /// simulator.
+  Network(const WeightedGraph& wg, CongestConfig config,
+          fault::FaultPlan plan);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -400,30 +403,42 @@ class Network {
 
   int max_message_bits() const { return max_message_bits_; }
   const MessageSizeModel& size_model() const { return size_model_; }
-  /// The config this Network was constructed with (threads/fault already
-  /// resolved by fault::make_network upstream).
+  /// The config this Network was constructed with.
   const CongestConfig& config() const { return config_; }
+
+  // --- fault model ---
+  /// The fault plan this Network runs (not enabled() on a clean one).
+  const fault::FaultPlan& plan() const { return plan_; }
+  /// True iff v is NOT in the kill schedule. Note the schedule view:
+  /// a node with a future kill round already counts as killed here —
+  /// repair and the surviving-subgraph oracle reason about who survives
+  /// the whole plan, which is a pure function of (graph, spec) and so
+  /// recomputable by any checker without replaying the run.
+  bool alive(NodeId v) const {
+    return kill_round_.empty() ||
+           kill_round_[v] == std::numeric_limits<std::int64_t>::max();
+  }
+  /// The scheduled kill set, sorted ascending (the complement of alive()).
+  std::vector<NodeId> killed_nodes() const;
 
   /// Per-node deterministic RNG stream.
   Rng& rng(NodeId v) {
-    ARBODS_DCHECK(v < engine_->node_rngs_.size());
-    return engine_->node_rngs_[v];
+    ARBODS_DCHECK(v < node_rngs_.size());
+    return node_rngs_[v];
   }
 
   // --- communication (called from within process_round/initialize) ---
-  virtual void send(NodeId from, NodeId to, const Message& m);
-  virtual void broadcast(NodeId from, const Message& m);
+  void send(NodeId from, NodeId to, const Message& m);
+  void broadcast(NodeId from, const Message& m);
 
   /// Messages delivered to v at the start of the current round.
   InboxView inbox(NodeId v) const {
-    const Network& e = *engine_;
-    ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < e.offsets_.size());
-    const Run run = e.runs_[v];
-    return InboxView(e.inbox_words_.data(), e.inbox_.data() + run.begin,
-                     e.inbox_.data() + run.end, e.in_slots_->get(),
-                     e.slot_stride_, neighbors(v).data(), e.offsets_[v],
-                     e.offsets_[v + 1], &e.size_model_,
-                     e.config_.quantize_reals);
+    ARBODS_DCHECK(static_cast<std::size_t>(v) + 1 < offsets_.size());
+    const Run run = runs_[v];
+    return InboxView(inbox_words_.data(), inbox_.data() + run.begin,
+                     inbox_.data() + run.end, in_slots_->get(), slot_stride_,
+                     neighbors(v).data(), offsets_[v], offsets_[v + 1],
+                     &size_model_, config_.quantize_reals);
   }
 
   std::int64_t current_round() const { return round_; }
@@ -512,7 +527,7 @@ class Network {
   /// per-worker scratch, RNG stream storage. A run after reset_for_reuse
   /// is byte-identical to a run on a newly constructed Network over the
   /// same graph/config, minus the construction cost (tested).
-  virtual void reset_for_reuse();
+  void reset_for_reuse();
 
   /// Runs one named phase of a composed protocol on this Network and
   /// appends its PhaseStats to stats().phases, accumulating into the
@@ -531,23 +546,21 @@ class Network {
   /// Delivery storage in 64-bit words per half of the double buffer: one
   /// broadcast-slot arena plus half the capacity of the point-to-point
   /// path (the per-worker record lists on the send side, the inbox list
-  /// on the receive side), so 16 * arena_words() bytes is all of it. A
-  /// decorator reports its inner engine's. Diagnostics/tests only; a
-  /// fresh Network's value is exactly its slot arena.
+  /// on the receive side), so 16 * arena_words() bytes is all of it.
+  /// Diagnostics/tests only; a fresh Network's value is exactly its slot
+  /// arena (none when a fault plan is enabled).
   std::size_t arena_words() const;
 
   // --- observability ---
   /// The span recorder this Network records into, or nullptr when
-  /// tracing is off. Owned by the outermost Network of a decorator stack
-  /// (CongestConfig::trace.enabled) and shared down through the inner
-  /// layers, so one run produces one trace. snapshot() between runs;
-  /// reset_for_reuse clears it, so a post-run snapshot covers exactly
-  /// the last run.
-  obs::TraceRecorder* tracer() const { return tracer_; }
+  /// tracing is off (CongestConfig::trace.enabled). snapshot() between
+  /// runs; reset_for_reuse clears it, so a post-run snapshot covers
+  /// exactly the last run.
+  obs::TraceRecorder* tracer() const { return tracer_.get(); }
 
   /// Accounts wall-clock spent in the reliable-transport receive /
   /// transmit passes into stats().timing (resilience::ReliablePhase
-  /// calls this; the passes run outside the Network's own seams).
+  /// calls this from its process_round).
   void account_retransmit_seconds(double s) {
     stats_.timing.retransmit_seconds += s;
   }
@@ -562,43 +575,23 @@ class Network {
   /// harness calls it when a solver throws CheckError).
   void dump_flight_recorder(std::ostream& os, std::string_view why) const;
 
- protected:
-  /// Tag for the decorator constructor: topology indices, worker pool,
-  /// per-worker encode scratch, and the span recorder only — no slot
-  /// arenas, record lists, RNG streams, timer wheels, or active-set marks
-  /// (those live in the plain inner Network the decorator owns).
-  struct DecoratorInit {};
-  Network(const WeightedGraph& wg, CongestConfig config, DecoratorInit);
-
-  /// Worker slot the calling thread accounts to: the executing worker's
-  /// index inside a run_index_chunks section, 0 outside one.
-  std::size_t worker_slot() const;
-
  private:
-  friend class fault::FaultyNetwork;
-  friend class resilience::ReliableNetwork;
+  /// Reliable transport runs the wrapped algorithm on a standalone
+  /// staging Network outside run_phase. ReliablePhase is the one class
+  /// that reaches past the public API, and only for three private
+  /// members (for_each_outgoing, discard_outgoing, advance_round) plus
+  /// the arc topology (offsets_, mirror_, resolve_arc): keeping them
+  /// private keeps them out of every algorithm's reach.
+  friend class resilience::ReliablePhase;
 
   /// Receiver-side arc index (a position in the CSR adjacency arrays).
   using EdgeSlot = std::uint32_t;
-
-  /// Inner-engine construction for a decorator: the Network owns the
-  /// record lists, inbox, RNG streams, timer wheels, and active-set state
-  /// of every node, but sizes its per-worker scratch for the decorator's
-  /// pool (`workers`), whose threads execute the deposits (pre-routed by
-  /// the decorator). It owns no pool, no span recorder, and no broadcast
-  /// slots (every record reaches it per arc), and is never driven via
-  /// run()/run_phase().
-  /// `workers` == 0 builds a standalone Network instead.
-  struct InnerInit {
-    int workers;
-  };
-  Network(const WeightedGraph& wg, CongestConfig config, InnerInit inner);
 
   struct alignas(64) WorkerStats {
     std::int64_t messages = 0;
     std::int64_t total_bits = 0;
     int max_message_bits = 0;
-    // Fault tallies; only a FaultyNetwork's slots ever see nonzero values.
+    // Fault tallies; nonzero only while a fault plan is enabled.
     std::int64_t dropped = 0;
     std::int64_t duplicated = 0;
     std::int64_t delayed = 0;
@@ -632,23 +625,16 @@ class Network {
     std::uint32_t end = 0;
   };
 
-  // Virtual per-round / per-phase seams: run(), run_phase(), and
-  // reset_for_reuse() are written once against these, and the fault
-  // decorator overrides them to drive its inner engine (inject held
-  // records, flip the inner engine, mirror its active set).
-  virtual void flip_buffers();
-  virtual void clear_in_flight();
-  virtual void reseed_node_rngs();
-  virtual void rebuild_active_set();
-  virtual void shrink_scratch();
-  /// Appends an already-encoded wire record for the receiver-side arc to
-  /// the calling worker's record list, stamped with `section` (the
-  /// decorator's own section index, since its pool runs the sends): the
-  /// path the decorators deliver into their inner engine by.
-  void deposit_wire(EdgeSlot arc, const std::uint64_t* words,
-                    std::size_t nwords, std::uint32_t section) {
-    append_record(worker_slot(), arc, section, words, nwords);
-  }
+  // Per-round and per-phase internals of run(), run_phase() and
+  // reset_for_reuse().
+  void flip_buffers();
+  void clear_in_flight();
+  void reseed_node_rngs();
+  void rebuild_active_set();
+  void shrink_scratch();
+  /// Worker slot the calling thread accounts to: the executing worker's
+  /// index inside a run_index_chunks section, 0 outside one.
+  std::size_t worker_slot() const;
   /// The pool dispatch behind for_nodes/for_active_nodes: partitions
   /// [0, count) into contiguous static chunks (count * w / workers, one
   /// per worker, same assignment at every call), runs chunk_fn(begin,
@@ -692,7 +678,7 @@ class Network {
   /// Encodes m into scratch_[w] (growing it as needed) and cap-checks
   /// before anything is deposited; returns the wire word count and the
   /// accounted bits through *bits. The single encode-side contract shared
-  /// by broadcast and the decorators.
+  /// by an oversized broadcast and the fault injector.
   std::size_t encode_into_scratch(std::size_t w, const Message& m,
                                   NodeId sender, int* bits);
   void check_cap(int bits) const;
@@ -713,21 +699,51 @@ class Network {
   std::uint64_t* out_slot(NodeId v) {
     return out_slots_->get() + static_cast<std::size_t>(v) * slot_stride_;
   }
+  const std::uint64_t* out_slot(NodeId v) const {
+    return out_slots_->get() + static_cast<std::size_t>(v) * slot_stride_;
+  }
   void reduce_stats();
+
+  // --- staging access for resilience::ReliablePhase ---
+  /// Calls fn(arc, record) for every record sent since the last flip, in
+  /// per-arc send order: the record lists first (visited section by
+  /// section — a node's records of one section sit on one worker's list
+  /// in send order), then each broadcaster's out-slot records once per
+  /// out-arc (a slot holds the suffix of its sender's records). `arc` is
+  /// the receiver-side arc. Reads only; views die with the next discard.
+  void for_each_outgoing(
+      FunctionRef<void(EdgeSlot, const MessageView&)> fn) const;
+  /// Forgets every record sent since the last flip (record lists and
+  /// out-slots) without delivering it.
+  void discard_outgoing();
+  /// One round of a Network not driven by run_phase: flip, then advance
+  /// the round counter. Statistics stay unreduced (nobody reads them).
+  void advance_round() {
+    flip_buffers();
+    ++round_;
+  }
+
+  // --- fault injection (only while plan_.enabled()) ---
+  /// Draws the fault decisions of one encoded record (in scratch_[w])
+  /// sent by `from` on receiver-side arc `to_arc`; see fault_plan.hpp.
+  void inject_record(std::size_t w, NodeId from, EdgeSlot to_arc,
+                     std::size_t nwords, int bits);
+  struct HeldRec;
+  void hold(std::size_t w, std::int64_t arrival, const HeldRec& rec,
+            const std::uint64_t* words, std::size_t nwords);
+  /// Appends the held records due next round in their unique order, in a
+  /// section of their own past every direct record of the round.
+  void release_held();
+  void clear_held();
+  bool node_dead(NodeId v, std::int64_t at_round) const {
+    return !kill_round_.empty() && kill_round_[v] <= at_round;
+  }
 
   const WeightedGraph* wg_;
   CongestConfig config_;
   MessageSizeModel size_model_;
   int max_message_bits_ = 0;
   std::int64_t round_ = 0;
-
-  // Whether this Network is a decorator's inner engine (sends then route
-  // through the decorator, never through this object's send/broadcast).
-  bool is_inner_ = false;
-  // The Network owning the slots, inbox, RNG streams, and timer wheels
-  // that inbox/rng/arm_at/arena_words read: this one, or the inner engine
-  // a decorator installs after constructing it.
-  Network* engine_ = this;
 
   // CSR arc offsets (offsets_[v]..offsets_[v+1] are v's incident arcs in
   // receiver order), the out-arc -> receiver-side arc mirror permutation,
@@ -737,8 +753,8 @@ class Network {
   std::vector<NodeId> arc_receiver_;
 
   // Broadcast slots: node v owns the slot_stride_ words at v * slot_stride_
-  // of both arenas (none when slot_stride_ == 0, as in a decorator's inner
-  // engine). Word 0 is the used length, records follow from word 1.
+  // of both arenas (none when slot_stride_ == 0, as under a fault plan).
+  // Word 0 is the used length, records follow from word 1.
   // Double-buffered: the in-slots hold this round's broadcasts, the
   // out-slots collect next round's. Beyond the length words the storage is
   // deliberately *uninitialized* (every wire record fully initializes the
@@ -774,7 +790,7 @@ class Network {
   std::uint32_t section_ = 0;
 
   // Per-worker encode scratch (broadcasts that do not fit their slot's
-  // free room, and the decorators' per-arc records).
+  // free room, and every record under a fault plan).
   std::vector<std::vector<std::uint64_t>> scratch_;
 
   // Active set: nodes receiving messages this round + nodes whose timer
@@ -832,12 +848,9 @@ class Network {
   // separately alongside the per-round reduction).
   int phase_max_message_bits_ = 0;
 
-  // Span recorder (obs/trace.hpp). The outermost Network of a decorator
-  // stack owns one when config.trace.enabled (inner engines never do);
-  // decorators propagate the raw sink down so inner layers record into
-  // the same rings. Null = tracing off.
-  std::unique_ptr<obs::TraceRecorder> tracer_owned_;
-  obs::TraceRecorder* tracer_ = nullptr;
+  // Span recorder (obs/trace.hpp), present when config.trace.enabled.
+  // Null = tracing off.
+  std::unique_ptr<obs::TraceRecorder> tracer_;
 
   // Flight recorder: overwrite ring of the last trace.flight_rounds
   // per-round summaries. Sized once per phase (run_phase), written with
@@ -845,6 +858,53 @@ class Network {
   std::vector<obs::FlightRecord> flight_ring_;
   std::size_t flight_next_ = 0;
   std::size_t flight_count_ = 0;
+
+  // Fault injection. faulty_ == plan_.enabled(); every other member below
+  // is empty on a clean Network.
+  fault::FaultPlan plan_;
+  bool faulty_ = false;
+  // Round each node dies at (INT64_MAX = never), from plan_.kills; empty
+  // when the plan kills nobody.
+  std::vector<std::int64_t> kill_round_;
+  // Per-arc record index within the current round: seq_idx_[arc] counts
+  // records arc has carried in round seq_round_[arc]. Each arc has a
+  // single writer (its tail), so the counters are race-free; the pair
+  // resets lazily per round and fully at phase boundaries.
+  std::vector<std::int64_t> seq_round_;
+  std::vector<std::uint32_t> seq_idx_;
+  /// One disturbed record parked until its arrival round. The sort key
+  /// (dest, send_round, arc, seq, copy) is unique per record — `arc` is
+  /// the origin arc, so two records diverted onto the same arc with
+  /// equal sequence numbers still order deterministically.
+  struct HeldRec {
+    std::uint32_t dest;   // delivery arc (after any diversion)
+    std::uint32_t begin;  // word range in the bucket's `words`
+    std::uint32_t end;
+    std::uint32_t arc;    // origin receiver-side arc
+    std::uint32_t seq;    // per-(arc, round) record index
+    std::int64_t send_round;
+    std::uint8_t copy;    // 0 = original, 1 = duplicate
+  };
+  /// Ring bucket of one worker's holding wheel, keyed by arrival round.
+  /// The ring size exceeds the largest possible delay, so at most one
+  /// live arrival round ever maps to a bucket.
+  struct HoldBucket {
+    std::int64_t round = -1;
+    std::vector<std::uint64_t> words;
+    std::vector<HeldRec> recs;
+  };
+  struct HoldWheel {
+    std::vector<HoldBucket> ring;  // size is a power of two
+    std::size_t words_highwater = 0;
+    std::size_t recs_highwater = 0;
+  };
+  std::vector<HoldWheel> wheels_;
+  // Flip-time release scratch: the records due this arrival round.
+  struct DrainRef {
+    const HoldBucket* bucket;
+    const HeldRec* rec;
+  };
+  std::vector<DrainRef> drain_;
 };
 
 }  // namespace arbods

@@ -1,4 +1,4 @@
-// FaultPlan: the fully elaborated adversary a FaultyNetwork executes.
+// FaultPlan: the fully elaborated adversary a Network executes.
 //
 // A plan is the rich form of a FaultSpec: uniform per-record
 // probabilities plus optional per-arc drop/duplicate overrides (indexed
@@ -8,11 +8,30 @@
 // pure hash of (fault_seed, node) — or a test/bench builds one directly
 // to target specific arcs and nodes.
 //
-// Determinism contract: every decision a FaultyNetwork takes from a plan
-// is a pure hash of (plan.seed, arc, round, record-index) — no RNG state,
+// Execution. A Network built with an enabled() plan has no broadcast
+// slots: send and broadcast encode the record once (CONGEST cap check and
+// bit accounting exactly as on the clean path — the sender paid for the
+// slot even if the adversary eats it), and every per-arc copy then draws
+// its decisions from a pure hash of (plan.seed, receiver-side arc, round,
+// per-arc record index):
+//   * dead sender -> suppressed (`killed`); drop -> discarded (`dropped`);
+//   * duplicate -> a second copy with independent draws (`duplicated`);
+//   * bounded delay d in [1, max_delay_rounds] (`delayed`);
+//   * reorder -> diverted to a uniformly random in-arc of the same
+//     receiver (the record keeps its true sender id, so only its inbox
+//     position — the sender-sorted arrival order — changes);
+//   * a copy arriving at a receiver dead by then -> suppressed (`killed`).
+// An undisturbed copy (d == 0, original arc) goes straight onto the
+// calling worker's record list, the clean point-to-point path. Disturbed
+// copies park in the worker's holding wheel and are appended at the flip
+// of their arrival round, sorted by (arc, send round, origin arc, record
+// index, copy) — a unique total order — in a section of their own, so
+// they land behind the round's direct records on their arc.
+//
+// Determinism contract: every decision is a pure hash — no RNG state,
 // no iteration order — so a fixed plan produces bit-identical results,
 // delivery traces, and fault counters at every worker-pool width
-// (tested in tests/fault_test.cpp).
+// (tested in tests/fault_test.cpp against every registry solver).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +65,7 @@ struct FaultPlan {
   double reorder_prob = 0.0;
   /// Per-arc overrides, indexed by receiver-side CSR arc; empty = use the
   /// uniform probability for every arc. When non-empty the size must be
-  /// the arc count (2m) of the graph the FaultyNetwork runs on.
+  /// the arc count (2m) of the graph the Network runs on.
   std::vector<double> arc_drop;
   std::vector<double> arc_duplicate;
   /// Explicit kill schedule (a node listed twice dies at the earlier
@@ -79,7 +98,7 @@ std::string fault_label(const FaultSpec& spec);
 
 /// Survivor mask of the kill schedule `spec` induces on `g`: mask[v] is
 /// nonzero iff v is never killed. A pure function of (g, spec) — the
-/// same schedule a FaultyNetwork over that pair samples — so the
+/// same schedule a Network over that pair samples — so the
 /// surviving-subgraph oracle can recompute who survives without
 /// replaying the run.
 std::vector<std::uint8_t> alive_mask(const Graph& g, const FaultSpec& spec);
@@ -88,7 +107,7 @@ namespace detail {
 
 /// Base hash of one record's fault decisions: a mix64 chain over
 /// (seed, arc, round, record-index). Successive draws for the same
-/// record re-mix the running value (see FaultyNetwork::inject_record).
+/// record re-mix the running value (see Network::inject_record).
 inline std::uint64_t fault_hash(std::uint64_t seed, std::uint64_t arc,
                                 std::int64_t round, std::uint32_t index) {
   std::uint64_t h = mix64(seed ^ 0x9e3779b97f4a7c15ULL);

@@ -1,9 +1,9 @@
 // FaultSpec: the configuration-level description of an adversarial fault
 // model, embedded in CongestConfig so every harness layer (registry,
 // scenario runner, bench binaries) can request a faulty run without new
-// plumbing. A default-constructed spec is inert: fault::make_network
-// returns the ordinary simulator for it, and a FaultyNetwork built over
-// an all-zero spec is bit-identical to running without the decorator.
+// plumbing. A default-constructed spec is inert: the Network constructor
+// elaborates only an enabled() spec, so an inert one builds the clean
+// simulator at zero cost.
 //
 // The spec is deliberately a flat value type (no vectors) so
 // CongestConfig keeps its defaulted operator== — NetworkPool keys pooled
@@ -44,8 +44,8 @@ struct FaultSpec {
   /// draws and vice versa.
   std::uint64_t fault_seed = 0xfa17'5eedULL;
 
-  /// Whether this spec asks for any fault at all (the make_network
-  /// dispatch test: false = no decorator, zero overhead).
+  /// Whether this spec asks for any fault at all (false = the Network
+  /// builds no fault plan and runs the clean delivery path).
   bool enabled() const {
     return drop_prob > 0.0 || duplicate_prob > 0.0 ||
            (delay_prob > 0.0 && max_delay_rounds > 0) || reorder_prob > 0.0 ||

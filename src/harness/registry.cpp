@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "core/solvers.hpp"
 #include "graph/stats.hpp"
-#include "fault/faulty_network.hpp"
 #include "resilience/repair.hpp"
 
 namespace arbods::harness {
@@ -301,8 +300,8 @@ MdsResult run_solver(std::string_view name, const WeightedGraph& wg,
   }
   CongestConfig cfg = config;
   if (params.threads >= 0) cfg.threads = params.threads;
-  const std::unique_ptr<Network> net = fault::make_network(wg, cfg);
-  return info.run_on(*net, params);
+  Network net(wg, cfg);
+  return info.run_on(net, params);
 }
 
 MdsResult run_solver_on(std::string_view name, Network& net,

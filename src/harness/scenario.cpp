@@ -4,13 +4,13 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <numeric>
 #include <ostream>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
-#include "fault/faulty_network.hpp"
 #include "harness/oracle.hpp"
 
 namespace arbods::harness {
@@ -19,7 +19,7 @@ Network& NetworkPool::acquire(const WeightedGraph& wg,
                               const CongestConfig& config) {
   for (Entry& e : entries_)
     if (e.wg == &wg && e.config == config) return *e.net;
-  entries_.push_back(Entry{&wg, config, fault::make_network(wg, config)});
+  entries_.push_back(Entry{&wg, config, std::make_unique<Network>(wg, config)});
   ++constructed_;
   return *entries_.back().net;
 }

@@ -125,9 +125,8 @@ struct ScenarioRow {
 
 /// Pools Networks keyed by (graph, config): every run that shares the
 /// pool reuses one Network per key, constructed once and reset between
-/// runs (a faulty config pools a FaultyNetwork — the caller only ever
-/// sees the Network surface). The construction count is exposed so tests
-/// can check the reuse.
+/// runs (a faulty config pools a Network running that fault plan). The
+/// construction count is exposed so tests can check the reuse.
 class NetworkPool {
  public:
   Network& acquire(const WeightedGraph& wg, const CongestConfig& config);

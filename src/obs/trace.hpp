@@ -9,12 +9,12 @@
 //
 //   * TraceRecorder — per-worker, cache-line-padded event ring buffers
 //     (fixed capacity, zero steady-state allocation, monotonic-clock
-//     begin/end records). Created by the outermost Network when
-//     CongestConfig::trace.enabled; decorator inners share the owner's
-//     recorder through a sink pointer, so one run = one recorder no
-//     matter how deep the FaultyNetwork/ReliableNetwork stack is. A full
-//     ring overwrites its oldest events (flight-recorder semantics), so
-//     a long run keeps the most recent window instead of allocating.
+//     begin/end records). Created by the Network a run drives when
+//     CongestConfig::trace.enabled — faulty or clean, it is the one
+//     simulator class, and a reliable-transport staging Network records
+//     nothing — so one run = one recorder. A full ring overwrites its
+//     oldest events (flight-recorder semantics), so a long run keeps the
+//     most recent window instead of allocating.
 //   * TimingStats — the compute/flip/retransmit seconds breakdown
 //     carried alongside RunStats/PhaseStats. Deliberately EXCLUDED from
 //     their operator==: the determinism and differential suites compare

@@ -10,7 +10,7 @@ RunStats ProtocolRunner::run(std::span<Phase* const> phases,
   ctx_.clear();
   // With reliable_transport set, every phase runs behind the
   // reliable-delivery adapter: the wrapped phase executes on a clean
-  // virtual network while ReliablePhase speaks the seq/ack/retransmit
+  // staging Network while ReliablePhase speaks the seq/ack/retransmit
   // protocol on this (possibly faulty) one. Solvers opt in through
   // config alone — no phase list changes anywhere.
   const bool rel = net_->config().reliable_transport;

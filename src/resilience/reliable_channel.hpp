@@ -1,35 +1,34 @@
-// ReliableChannel: exactly-once, sender-ordered delivery over a faulty
+// ReliablePhase: exactly-once, sender-ordered delivery over a faulty
 // CONGEST simulator, packaged as a Phase adapter.
 //
-// The problem: a FaultyNetwork drops, duplicates, delays, and reorders
-// records, so a registry solver run on one either diverges or starves.
-// The classic fix (sequence numbers + cumulative acknowledgments +
-// bounded retransmission, as in accountable-delivery designs) turns the
-// lossy channel back into the reliable one the paper's protocols assume
-// — at the price of extra physical rounds and transport traffic.
+// The problem: a Network running a fault plan drops, duplicates, delays,
+// and reorders records, so a registry solver run on one either diverges
+// or starves. The classic fix (sequence numbers + cumulative
+// acknowledgments + bounded retransmission, as in accountable-delivery
+// designs) turns the lossy channel back into the reliable one the
+// paper's protocols assume — at the price of extra physical rounds and
+// transport traffic.
 //
-// Architecture — two cooperating objects per wrapped phase:
+// Architecture: `reliable(phase)` is driven by the OUTER (physical,
+// possibly faulty) network and runs the wrapped phase on a private
+// *staging* Network — a plain clean Network over the same graph, built
+// with the original message cap and the outer pool width — whose inbox
+// holds exactly the messages of the current VIRTUAL round. The staging
+// Network exposes the virtual round counter, so the algorithm's
+// observable world is bit-identical to a clean run.
 //
-//   * ReliableNetwork: the *virtual* network the wrapped algorithm runs
-//     on. It derives from Network through the virtual seams (like
-//     FaultyNetwork) and owns a private *staging* engine — a plain
-//     Network built in inner mode over every node — whose inbox holds
-//     exactly the messages of the current VIRTUAL round. The algorithm's
-//     sends are captured into per-out-arc unit queues instead of hitting
-//     the wire; inbox/rng/arm read the staging engine directly. The
-//     virtual network enforces the ORIGINAL message cap and exposes the
-//     original round counter, so the algorithm's observable world is
-//     bit-identical to a clean run.
-//
-//   * ReliablePhase: the Phase wrapper (`reliable(phase)`) driven by the
-//     OUTER (physical, possibly faulty) network. Each physical round it
-//     (1) receives transport frames from the outer inbox — dedup by
-//     per-arc sequence number, buffer out-of-order arrivals, apply
-//     cumulative acks; (2) when every arc has closed the next virtual
-//     round (seen its end-of-round MARKER in order), deposits that
-//     round's payloads into the staging engine in canonical per-arc seq
-//     order, flips it, and runs the wrapped algorithm's next
-//     process_round; (3) transmits due units — DATA frames carrying
+//   * Capture: after the wrapped initialize / process_round, the staging
+//     Network's outgoing records are read in per-arc send order (record
+//     lists, then broadcast slots), turned into per-arc transport units,
+//     and discarded; an end-of-round MARKER then closes the virtual round
+//     on every arc.
+//   * Each physical round (1) receives transport frames from the outer
+//     inbox — dedup by per-arc sequence number, buffer out-of-order
+//     arrivals, apply cumulative acks; (2) when every arc has closed the
+//     next virtual round (seen its MARKER in order), sends that round's
+//     payloads into the staging Network in per-arc seq order from the
+//     receiving node's worker, flips it, and runs the wrapped algorithm's
+//     next process_round; (3) transmits due units — DATA frames carrying
 //     (seq, piggybacked cumulative ack, marker flag, payload fields) —
 //     plus standalone ACK frames where a delivery consumed something but
 //     no reverse DATA is flying.
@@ -43,8 +42,7 @@
 //
 // (an RTT guard of 2 rounds, bounded exponential growth, deterministic
 // jitter) — no RNG state anywhere in the transport, so a run is
-// bit-identical at every worker-pool width, and composes with
-// FaultyNetwork unchanged.
+// bit-identical at every worker-pool width over any fault plan.
 //
 // Determinism contract (tested in tests/resilience_test.cpp): for every
 // registry solver, `reliable(phase)` over a drop/duplicate/reorder/delay
@@ -67,33 +65,30 @@
 
 namespace arbods::resilience {
 
-class ReliablePhase;
-
 /// Deterministic retransmission schedule: rounds to wait before attempt
 /// `attempt`+1 of unit `seq` on receiver-side arc `arc`. Pure function,
 /// exposed for tests.
 std::int64_t retransmit_gap(std::uint32_t arc, std::uint32_t seq,
                             std::uint8_t attempt);
 
-/// The virtual network a reliable()-wrapped algorithm runs on. Public
-/// surface is the unchanged Network API; construction is per wrapped
-/// phase (ReliablePhase::initialize builds one over the outer network).
-class ReliableNetwork final : public Network {
+/// Phase adapter: wraps `inner` so it runs with exactly-once,
+/// sender-ordered delivery on any (possibly faulty) Network. Appears in
+/// per-phase statistics as "<inner>+rel". ProtocolRunner applies it
+/// automatically when CongestConfig::reliable_transport is set.
+class ReliablePhase final : public protocol::Phase {
  public:
-  explicit ReliableNetwork(const Network& outer);
-  ~ReliableNetwork() override;
+  explicit ReliablePhase(protocol::Phase& inner);
+  ~ReliablePhase() override;
 
-  // --- Network seams the wrapped algorithm drives ---
-  void send(NodeId from, NodeId to, const Message& m) override;
-  void broadcast(NodeId from, const Message& m) override;
-  void reset_for_reuse() override;
+  std::string_view name() const override { return name_; }
+  void bind(protocol::PhaseContext& ctx) override { inner_->bind(ctx); }
+  void publish(Network& net, protocol::PhaseContext& ctx) override;
 
-  /// Virtual rounds fully delivered to the wrapped algorithm so far.
-  std::int64_t delivered_rounds() const { return delivered_; }
+  void initialize(Network& outer) override;
+  void process_round(Network& outer) override;
+  bool finished(const Network& outer) const override;
 
  private:
-  friend class ReliablePhase;
-
   /// One captured send (or round marker) awaiting reliable delivery.
   struct OutUnit {
     Message msg;             // empty for a marker
@@ -131,29 +126,17 @@ class ReliableNetwork final : public Network {
     bool ack_due = false;
   };
 
-  // Seam overrides (the virtual network is never driven through
-  // run()/run_phase(); these keep incidental calls well-defined by
-  // delegating to the staging engine, FaultyNetwork-style).
-  void flip_buffers() override;
-  void clear_in_flight() override;
-  void reseed_node_rngs() override;
-  void rebuild_active_set() override;
-  void shrink_scratch() override;
-
-  /// Capture one algorithm send (or marker) on receiver-side arc glane.
-  void enqueue_unit(std::uint32_t glane, const Message& m, bool marker);
-  /// Appends the end-of-round marker on every arc (one per out-arc per
-  /// virtual round; the frame contract receivers count rounds by).
-  void close_virtual_round();
-  /// True when every arc has closed virtual round delivered_rounds()
-  /// (recomputed by the last receive_pass).
+  /// Turns the staging Network's outgoing records into units, discards
+  /// them, and closes the virtual round with a marker on every arc.
+  void capture_round();
+  /// Appends one unit (or marker) to receiver-side arc `arc`'s queue.
+  void enqueue_unit(std::uint32_t arc, const Message& m, bool marker);
+  /// True when every arc has closed virtual round delivered_ (recomputed
+  /// by the last receive_pass).
   bool virtual_round_complete() const;
-  /// Deposits the completed virtual round's payloads into the staging
-  /// engine in canonical per-arc seq order and flips it.
+  /// Sends the completed virtual round's payloads into the staging
+  /// Network in per-arc seq order and flips it.
   void deliver_and_flip();
-  /// Drops every captured-but-undelivered unit (wrapped phase finished;
-  /// whatever is still in flight dies with the phase).
-  void abandon_outstanding();
 
   /// Physical receive: consume the outer inbox — dedup, reorder-buffer,
   /// acks, marker counting. Also recounts ready arcs for
@@ -164,8 +147,11 @@ class ReliableNetwork final : public Network {
 
   void receive_frame(NodeId v, const MessageView& mv);
   void transmit_unit(Network& outer, NodeId sender, NodeId receiver,
-                     std::uint32_t glane, std::uint32_t seq, OutUnit& unit);
+                     std::uint32_t arc, std::uint32_t seq, OutUnit& unit);
 
+  protocol::Phase* inner_;
+  std::string name_;
+  /// The wrapped phase's world, rebuilt by every initialize.
   std::unique_ptr<Network> staging_;
   std::vector<OutArc> out_;
   std::vector<InArc> in_;
@@ -173,31 +159,9 @@ class ReliableNetwork final : public Network {
   /// delivered_ (reduced against the arc count by
   /// virtual_round_complete()).
   std::vector<WorkerCounter> ready_arcs_;
+  /// Virtual rounds fully delivered to the wrapped algorithm so far.
   std::int64_t delivered_ = 0;
   std::int64_t seq_limit_ = 0;  // 2^level_bits, the transport seq ceiling
-};
-
-/// Phase adapter: wraps `inner` so it runs with exactly-once,
-/// sender-ordered delivery on any (possibly faulty) Network. Appears in
-/// per-phase statistics as "<inner>+rel". ProtocolRunner applies it
-/// automatically when CongestConfig::reliable_transport is set.
-class ReliablePhase final : public protocol::Phase {
- public:
-  explicit ReliablePhase(protocol::Phase& inner);
-  ~ReliablePhase() override;
-
-  std::string_view name() const override { return name_; }
-  void bind(protocol::PhaseContext& ctx) override { inner_->bind(ctx); }
-  void publish(Network& net, protocol::PhaseContext& ctx) override;
-
-  void initialize(Network& outer) override;
-  void process_round(Network& outer) override;
-  bool finished(const Network& outer) const override;
-
- private:
-  protocol::Phase* inner_;
-  std::string name_;
-  std::unique_ptr<ReliableNetwork> vnet_;
   bool inner_finished_ = false;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "fault/faulty_network.hpp"
 
 namespace arbods::resilience {
 
@@ -19,7 +18,7 @@ constexpr int kTagJoined = 5;     // "I just joined the set"
 
 /// The 5-round protocol described in the header. Every per-node stage
 /// guards on alive_[v]: dead nodes are silent and deaf, matching the
-/// crash-stop suppression a FaultyNetwork applies on the wire.
+/// crash-stop suppression a faulty Network applies on the wire.
 class RepairAlgorithm final : public DistributedAlgorithm {
  public:
   RepairAlgorithm(NodeId n, const NodeSet& base_set,
@@ -140,9 +139,7 @@ class RepairAlgorithm final : public DistributedAlgorithm {
 RepairOutcome run_repair(Network& net, const NodeSet& base_set) {
   const NodeId n = net.num_nodes();
   std::vector<std::uint8_t> alive(n, 1);
-  if (const auto* faulty = dynamic_cast<const fault::FaultyNetwork*>(&net)) {
-    for (NodeId v = 0; v < n; ++v) alive[v] = faulty->alive(v) ? 1 : 0;
-  }
+  for (NodeId v = 0; v < n; ++v) alive[v] = net.alive(v) ? 1 : 0;
   for (const NodeId v : base_set)
     ARBODS_CHECK_MSG(v < n, "repair: base set contains node " << v
                                 << " of an " << n << "-node graph");

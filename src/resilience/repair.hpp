@@ -45,10 +45,10 @@ struct RepairOutcome {
   std::int64_t repaired_nodes = 0;
 };
 
-/// Runs the repair protocol on `net` starting from `base_set`. When
-/// `net` is (or wraps) a fault::FaultyNetwork, the kill schedule defines
-/// the surviving subgraph; on a clean network everyone survives and the
-/// pass is a (cheap) no-op election. Appends one "repair" entry to
+/// Runs the repair protocol on `net` starting from `base_set`. The kill
+/// schedule of net's fault plan (Network::alive) defines the surviving
+/// subgraph; on a clean network everyone survives and the pass is a
+/// (cheap) no-op election. Appends one "repair" entry to
 /// net.stats().phases.
 RepairOutcome run_repair(Network& net, const NodeSet& base_set);
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,12 @@
 
 namespace arbods {
 namespace {
+
+// One simulator class with one delivery path: fault injection is a branch
+// of send/broadcast and reliable transport drives a second Network, so
+// nothing may reintroduce a virtual seam (and a per-call dispatch).
+static_assert(!std::is_polymorphic_v<Network>,
+              "Network must have no virtual member");
 
 // ---------------------------------------------------------------- messages
 

@@ -1,10 +1,10 @@
 // Fault-injection engine: semantics of each fault class (drop, duplicate,
 // delay, reorder, kill) on a hand-built probe protocol, the determinism
 // contract for faulty runs (bit-identical across worker-pool widths for
-// every registry solver), zero-fault transparency
-// (decorated == undecorated, bit for bit), round-limit termination under
-// total message loss, per-phase fault-counter consistency, and the
-// scenario runner's fault axis / schema-v4 JSON fields.
+// every registry solver), zero-fault transparency (a plan that fires
+// nothing == no plan, bit for bit), round-limit termination under total
+// message loss, per-phase fault-counter consistency, and the scenario
+// runner's fault axis / schema-v4 JSON fields.
 //
 // The wide width honors ARBODS_TEST_THREADS (CI: 8) like the clean
 // determinism suite; widths 3 and 4 always run besides it.
@@ -138,7 +138,7 @@ TEST(FaultyNetwork, DropProbabilityOneDeliversNothing) {
   const auto wg = WeightedGraph::uniform(gen::cycle(6));
   FaultPlan plan;
   plan.drop_prob = 1.0;
-  FaultyNetwork net(wg, {}, plan);
+  Network net(wg, {}, plan);
   FloodProbe probe(3);
   const RunStats stats = net.run(probe, 10);
   EXPECT_EQ(total_received(probe), 0);
@@ -153,7 +153,7 @@ TEST(FaultyNetwork, DuplicateProbabilityOneDeliversEveryRecordTwice) {
   const auto wg = WeightedGraph::uniform(gen::cycle(6));
   FaultPlan plan;
   plan.duplicate_prob = 1.0;
-  FaultyNetwork net(wg, {}, plan);
+  Network net(wg, {}, plan);
   FloodProbe probe(2);
   const RunStats stats = net.run(probe, 10);
   EXPECT_EQ(stats.messages, 12);
@@ -172,7 +172,7 @@ TEST(FaultyNetwork, DelayedRecordsArriveWithinTheBound) {
   FaultPlan plan;
   plan.delay_prob = 1.0;
   plan.max_delay_rounds = 3;
-  FaultyNetwork net(wg, {}, plan);
+  Network net(wg, {}, plan);
   FloodProbe probe(5);
   const RunStats stats = net.run(probe, 10);
   EXPECT_EQ(stats.delayed, 12);
@@ -193,7 +193,7 @@ TEST(FaultyNetwork, ReorderKeepsEveryInboxMultisetIntact) {
   const NodeId n = wg.num_nodes();
   FaultPlan plan;
   plan.reorder_prob = 1.0;
-  FaultyNetwork net(wg, {}, plan);
+  Network net(wg, {}, plan);
   FloodProbe probe(2);
   const RunStats stats = net.run(probe, 10);
   EXPECT_EQ(stats.messages,
@@ -219,7 +219,7 @@ TEST(FaultyNetwork, KilledNodeNeitherSendsNorReceives) {
   const auto wg = WeightedGraph::uniform(gen::cycle(6));
   FaultPlan plan;
   plan.kills = {{0, 1}};  // node 0 dies at round 1
-  FaultyNetwork net(wg, {}, plan);
+  Network net(wg, {}, plan);
   FloodProbe probe(3, /*resend_round1=*/true);
   const RunStats stats = net.run(probe, 10);
   // Round-0 broadcasts: node 0's own sends leave before the kill, but the
@@ -254,7 +254,7 @@ TEST(FaultPlan, MakeFaultPlanSamplesKillsAndValidates) {
   EXPECT_THROW(make_fault_plan(g, bad), CheckError);
   FaultPlan misfit;
   misfit.arc_drop.assign(3, 0.5);  // cycle(64) has 128 arcs
-  EXPECT_THROW(FaultyNetwork(WeightedGraph::uniform(g), {}, misfit),
+  EXPECT_THROW(Network(WeightedGraph::uniform(g), {}, misfit),
                CheckError);
 }
 
@@ -267,17 +267,51 @@ TEST(FaultPlan, FaultLabelSummarizesTheSpec) {
   EXPECT_EQ(fault_label(spec), "drop=0.1,delay=0.2x4");
 }
 
+// Fault injection is a branch of Network chosen by the plan: an inert
+// spec, or a plan that is not enabled, keeps the clean delivery path
+// with its broadcast slots; an enabled plan sends every record per arc
+// and decides its faults per arc.
 TEST(FaultyNetwork, MakeNetworkDispatchesOnTheSpec) {
   const auto wg = WeightedGraph::uniform(gen::cycle(8));
   CongestConfig cfg;
-  EXPECT_EQ(dynamic_cast<FaultyNetwork*>(make_network(wg, cfg).get()),
-            nullptr);
-  cfg.fault.drop_prob = 0.1;
-  EXPECT_NE(dynamic_cast<FaultyNetwork*>(make_network(wg, cfg).get()),
-            nullptr);
+  const Network clean(wg, cfg);
+  ASSERT_GT(clean.arena_words(), 0u);
+  EXPECT_FALSE(make_network(wg, cfg)->plan().enabled());
+  EXPECT_EQ(make_network(wg, cfg)->arena_words(), clean.arena_words());
+  EXPECT_EQ(Network(wg, cfg, FaultPlan{}).arena_words(), clean.arena_words());
+  CongestConfig lossy = cfg;
+  lossy.fault.drop_prob = 0.1;
+  EXPECT_TRUE(make_network(wg, lossy)->plan().enabled());
+  EXPECT_EQ(make_network(wg, lossy)->arena_words(), 0u);
+
+  // Node 0's in-arcs are 0 (from node 1) and 1 (from node 7): drop every
+  // record on the first, duplicate every record on the second.
+  FaultPlan plan;
+  plan.arc_drop.assign(16, 0.0);
+  plan.arc_drop[0] = 1.0;
+  plan.arc_duplicate.assign(16, 0.0);
+  plan.arc_duplicate[1] = 1.0;
+  Network net(wg, cfg, plan);
+  EXPECT_EQ(net.arena_words(), 0u);  // faults are per arc: no slots
+  FloodProbe probe(1);
+  const RunStats stats = net.run(probe, 10);
+  EXPECT_EQ(stats.messages, 16);
+  EXPECT_EQ(stats.dropped, 1);
+  EXPECT_EQ(stats.duplicated, 1);
+  EXPECT_EQ(probe.received_[1][0], (std::pair<int, std::int64_t>{2, 14}));
+  for (NodeId v = 1; v < 8; ++v)
+    EXPECT_EQ(probe.received_[1][v].first, 2) << "node " << v;
 }
 
 // ------------------------------------------------------- transparency
+
+// An enabled plan whose one event never fires within a test run: it
+// takes the per-arc fault path (no broadcast slots) and disturbs nothing.
+FaultPlan never_firing_plan() {
+  FaultPlan plan;
+  plan.kills = {{0, std::int64_t{1} << 40}};
+  return plan;
+}
 
 TEST(FaultyNetwork, ZeroFaultPlanIsBitIdenticalToUndecorated) {
   const auto corpus = harness::small_corpus(11);
@@ -293,26 +327,31 @@ TEST(FaultyNetwork, ZeroFaultPlanIsBitIdenticalToUndecorated) {
       CongestConfig cfg;
       cfg.seed = 0xc1ea50ULL;
       Network clean(inst.wg, cfg);
-      const MdsResult undecorated = info.run_on(clean, params);
+      const MdsResult reference = info.run_on(clean, params);
 
-      FaultyNetwork faulty(inst.wg, cfg, FaultPlan{});
-      const MdsResult decorated = info.run_on(faulty, params);
+      // The zero plan keeps the clean path; the never-firing plan runs
+      // every record through the fault injector.
+      for (const FaultPlan& plan : {FaultPlan{}, never_firing_plan()}) {
+        Network faulty(inst.wg, cfg, plan);
+        const MdsResult planned = info.run_on(faulty, params);
 
-      EXPECT_TRUE(results_identical(undecorated, decorated))
-          << name << " on " << inst.name;
-      EXPECT_EQ(decorated.stats.dropped, 0);
-      EXPECT_EQ(decorated.stats.duplicated, 0);
-      EXPECT_EQ(decorated.stats.delayed, 0);
-      EXPECT_EQ(decorated.stats.killed, 0);
+        EXPECT_TRUE(results_identical(reference, planned))
+            << name << " on " << inst.name
+            << " (plan enabled: " << plan.enabled() << ")";
+        EXPECT_EQ(planned.stats.dropped, 0);
+        EXPECT_EQ(planned.stats.duplicated, 0);
+        EXPECT_EQ(planned.stats.delayed, 0);
+        EXPECT_EQ(planned.stats.killed, 0);
+      }
     }
   }
 }
 
-// A zero plan sends every record down the direct path, so a node that
-// sends on one arc from two parallel sections of one round must keep its
-// send order there too. Node 0 is the only active node in round 1: the
-// one-node for_active_nodes dispatch runs it on the last worker, the
-// for_nodes dispatch that follows runs it on worker 0.
+// A plan that fires nothing sends every record down the direct path, so
+// a node that sends on one arc from two parallel sections of one round
+// must keep its send order there too. Node 0 is the only active node in
+// round 1: the one-node for_active_nodes dispatch runs it on the last
+// worker, the for_nodes dispatch that follows runs it on worker 0.
 TEST(FaultyNetwork, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
   class TwoSectionSender final : public DistributedAlgorithm {
    public:
@@ -341,7 +380,7 @@ TEST(FaultyNetwork, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
   for (const int threads : {1, 3, 4}) {
     CongestConfig cfg;
     cfg.threads = threads;
-    FaultyNetwork net(wg, cfg, FaultPlan{});
+    Network net(wg, cfg, never_firing_plan());
     TwoSectionSender algo;
     net.run(algo, 5);
     EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
@@ -364,8 +403,8 @@ Outcome run_outcome(const harness::SolverInfo& info,
   cfg.threads = threads;
   Outcome out;
   try {
-    const std::unique_ptr<Network> net = make_network(inst.wg, cfg);
-    out.result = info.run_on(*net, params);
+    Network net(inst.wg, cfg);
+    out.result = info.run_on(net, params);
   } catch (const CheckError& e) {
     out.error = e.what();
   }
@@ -429,7 +468,7 @@ TEST(FaultyNetwork, TotalLossTerminatesViaTheRoundLimit) {
   CongestConfig cfg;
   cfg.fault.drop_prob = 1.0;
   cfg.round_limit = 25;
-  FaultyNetwork net(wg, cfg);
+  Network net(wg, cfg);
   WaitForEcho starved;
   const RunStats stats = net.run(starved, 1'000'000);
   EXPECT_TRUE(stats.hit_round_limit);
@@ -446,14 +485,14 @@ TEST(FaultyNetwork, TotalLossTerminatesViaTheRoundLimit) {
     if (!harness::solver_applicable(info, inst)) continue;
     harness::SolverParams params = harness::params_for(info, inst);
     params.threads = -1;
-    const std::unique_ptr<Network> solver_net = make_network(inst.wg, cfg);
+    Network solver_net(inst.wg, cfg);
     try {
-      const MdsResult res = info.run_on(*solver_net, params);
+      const MdsResult res = info.run_on(solver_net, params);
       ASSERT_FALSE(res.stats.phases.empty()) << info.name;
       for (const PhaseStats& phase : res.stats.phases)
         EXPECT_LE(phase.rounds, 25) << info.name << " phase " << phase.name;
     } catch (const CheckError&) {
-      for (const PhaseStats& phase : solver_net->stats().phases)
+      for (const PhaseStats& phase : solver_net.stats().phases)
         EXPECT_LE(phase.rounds, 25) << info.name << " phase " << phase.name;
     }
   }
@@ -466,8 +505,8 @@ TEST(FaultyNetwork, FaultCountersSumConsistentlyAcrossPhases) {
   harness::SolverParams params = harness::params_for(info, inst);
   params.threads = -1;
   const CongestConfig cfg = faulty_config();
-  const std::unique_ptr<Network> net = make_network(inst.wg, cfg);
-  const MdsResult res = info.run_on(*net, params);
+  Network net(inst.wg, cfg);
+  const MdsResult res = info.run_on(net, params);
   std::int64_t dropped = 0, duplicated = 0, delayed = 0, killed = 0;
   for (const PhaseStats& phase : res.stats.phases) {
     dropped += phase.dropped;

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -22,7 +21,6 @@
 #include "arboricity/pseudoarboricity.hpp"
 #include "common/check.hpp"
 #include "common/random.hpp"
-#include "fault/faulty_network.hpp"
 #include "gen/arboricity_families.hpp"
 #include "gen/classic.hpp"
 #include "gen/random_graphs.hpp"
@@ -554,15 +552,14 @@ void expect_fault_row(const GoldenInstance& inst, const SolverInfo& info,
         std::string_view(mode_name(mode)) == g.mode)
       want = &g;
   for (const int threads : {1, 4}) {
-    const std::unique_ptr<Network> net =
-        fault::make_network(inst.wg, fault_config(mode, threads));
+    Network net(inst.wg, fault_config(mode, threads));
     bool failed = false;
     MdsResult r;
     try {
-      r = info.run_on(*net, params);
+      r = info.run_on(net, params);
     } catch (const CheckError&) {
       failed = true;
-      r.stats = net->stats();
+      r.stats = net.stats();
     }
     const std::string got =
         as_fault_row(inst.name.c_str(), std::string(info.name).c_str(),

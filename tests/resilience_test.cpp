@@ -14,19 +14,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "fault/fault_plan.hpp"
-#include "fault/faulty_network.hpp"
 #include "gen/classic.hpp"
 #include "harness/corpus.hpp"
 #include "harness/oracle.hpp"
 #include "harness/registry.hpp"
 #include "harness/scenario.hpp"
+#include "protocol/phase.hpp"
+#include "protocol/runner.hpp"
 #include "resilience/reliable_channel.hpp"
 #include "resilience/repair.hpp"
 
@@ -111,8 +111,8 @@ TEST(ReliableChannel, EverySolverMatchesItsCleanOutputAcrossWidths) {
         if (threads == 4 && wide == 4) continue;
         CongestConfig cfg = lossy;
         cfg.threads = threads;
-        const std::unique_ptr<Network> net = fault::make_network(inst.wg, cfg);
-        const MdsResult res = info.run_on(*net, params);
+        Network net(inst.wg, cfg);
+        const MdsResult res = info.run_on(net, params);
         EXPECT_TRUE(outputs_identical(reference, res))
             << info.name << " on " << inst.name << " at threads=" << threads;
         // The transport cannot be free: reliability costs physical
@@ -142,6 +142,51 @@ TEST(ReliableChannel, ZeroFaultReliableRunStillMatchesCleanOutput) {
   Network wrapped(inst.wg, cfg);
   const MdsResult res = info.run_on(wrapped, params);
   EXPECT_TRUE(outputs_identical(reference, res));
+}
+
+// The transport reads the staging Network's record lists section by
+// section: node 0 sends on arc 0->1 first from a one-node
+// for_active_nodes dispatch (the last worker) and then from a for_nodes
+// dispatch (worker 0), and node 1 must still receive in send order.
+TEST(ReliableChannel, OneArcFedFromTwoSectionsKeepsSendOrder) {
+  class TwoSectionSender final : public protocol::Phase {
+   public:
+    std::vector<int> got;
+    std::string_view name() const override { return "two-section"; }
+    void initialize(Network& net) override { net.arm(0); }
+    void process_round(Network& net) override {
+      if (net.current_round() == 1) {
+        net.for_active_nodes([&](NodeId v) {
+          if (v != 0) return;
+          net.send(0, 1, Message::tagged(1));
+          net.send(0, 1, Message::tagged(2));
+        });
+        net.for_nodes([&](NodeId v) {
+          if (v == 0) net.send(0, 1, Message::tagged(3));
+        });
+        return;
+      }
+      for (const MessageView m : net.inbox(1)) got.push_back(m.tag());
+    }
+    bool finished(const Network& net) const override {
+      return net.current_round() >= 2;
+    }
+  };
+
+  const auto wg = WeightedGraph::uniform(gen::path(8));
+  for (const int threads : {1, 3, 4}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    cfg.reliable_transport = true;
+    cfg.fault.delay_prob = 0.5;
+    cfg.fault.max_delay_rounds = 2;
+    cfg.fault.reorder_prob = 0.3;
+    Network net(wg, cfg);
+    TwoSectionSender algo;
+    const RunStats stats = protocol::run_protocol(net, {&algo}, 1000);
+    EXPECT_FALSE(stats.hit_round_limit);
+    EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
+  }
 }
 
 // ----------------------------------------- kill_round = 1 boundary pin
@@ -190,7 +235,7 @@ TEST(Repair, KillRoundOneDeliversInitializeSendsThenSilences) {
   const auto wg = WeightedGraph::uniform(gen::cycle(6));
   fault::FaultPlan plan;
   plan.kills = {{0, 1}};
-  fault::FaultyNetwork net(wg, {}, plan);
+  Network net(wg, {}, plan);
   EXPECT_FALSE(net.alive(0));
   EXPECT_TRUE(net.alive(1));
   EXPECT_EQ(net.killed_nodes(), NodeSet{0});
@@ -218,7 +263,7 @@ TEST(Repair, UncoveredSurvivorsRecoverWhenTheirUniqueDominatorDies) {
       WeightedGraph::uniform(Graph::from_edges(3, {{0, 1}, {1, 2}}));
   fault::FaultPlan plan;
   plan.kills = {{1, 1}};
-  fault::FaultyNetwork net(wg, {}, plan);
+  Network net(wg, {}, plan);
   const RepairOutcome out = run_repair(net, {1});
   EXPECT_EQ(out.repaired_set, (NodeSet{0, 2}));
   EXPECT_EQ(out.repaired_nodes, 2);
