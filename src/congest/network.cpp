@@ -753,16 +753,22 @@ void Network::for_each_outgoing(
       }
     }
   }
-  for (const auto& list : slots_out_) {
-    for (const NodeId u : list) {
-      const std::uint64_t* slot = out_slot(u);
-      for (std::size_t at = 0; at < slot[0];) {
-        const MessageView mv(slot + 1 + at, &size_model_,
-                             config_.quantize_reals);
-        for (std::size_t arc = offsets_[u]; arc != offsets_[u + 1]; ++arc)
-          fn(mirror_[arc], mv);
-        at += mv.words();
-      }
+  // A slot flushed and written again within the round lists its sender
+  // once per write, possibly on different workers' lists: visit each
+  // slot once.
+  std::vector<NodeId> senders;
+  for (const auto& list : slots_out_)
+    senders.insert(senders.end(), list.begin(), list.end());
+  std::sort(senders.begin(), senders.end());
+  senders.erase(std::unique(senders.begin(), senders.end()), senders.end());
+  for (const NodeId u : senders) {
+    const std::uint64_t* slot = out_slot(u);
+    for (std::size_t at = 0; at < slot[0];) {
+      const MessageView mv(slot + 1 + at, &size_model_,
+                           config_.quantize_reals);
+      for (std::size_t arc = offsets_[u]; arc != offsets_[u + 1]; ++arc)
+        fn(mirror_[arc], mv);
+      at += mv.words();
     }
   }
 }

@@ -709,7 +709,8 @@ class Network {
   /// per-arc send order: the record lists first (visited section by
   /// section — a node's records of one section sit on one worker's list
   /// in send order), then each broadcaster's out-slot records once per
-  /// out-arc (a slot holds the suffix of its sender's records). `arc` is
+  /// out-arc (a slot holds the suffix of its sender's records; each slot
+  /// is read once, however often its sender is listed). `arc` is
   /// the receiver-side arc. Reads only; views die with the next discard.
   void for_each_outgoing(
       FunctionRef<void(EdgeSlot, const MessageView&)> fn) const;
@@ -767,7 +768,9 @@ class Network {
   std::unique_ptr<std::uint64_t[]>* out_slots_ = nullptr;
   // The nodes whose slot was written (the broadcasters), per worker, so a
   // flip clears one slot per broadcaster and the active-set builder finds
-  // their neighbours.
+  // their neighbours. A sender whose slot was flushed and written again
+  // in one round is listed once per write; clearing and marking are
+  // idempotent, and for_each_outgoing de-duplicates.
   std::vector<std::vector<NodeId>> slots_out_;
   std::vector<std::vector<NodeId>> slots_in_;
 

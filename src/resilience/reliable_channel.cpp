@@ -149,16 +149,32 @@ bool ReliablePhase::finished(const Network& outer) const {
 
 void ReliablePhase::capture_round() {
   Network& net = *staging_;
+  // Collect the records in per-arc send order, then bucket them by sender
+  // with a stable counting sort, which keeps that order: a sender is the
+  // only writer of its out-arcs' queues, so the conversion into units
+  // runs on the pool.
+  captured_.clear();
   net.for_each_outgoing([&](std::uint32_t arc, const MessageView& mv) {
-    enqueue_unit(arc, to_message(mv, 0), /*marker=*/false);
+    captured_.push_back(Captured{arc, mv});
   });
-  net.discard_outgoing();
-  // The end-of-round marker on every arc, behind the round's payloads:
-  // the frame contract receivers count virtual rounds by.
-  net.for_nodes([&](NodeId v) {
-    for (std::size_t arc = net.offsets_[v]; arc != net.offsets_[v + 1]; ++arc)
+  sender_begin_.assign(static_cast<std::size_t>(net.num_nodes()) + 2, 0);
+  for (const Captured& c : captured_) ++sender_begin_[c.record.sender() + 2];
+  for (std::size_t u = 2; u < sender_begin_.size(); ++u)
+    sender_begin_[u] += sender_begin_[u - 1];
+  by_sender_.resize(captured_.size());
+  for (std::uint32_t i = 0; i < captured_.size(); ++i)
+    by_sender_[sender_begin_[captured_[i].record.sender() + 1]++] = i;
+  // Each arc's payloads, then the end-of-round marker behind them: the
+  // frame contract receivers count virtual rounds by.
+  net.for_nodes([&](NodeId u) {
+    for (std::uint32_t i = sender_begin_[u]; i < sender_begin_[u + 1]; ++i) {
+      const Captured& c = captured_[by_sender_[i]];
+      enqueue_unit(c.arc, to_message(c.record, 0), /*marker=*/false);
+    }
+    for (std::size_t arc = net.offsets_[u]; arc != net.offsets_[u + 1]; ++arc)
       enqueue_unit(net.mirror_[arc], Message{}, /*marker=*/true);
   });
+  net.discard_outgoing();
 }
 
 void ReliablePhase::enqueue_unit(std::uint32_t arc, const Message& m,

@@ -19,9 +19,10 @@
 //
 //   * Capture: after the wrapped initialize / process_round, the staging
 //     Network's outgoing records are read in per-arc send order (record
-//     lists, then broadcast slots), turned into per-arc transport units,
-//     and discarded; an end-of-round MARKER then closes the virtual round
-//     on every arc.
+//     lists, then broadcast slots), bucketed by sender, turned into
+//     per-arc transport units on the pool (a sender owns its out-arcs'
+//     queues), and discarded; an end-of-round MARKER then closes the
+//     virtual round on every arc.
 //   * Each physical round (1) receives transport frames from the outer
 //     inbox — dedup by per-arc sequence number, buffer out-of-order
 //     arrivals, apply cumulative acks; (2) when every arc has closed the
@@ -126,6 +127,13 @@ class ReliablePhase final : public protocol::Phase {
     bool ack_due = false;
   };
 
+  /// One outgoing record of the staging Network: its receiver-side arc
+  /// and its wire words (valid until the staging discard).
+  struct Captured {
+    std::uint32_t arc;
+    MessageView record;
+  };
+
   /// Turns the staging Network's outgoing records into units, discards
   /// them, and closes the virtual round with a marker on every arc.
   void capture_round();
@@ -155,6 +163,13 @@ class ReliablePhase final : public protocol::Phase {
   std::unique_ptr<Network> staging_;
   std::vector<OutArc> out_;
   std::vector<InArc> in_;
+  /// capture_round scratch: the virtual round's records in per-arc send
+  /// order, and a stable permutation of them bucketed by sender
+  /// (sender u's records are by_sender_[sender_begin_[u] ..
+  /// sender_begin_[u + 1])).
+  std::vector<Captured> captured_;
+  std::vector<std::uint32_t> by_sender_;
+  std::vector<std::uint32_t> sender_begin_;
   /// Per-worker tally of arcs that already closed virtual round
   /// delivered_ (reduced against the arc count by
   /// virtual_round_complete()).

@@ -189,6 +189,65 @@ TEST(ReliableChannel, OneArcFedFromTwoSectionsKeepsSendOrder) {
   }
 }
 
+// A flush empties the sender's broadcast slot, and the next broadcast of
+// the same round writes it again: the capture must still read each record
+// once per arc, in send order. Node 1 of a path broadcasts, sends to one
+// neighbour, broadcasts again, then (in a second, differently chunked
+// section) sends to the other neighbour and broadcasts a third time.
+TEST(ReliableChannel, BroadcastAfterAFlushInOneRoundIsCapturedOnce) {
+  class FlushThenBroadcast final : public protocol::Phase {
+   public:
+    std::vector<int> at0, at2;
+    std::string_view name() const override { return "flush-then-broadcast"; }
+    void initialize(Network& net) override { net.arm(1); }
+    void process_round(Network& net) override {
+      if (net.current_round() == 1) {
+        net.for_active_nodes([&](NodeId v) {
+          if (v != 1) return;
+          net.broadcast(1, Message::tagged(1));
+          net.send(1, 2, Message::tagged(2));
+          net.broadcast(1, Message::tagged(3));
+        });
+        net.for_nodes([&](NodeId v) {
+          if (v != 1) return;
+          net.send(1, 0, Message::tagged(4));
+          net.broadcast(1, Message::tagged(5));
+        });
+        return;
+      }
+      for (const MessageView m : net.inbox(0)) at0.push_back(m.tag());
+      for (const MessageView m : net.inbox(2)) at2.push_back(m.tag());
+    }
+    bool finished(const Network& net) const override {
+      return net.current_round() >= 2;
+    }
+  };
+
+  const auto wg = WeightedGraph::uniform(gen::path(8));
+  for (const bool reliable_transport : {false, true}) {
+    for (const int threads : {1, 3, 4}) {
+      CongestConfig cfg;
+      cfg.threads = threads;
+      cfg.reliable_transport = reliable_transport;
+      if (reliable_transport) {
+        cfg.fault.drop_prob = 0.2;
+        cfg.fault.duplicate_prob = 0.2;
+        cfg.fault.delay_prob = 0.3;
+        cfg.fault.max_delay_rounds = 2;
+        cfg.fault.reorder_prob = 0.3;
+      }
+      Network net(wg, cfg);
+      FlushThenBroadcast algo;
+      const RunStats stats = protocol::run_protocol(net, {&algo}, 1000);
+      EXPECT_FALSE(stats.hit_round_limit);
+      EXPECT_EQ(algo.at0, (std::vector<int>{1, 3, 4, 5}))
+          << "reliable=" << reliable_transport << " threads=" << threads;
+      EXPECT_EQ(algo.at2, (std::vector<int>{1, 2, 3, 5}))
+          << "reliable=" << reliable_transport << " threads=" << threads;
+    }
+  }
+}
+
 // ----------------------------------------- kill_round = 1 boundary pin
 
 // Minimal probe for the kill boundary: ids flood at initialize and at
