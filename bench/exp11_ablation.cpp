@@ -63,7 +63,7 @@ int main() {
     // run_deterministic_mds) because the ablation wants the partial
     // phase's own set alongside the final result.
     PartialDominatingSet partial({eps, frac * limit, alpha});
-    CompletionPhase completion(CompletionMode::kMinWeightNeighbor);
+    CompletionPhase completion(CompletionMode::kMinWeightNeighbor, partial);
     protocol::run_protocol(reused, {&partial, &completion});
     MdsResult res = completion.result(reused);
     res.validate(wg, 1e-5);

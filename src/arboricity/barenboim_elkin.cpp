@@ -84,17 +84,6 @@ bool BarenboimElkinOrientation::finished(const Network& net) const {
   return num_active_ == 0;
 }
 
-void BarenboimElkinOrientation::publish(Network& net,
-                                        protocol::PhaseContext& ctx) {
-  const Orientation o = extract_orientation(net.graph());
-  OrientationHandoff handoff;
-  handoff.out_degree.resize(net.num_nodes());
-  for (NodeId v = 0; v < net.num_nodes(); ++v)
-    handoff.out_degree[v] = o.out_degree(v);
-  handoff.final_guess = guess_;
-  ctx.put(std::move(handoff));
-}
-
 Orientation BarenboimElkinOrientation::extract_orientation(
     const Graph& g) const {
   ARBODS_CHECK(level_.size() == g.num_nodes());

@@ -8,12 +8,11 @@
 // phases empty the graph. Orienting every edge from lower to higher level
 // (ties broken by id) bounds the out-degree by floor((2+eps)*alpha).
 //
-// This is the substrate for Remark 4.5 (MDS with unknown alpha). It runs as
-// a genuine CONGEST algorithm on the simulator: one broadcast of a 1-bit
-// "retired" flag per phase. As a protocol::Phase it is the reusable
-// orientation prologue: it publishes an OrientationHandoff (per-node
-// out-degrees of the low-to-high-level orientation) that the adaptive MDS
-// phase — or any future consumer — binds against.
+// This is the orientation prologue of Remark 4.5 (MDS with unknown alpha).
+// It runs as a genuine CONGEST algorithm on the simulator: one broadcast
+// of a 1-bit "retired" flag per phase. The adaptive MDS phase holds a
+// reference to it and, once it has run, reads each node's out-degree
+// under extract_orientation().
 #pragma once
 
 #include <vector>
@@ -21,20 +20,10 @@
 #include "arboricity/orientation.hpp"
 #include "common/types.hpp"
 #include "congest/network.hpp"
-#include "protocol/phase.hpp"
 
 namespace arbods {
 
-/// Published by the orientation prologue for downstream phases: the
-/// out-degree every node ends up with under the low-to-high-level
-/// orientation (node v's local arboricity proxy), plus the final alpha
-/// guess the doubling variant settled on.
-struct OrientationHandoff {
-  std::vector<NodeId> out_degree;
-  NodeId final_guess = 1;
-};
-
-class BarenboimElkinOrientation final : public protocol::Phase {
+class BarenboimElkinOrientation final : public DistributedAlgorithm {
  public:
   /// alpha: the promise on the arboricity (or an upper bound guess).
   /// eps in (0, 2].
@@ -52,8 +41,6 @@ class BarenboimElkinOrientation final : public protocol::Phase {
   void initialize(Network& net) override;
   void process_round(Network& net) override;
   bool finished(const Network& net) const override;
-  /// Publishes the OrientationHandoff for downstream phases.
-  void publish(Network& net, protocol::PhaseContext& ctx) override;
 
   /// Level (phase index at retirement) per node; valid once finished.
   const std::vector<std::int64_t>& levels() const { return level_; }

@@ -20,11 +20,10 @@
 #include <vector>
 
 #include "core/mds_result.hpp"
-#include "protocol/phase.hpp"
 
 namespace arbods::baselines {
 
-class ThresholdGreedyMds final : public protocol::Phase {
+class ThresholdGreedyMds final : public DistributedAlgorithm {
  public:
   ThresholdGreedyMds() = default;
 
@@ -54,7 +53,7 @@ class ThresholdGreedyMds final : public protocol::Phase {
   NodeId num_uncovered_ = 0;
 };
 
-class ElectionGreedyMds final : public protocol::Phase {
+class ElectionGreedyMds final : public DistributedAlgorithm {
  public:
   ElectionGreedyMds() = default;
 

@@ -276,7 +276,10 @@ std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
 }
 
 void Network::send(NodeId from, NodeId to, const Message& m) {
-  const EdgeSlot arc = mirror_[resolve_arc(from, to)];
+  send_on_arc(from, mirror_[resolve_arc(from, to)], m);
+}
+
+void Network::send_on_arc(NodeId from, EdgeSlot arc, const Message& m) {
   const std::size_t w = worker_slot();
   if (faulty_) {
     int bits = 0;

@@ -121,7 +121,7 @@ struct CongestConfig {
   std::int64_t round_limit = 0;
   /// Run every phase through the reliable-delivery adapter
   /// (resilience::ReliablePhase): exactly-once, sender-ordered delivery
-  /// over drop/duplicate/reorder/delay faults. Honored by ProtocolRunner;
+  /// over drop/duplicate/reorder/delay faults. Honored by run_protocol;
   /// the Network itself only grants the transport-frame cap headroom
   /// (reliable_transport_header_bits on top of congest_message_cap) —
   /// the wrapped algorithm still sees exactly the original cap.
@@ -233,6 +233,10 @@ class DistributedAlgorithm {
   /// Global termination predicate (checked by the driver after each round;
   /// in a real network this is knowledge of the a-priori round bound).
   virtual bool finished(const Network& net) const = 0;
+
+  /// Stable phase name for the per-phase statistics breakdown
+  /// (RunStats::phases) when run through protocol::run_protocol.
+  virtual std::string_view name() const { return "main"; }
 };
 
 /// Iterable view over the messages delivered to one node this round. It
@@ -371,8 +375,8 @@ namespace resilience {
 class ReliablePhase;
 }  // namespace resilience
 
-/// The round-synchronous simulator, and the only one: ProtocolRunner,
-/// every Phase and the scenario runner drive this class. Fault injection
+/// The round-synchronous simulator, and the only one: run_protocol,
+/// every phase and the scenario runner drive this class. Fault injection
 /// is part of its delivery path (an enabled fault::FaultPlan switches
 /// send/broadcast to per-arc records with per-arc fault decisions), and
 /// reliable transport (resilience::ReliablePhase) runs the wrapped
@@ -536,7 +540,7 @@ class Network {
   /// streams) exactly as if it ran on its own Network — which is what
   /// the pre-phase drivers did — but reuses all storage. Cumulative
   /// statistics (stats()) are NOT reset; callers composing several
-  /// phases call reset_for_reuse() once up front (ProtocolRunner does).
+  /// phases call reset_for_reuse() once up front (run_protocol does).
   const PhaseStats& run_phase(DistributedAlgorithm& algo,
                               std::string_view phase_name,
                               std::int64_t max_rounds = 1'000'000);
@@ -578,10 +582,10 @@ class Network {
  private:
   /// Reliable transport runs the wrapped algorithm on a standalone
   /// staging Network outside run_phase. ReliablePhase is the one class
-  /// that reaches past the public API, and only for three private
-  /// members (for_each_outgoing, discard_outgoing, advance_round) plus
-  /// the arc topology (offsets_, mirror_, resolve_arc): keeping them
-  /// private keeps them out of every algorithm's reach.
+  /// that reaches past the public API, and only for four private
+  /// members (for_each_outgoing, discard_outgoing, advance_round,
+  /// send_on_arc) plus the arc topology (offsets_, mirror_, resolve_arc):
+  /// keeping them private keeps them out of every algorithm's reach.
   friend class resilience::ReliablePhase;
 
   /// Receiver-side arc index (a position in the CSR adjacency arrays).
@@ -675,6 +679,10 @@ class Network {
   /// Arc index of edge (from, to) via binary search over from's sorted
   /// neighbors; throws on a non-edge.
   std::size_t resolve_arc(NodeId from, NodeId to) const;
+  /// send() past the arc lookup: `arc` is the receiver-side arc of the
+  /// edge from `from`. Reliable transport re-injects payloads through
+  /// it, since it already holds that arc.
+  void send_on_arc(NodeId from, EdgeSlot arc, const Message& m);
   /// Encodes m into scratch_[w] (growing it as needed) and cap-checks
   /// before anything is deposited; returns the wire word count and the
   /// accounted bits through *bits. The single encode-side contract shared

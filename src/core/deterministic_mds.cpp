@@ -10,20 +10,18 @@ double theorem11_lambda(NodeId alpha, double eps) {
   return 1.0 / ((2.0 * static_cast<double>(alpha) + 1.0) * (1.0 + eps));
 }
 
-CompletionPhase::CompletionPhase(CompletionMode mode) : mode_(mode) {}
-
-void CompletionPhase::bind(protocol::PhaseContext& ctx) {
-  partial_ = ctx.share<PartialDsHandoff>();
-  ARBODS_CHECK_MSG(partial_ != nullptr,
-                   "CompletionPhase requires a preceding partial_ds phase "
-                   "(no PartialDsHandoff published)");
-}
+CompletionPhase::CompletionPhase(CompletionMode mode,
+                                 const PartialDominatingSet& partial)
+    : mode_(mode), partial_(partial) {}
 
 void CompletionPhase::initialize(Network& net) {
   const NodeId n = net.num_nodes();
-  ARBODS_CHECK(partial_ != nullptr && partial_->in_set.size() == n);
+  ARBODS_CHECK_MSG(
+      partial_.finished(net) && partial_.in_partial_set().size() == n,
+      "CompletionPhase requires a preceding partial_ds phase on this graph");
+  const NodeFlags& in_set = partial_.in_partial_set();
   in_final_.assign(n, false);
-  net.for_nodes([&](NodeId v) { in_final_[v] = partial_->in_set[v]; });
+  net.for_nodes([&](NodeId v) { in_final_[v] = in_set[v]; });
   if (n == 0) {
     stage_ = Stage::kDone;
     return;
@@ -39,9 +37,11 @@ void CompletionPhase::process_round(Network& net) {
   switch (stage_) {
     case Stage::kRequest: {
       // Every undominated v asks the tau-witness in N+(v) to join.
+      const NodeFlags& dominated = partial_.dominated();
+      const std::vector<NodeId>& tau_witness = partial_.tau_witness();
       net.for_nodes([&](NodeId v) {
-        if (partial_->dominated[v]) return;
-        const NodeId target = partial_->tau_witness[v];
+        if (dominated[v]) return;
+        const NodeId target = tau_witness[v];
         if (target == v) {
           in_final_[v] = true;  // v itself carries tau_v
         } else {
@@ -54,8 +54,9 @@ void CompletionPhase::process_round(Network& net) {
 
     case Stage::kCompletionJoin: {
       if (mode_ == CompletionMode::kSelf) {
+        const NodeFlags& dominated = partial_.dominated();
         net.for_nodes([&](NodeId v) {
-          if (!partial_->dominated[v]) in_final_[v] = true;
+          if (!dominated[v]) in_final_[v] = true;
         });
       } else {
         // The active set this round is exactly the kTagRequest receivers
@@ -90,9 +91,9 @@ MdsResult CompletionPhase::result(const Network& net) const {
   for (NodeId v = 0; v < net.num_nodes(); ++v)
     if (in_final_[v]) res.dominating_set.push_back(v);
   res.weight = net.weighted_graph().total_weight(res.dominating_set);
-  res.packing = partial_->packing;
+  res.packing = partial_.packing();
   res.packing_lower_bound = packing_lower_bound(res.packing);
-  res.iterations = partial_->iterations;
+  res.iterations = partial_.iterations();
   res.stats = net.stats();
   return res;
 }
@@ -105,7 +106,7 @@ MdsResult run_deterministic_mds(Network& net,
   pp.alpha = params.alpha;
   pp.lambda = params.lambda.value_or(theorem11_lambda(params.alpha, params.eps));
   PartialDominatingSet partial(pp);
-  CompletionPhase completion(params.completion);
+  CompletionPhase completion(params.completion, partial);
   const RunStats stats =
       protocol::run_protocol(net, {&partial, &completion}, max_rounds_per_phase);
   ARBODS_CHECK_MSG(!stats.hit_round_limit, "round budget exceeded");

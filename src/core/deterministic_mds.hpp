@@ -2,19 +2,19 @@
 // (2alpha+1)(1+eps)-approximate MDS in O(log(Delta/alpha)/eps) CONGEST
 // rounds, deterministic.
 //
-// Structure (a two-phase ProtocolRunner pipeline): run Lemma 4.1
+// Structure (a two-phase run_protocol pipeline): run Lemma 4.1
 // (core/partial_ds.hpp) with lambda = 1/((2alpha+1)(1+eps)); then the
 // CompletionPhase brings one dominator per still-undominated node v into
 // the set:
 //   * kMinWeightNeighbor (Thm 1.1): the node of weight tau_v in N+(v)
 //     (v knows it from the weight prologue; 2 completion rounds), or
 //   * kSelf (Thm 3.1, unweighted): v itself (1 completion round).
-// The CompletionPhase binds against the PartialDsHandoff the partial
-// phase publishes; run_deterministic_mds composes the two on a caller
-// -provided (reusable) Network.
+// The CompletionPhase holds a reference to the partial phase and reads
+// its set, dominated flags, tau witnesses and packing in place;
+// run_deterministic_mds composes the two on a caller-provided (reusable)
+// Network.
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "core/mds_result.hpp"
@@ -37,13 +37,14 @@ struct DeterministicMdsParams {
 
 /// Completion of Theorem 1.1/3.1 as a reusable phase: every node left
 /// undominated by the preceding partial_ds phase pulls its tau-witness
-/// (or itself) into the final set. Reads the PartialDsHandoff.
-class CompletionPhase final : public protocol::Phase {
+/// (or itself) into the final set. `partial` must outlive this phase's
+/// result() and must have run on the same graph before initialize
+/// (checked).
+class CompletionPhase final : public DistributedAlgorithm {
  public:
-  explicit CompletionPhase(CompletionMode mode);
+  CompletionPhase(CompletionMode mode, const PartialDominatingSet& partial);
 
   std::string_view name() const override { return "completion"; }
-  void bind(protocol::PhaseContext& ctx) override;
   void initialize(Network& net) override;
   void process_round(Network& net) override;
   bool finished(const Network& net) const override;
@@ -59,7 +60,7 @@ class CompletionPhase final : public protocol::Phase {
   enum class Stage { kRequest, kCompletionJoin, kDone };
 
   CompletionMode mode_;
-  std::shared_ptr<const PartialDsHandoff> partial_;
+  const PartialDominatingSet& partial_;
   Stage stage_ = Stage::kRequest;
   NodeFlags in_final_;  // S union S'
 };

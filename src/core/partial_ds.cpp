@@ -130,17 +130,6 @@ bool PartialDominatingSet::finished(const Network& net) const {
   return stage_ == Stage::kDone;
 }
 
-void PartialDominatingSet::publish(Network& net, protocol::PhaseContext& ctx) {
-  (void)net;
-  PartialDsHandoff handoff;
-  handoff.in_set = in_s_;
-  handoff.dominated = dominated_;
-  handoff.packing = x_;
-  handoff.tau_witness = tau_witness_;
-  handoff.iterations = r_;
-  ctx.put(std::move(handoff));
-}
-
 NodeSet PartialDominatingSet::partial_set() const {
   NodeSet s;
   for (NodeId v = 0; v < in_s_.size(); ++v)

@@ -20,7 +20,6 @@
 
 #include "common/types.hpp"
 #include "congest/network.hpp"
-#include "protocol/phase.hpp"
 
 namespace arbods {
 
@@ -30,21 +29,10 @@ struct PartialDsParams {
   NodeId alpha = 1;     // arboricity promise (used only for validation)
 };
 
-/// What Lemma 4.1 hands to its successors (the completion phase of
-/// Theorem 1.1/3.1, the randomized extension of Theorem 1.2): the partial
-/// set S, the dominated indicator N+(S), the packing certificate, and the
-/// tau witnesses every node learned in the weight prologue. (The tau
-/// values themselves stay on the phase — no downstream phase reads them;
-/// see PartialDominatingSet::tau().)
-struct PartialDsHandoff {
-  NodeFlags in_set;               // S
-  NodeFlags dominated;            // N+(S)
-  std::vector<double> packing;    // x (feasible for the global LP)
-  std::vector<NodeId> tau_witness;  // carrier of tau_v
-  std::int64_t iterations = 0;    // r from Lemma 4.1
-};
-
-class PartialDominatingSet final : public protocol::Phase {
+/// The successors of Lemma 4.1 (the completion phase of Theorem 1.1/3.1,
+/// the randomized extension of Theorem 1.2) hold a reference to this
+/// phase and read its results below once it has run.
+class PartialDominatingSet final : public DistributedAlgorithm {
  public:
   explicit PartialDominatingSet(PartialDsParams params);
 
@@ -52,8 +40,6 @@ class PartialDominatingSet final : public protocol::Phase {
   void initialize(Network& net) override;
   void process_round(Network& net) override;
   bool finished(const Network& net) const override;
-  /// Publishes the PartialDsHandoff for downstream phases.
-  void publish(Network& net, protocol::PhaseContext& ctx) override;
 
   // --- results (valid once finished) ---
   const NodeFlags& in_partial_set() const { return in_s_; }

@@ -10,21 +10,10 @@
 namespace arbods {
 
 RandomizedExtension::RandomizedExtension(RandomizedExtensionParams params,
-                                         std::optional<ExtensionSeed> seed)
-    : params_(params), seed_(std::move(seed)) {
+                                         const PartialDominatingSet* seed)
+    : params_(params), seed_(seed) {
   ARBODS_CHECK_MSG(params_.lambda > 0.0, "lambda must be positive");
   ARBODS_CHECK_MSG(params_.gamma > 1.0, "gamma must exceed 1");
-}
-
-void RandomizedExtension::bind(protocol::PhaseContext& ctx) {
-  if (seed_.has_value()) return;
-  if (const PartialDsHandoff* h = ctx.find<PartialDsHandoff>()) {
-    ExtensionSeed seed;
-    seed.in_set = h->in_set;
-    seed.dominated = h->dominated;
-    seed.packing = h->packing;
-    seed_ = std::move(seed);
-  }
 }
 
 void RandomizedExtension::reduce_dominated() {
@@ -50,12 +39,15 @@ void RandomizedExtension::initialize(Network& net) {
   dominated_delta_.assign(static_cast<std::size_t>(net.num_workers()),
                           WorkerCounter{});
 
-  if (seed_.has_value()) {
-    ARBODS_CHECK(seed_->in_set.size() == n && seed_->dominated.size() == n &&
-                 seed_->packing.size() == n);
-    in_set_ = seed_->in_set;
-    dominated_ = seed_->dominated;
-    x_ = seed_->packing;
+  if (seed_ != nullptr) {
+    ARBODS_CHECK_MSG(
+        seed_->finished(net) && seed_->in_partial_set().size() == n,
+        "RandomizedExtension requires its seeding partial_ds phase to have "
+        "run on this graph");
+    // Working copies: the extension grows S and bumps x in place.
+    in_set_ = seed_->in_partial_set();
+    dominated_ = seed_->dominated();
+    x_ = seed_->packing();
     num_undominated_ = 0;
     for (NodeId v = 0; v < n; ++v)
       if (!dominated_[v]) ++num_undominated_;

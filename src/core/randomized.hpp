@@ -24,7 +24,6 @@
 // used_fallback — the test suite asserts it never fires.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/mds_result.hpp"
@@ -37,25 +36,17 @@ struct RandomizedExtensionParams {
   double gamma = 2.0;   // > 1
 };
 
-/// Initial state handed from Lemma 4.1 (all empty => S = empty set and the
-/// extension runs its own weight prologue with x_v = tau_v/(Delta+1)).
-struct ExtensionSeed {
-  NodeFlags in_set;              // S
-  NodeFlags dominated;           // N+(S)
-  std::vector<double> packing;   // x
-};
-
-class RandomizedExtension final : public protocol::Phase {
+class RandomizedExtension final : public DistributedAlgorithm {
  public:
-  /// With std::nullopt the phase runs unseeded (Theorem 1.3) — unless a
-  /// preceding partial_ds phase published a PartialDsHandoff, which
-  /// bind() adopts as the seed (Theorem 1.2's composition). An explicit
-  /// seed always wins.
+  /// With a `seed`, initialize starts from its S, N+(S) and packing x
+  /// (Theorem 1.2's composition); the seed must have run on the same
+  /// graph first (checked). With nullptr the phase runs unseeded
+  /// (Theorem 1.3): S is empty and x_v = tau_v/(Delta+1) after its own
+  /// weight round.
   RandomizedExtension(RandomizedExtensionParams params,
-                      std::optional<ExtensionSeed> seed);
+                      const PartialDominatingSet* seed);
 
   std::string_view name() const override { return "extension"; }
-  void bind(protocol::PhaseContext& ctx) override;
   void initialize(Network& net) override;
   void process_round(Network& net) override;
   bool finished(const Network& net) const override;
@@ -78,7 +69,7 @@ class RandomizedExtension final : public protocol::Phase {
   void reduce_dominated();
 
   RandomizedExtensionParams params_;
-  std::optional<ExtensionSeed> seed_;
+  const PartialDominatingSet* seed_;
   Stage stage_ = Stage::kAwaitWeights;
   std::int64_t t_ = 0;  // total phases
   std::int64_t r_ = 0;  // iterations per phase

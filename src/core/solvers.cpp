@@ -73,10 +73,10 @@ Theorem12Params theorem12_params(NodeId alpha, std::int64_t t) {
 
 MdsResult solve_mds_randomized(Network& net, NodeId alpha, std::int64_t t) {
   const Theorem12Params sched = theorem12_params(alpha, t);
-  // Theorem 1.2: Lemma 4.1 hands (S, x) to Lemma 4.6 via the phase
-  // context; both phases share net's arenas/pool/RNG storage.
+  // Theorem 1.2: Lemma 4.6 starts from the (S, x) Lemma 4.1 computed;
+  // both phases share net's arenas/pool/RNG storage.
   PartialDominatingSet partial({sched.eps, sched.lambda, alpha});
-  RandomizedExtension ext({sched.lambda, sched.gamma}, std::nullopt);
+  RandomizedExtension ext({sched.lambda, sched.gamma}, &partial);
   check_budget(protocol::run_protocol(net, {&partial, &ext},
                                       round_budget(net)));
   MdsResult res = ext.result(net);
@@ -96,7 +96,7 @@ MdsResult solve_mds_general(Network& net, int k) {
   RandomizedExtensionParams ep;
   ep.lambda = 1.0 / (delta + 1.0);
   ep.gamma = std::max(1.5, std::pow(delta, 1.0 / static_cast<double>(k)));
-  RandomizedExtension ext(ep, std::nullopt);
+  RandomizedExtension ext(ep, nullptr);
   check_budget(protocol::run_protocol(net, {&ext}, round_budget(net)));
   return ext.result(net);
 }
@@ -125,8 +125,8 @@ MdsResult solve_mds_unknown_delta(const WeightedGraph& wg, NodeId alpha,
 
 MdsResult solve_mds_unknown_alpha(Network& net, double eps,
                                   bool be_knows_alpha, NodeId be_alpha_hint) {
-  // Remark 4.5: the Barenboim–Elkin orientation prologue publishes the
-  // per-node out-degrees the adaptive loop derives its lambdas from.
+  // Remark 4.5: the adaptive loop derives its lambdas from the per-node
+  // out-degrees of the Barenboim–Elkin orientation prologue.
   BarenboimElkinOrientation orientation =
       be_knows_alpha
           ? BarenboimElkinOrientation(std::max<NodeId>(1, be_alpha_hint), eps)
@@ -134,7 +134,7 @@ MdsResult solve_mds_unknown_alpha(Network& net, double eps,
   AdaptiveMdsParams params;
   params.mode = AdaptiveMode::kUnknownAlpha;
   params.eps = eps;
-  AdaptiveMds algo(params);
+  AdaptiveMds algo(params, orientation);
   check_budget(protocol::run_protocol(net, {&orientation, &algo},
                                       round_budget(net)));
   return algo.result(net);

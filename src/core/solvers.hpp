@@ -1,18 +1,20 @@
 // Public one-call drivers for every algorithm in the paper.
 //
-// Every solver is a ProtocolRunner phase list (src/protocol/) executed on
-// ONE Network. Composed algorithms (Theorem 1.2's partial_ds + extension,
-// Remark 4.5's be_orientation + adaptive_mds, Theorem 1.1/3.1's
-// partial_ds + completion) reuse that single Network across their phases
-// — arenas, worker pool, and RNG streams are constructed exactly once —
-// and the returned MdsResult::stats carries the per-phase breakdown
-// (RunStats::phases) for free; there is no hand-rolled stats math.
+// Every solver is a phase list run by protocol::run_protocol
+// (src/protocol/) on ONE Network. In the composed algorithms (Theorem
+// 1.2's partial_ds + extension, Remark 4.5's be_orientation +
+// adaptive_mds, Theorem 1.1/3.1's partial_ds + completion) the second
+// phase is constructed with a reference to the first and reads its
+// results when it starts. Both reuse the single Network — arenas, worker
+// pool, and RNG streams are constructed exactly once — and the returned
+// MdsResult::stats carries the per-phase breakdown (RunStats::phases)
+// for free; there is no hand-rolled stats math.
 //
 // Each driver comes in two flavours:
 //   * (const WeightedGraph&, ..., CongestConfig): constructs a Network
 //     and delegates — the classic one-call form.
 //   * (Network&, ...): runs on the caller's Network, which may be reused
-//     across runs and solvers (reset happens inside the runner). This is
+//     across runs and solvers (run_protocol resets it first). This is
 //     what the scenario batch harness pools.
 //
 //   solve_mds_deterministic   Theorem 1.1   (2a+1)(1+eps), O(log(Delta/a)/eps)

@@ -9,11 +9,10 @@
 #include <vector>
 
 #include "core/mds_result.hpp"
-#include "protocol/phase.hpp"
 
 namespace arbods {
 
-class TreeMds final : public protocol::Phase {
+class TreeMds final : public DistributedAlgorithm {
  public:
   TreeMds() = default;
 

@@ -13,9 +13,10 @@ AdaptiveMds::AdaptiveMds(AdaptiveMdsParams params) : params_(params) {
     ARBODS_CHECK(params_.alpha >= 1);
 }
 
-void AdaptiveMds::bind(protocol::PhaseContext& ctx) {
-  if (params_.mode == AdaptiveMode::kUnknownAlpha)
-    orientation_ = ctx.share<OrientationHandoff>();
+AdaptiveMds::AdaptiveMds(AdaptiveMdsParams params,
+                         const BarenboimElkinOrientation& orientation)
+    : AdaptiveMds(params) {
+  orientation_ = &orientation;
 }
 
 void AdaptiveMds::reduce_dominated() {
@@ -28,6 +29,18 @@ void AdaptiveMds::reduce_dominated() {
 
 void AdaptiveMds::initialize(Network& net) {
   const NodeId n = net.num_nodes();
+  const bool unknown_alpha = params_.mode == AdaptiveMode::kUnknownAlpha;
+  if (unknown_alpha) {
+    ARBODS_CHECK_MSG(orientation_ != nullptr &&
+                         orientation_->levels().size() == n,
+                     "AdaptiveMds(kUnknownAlpha) requires a preceding "
+                     "be_orientation phase on this graph");
+    // Before the per-node arrays below: the temporary orientation then
+    // never coexists with them.
+    const Orientation o = orientation_->extract_orientation(net.graph());
+    out_degree_.resize(n);
+    for (NodeId v = 0; v < n; ++v) out_degree_[v] = o.out_degree(v);
+  }
   x_.assign(n, 0.0);
   lambda_.assign(n, 0.0);
   tau_.assign(n, 0);
@@ -45,18 +58,11 @@ void AdaptiveMds::initialize(Network& net) {
     stage_ = Stage::kDone;
     return;
   }
-  const bool unknown_alpha = params_.mode == AdaptiveMode::kUnknownAlpha;
-  if (unknown_alpha) {
-    ARBODS_CHECK_MSG(orientation_ != nullptr &&
-                         orientation_->out_degree.size() == n,
-                     "AdaptiveMds(kUnknownAlpha) requires a preceding "
-                     "be_orientation phase (no OrientationHandoff published)");
-  }
   // Publish weight + degree (Remark 4.4) or weight + orientation
-  // out-degree (Remark 4.5, from the prologue's handoff).
+  // out-degree (Remark 4.5, from the prologue's levels).
   net.for_nodes([&](NodeId v) {
     const std::int64_t info =
-        unknown_alpha ? orientation_->out_degree[v] : net.degree(v);
+        unknown_alpha ? out_degree_[v] : net.degree(v);
     net.broadcast(v, Message::tagged(kTagInfo)
                          .add_weight(net.weight(v))
                          .add_level(info));
@@ -77,7 +83,7 @@ void AdaptiveMds::process_round(Network& net) {
         // For kUnknownDelta: max closed-neighborhood size, incl. own.
         std::int64_t max_info = unknown_delta
                                     ? net.degree(v) + 1
-                                    : orientation_->out_degree[v];
+                                    : out_degree_[v];
         for (const MessageView m : net.inbox(v)) {
           if (m.tag() != kTagInfo) continue;
           const Weight w = m.weight_at(1);

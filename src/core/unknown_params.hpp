@@ -11,14 +11,14 @@
 //     after O(log(Delta)/eps) iterations with the Theorem 1.1 guarantee.
 //
 //   kUnknownAlpha (Remark 4.5): composed as a two-phase pipeline — a
-//     BarenboimElkinOrientation prologue phase publishes per-node
-//     out-degrees (OrientationHandoff), this phase binds against them;
-//     hat_alpha_v = max out-degree over N+(v) gives the per-node
-//     lambda_v = 1/((2*hat_alpha_v+1)(1+eps)); x_v starts at tau_v/(n+1).
-//     O(log n / eps) iterations; approximation (2*alpha+1)(2+O(eps)).
+//     BarenboimElkinOrientation prologue phase runs first, and this phase
+//     holds a reference to it and reads each node's out-degree under its
+//     orientation at initialize; hat_alpha_v = max out-degree over N+(v)
+//     gives the per-node lambda_v = 1/((2*hat_alpha_v+1)(1+eps)); x_v
+//     starts at tau_v/(n+1). O(log n / eps) iterations; approximation
+//     (2*alpha+1)(2+O(eps)).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "arboricity/barenboim_elkin.hpp"
@@ -38,14 +38,16 @@ struct AdaptiveMdsParams {
   NodeId alpha = 1;
 };
 
-class AdaptiveMds final : public protocol::Phase {
+class AdaptiveMds final : public DistributedAlgorithm {
  public:
+  /// kUnknownDelta.
   explicit AdaptiveMds(AdaptiveMdsParams params);
+  /// kUnknownAlpha: `orientation` is the prologue phase; it must have run
+  /// on the same graph before initialize (checked).
+  AdaptiveMds(AdaptiveMdsParams params,
+              const BarenboimElkinOrientation& orientation);
 
   std::string_view name() const override { return "adaptive_mds"; }
-  /// kUnknownAlpha: adopts the OrientationHandoff a preceding
-  /// BarenboimElkinOrientation phase published (checked at initialize).
-  void bind(protocol::PhaseContext& ctx) override;
   void initialize(Network& net) override;
   void process_round(Network& net) override;
   bool finished(const Network& net) const override;
@@ -64,7 +66,8 @@ class AdaptiveMds final : public protocol::Phase {
   enum class Stage { kInfoExchange, kValueRound, kJoinRound, kDone };
 
   AdaptiveMdsParams params_;
-  std::shared_ptr<const OrientationHandoff> orientation_;
+  const BarenboimElkinOrientation* orientation_ = nullptr;
+  std::vector<NodeId> out_degree_;  // kUnknownAlpha: under the orientation
   Stage stage_ = Stage::kInfoExchange;
   std::int64_t iterations_ = 0;
   bool first_value_round_ = true;

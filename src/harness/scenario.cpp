@@ -165,13 +165,11 @@ std::vector<ScenarioRow> run_scenario(
               samples.push_back(seconds);
               sample_stats.push_back(run.stats);
             }
-            if (spec.check_determinism) {
-              if (!have_reference) {
-                reference = run;
-                have_reference = true;
-              } else {
-                identical &= run == reference;
-              }
+            if (!have_reference) {
+              reference = run;
+              have_reference = true;
+            } else {
+              identical &= run == reference;
             }
             res = std::move(run);
           }

@@ -72,9 +72,6 @@ struct ScenarioSpec {
   /// Timed runs per cell (the reported seconds is their median); > 1
   /// adds one untimed warm-up run first.
   int repeats = 1;
-  /// Require bit-identical results (set, weight, stats incl. per-phase)
-  /// across every width and repeat of an (instance, solver, seed) cell.
-  bool check_determinism = true;
   /// Skip (solver, instance) pairs the solver cannot run on
   /// (forests_only) instead of throwing.
   bool skip_inapplicable = true;

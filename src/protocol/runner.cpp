@@ -4,46 +4,29 @@
 
 namespace arbods::protocol {
 
-RunStats ProtocolRunner::run(std::span<Phase* const> phases,
-                             std::int64_t max_rounds_per_phase) {
-  net_->reset_for_reuse();
-  ctx_.clear();
+RunStats run_protocol(Network& net,
+                      std::initializer_list<DistributedAlgorithm*> phases,
+                      std::int64_t max_rounds_per_phase) {
+  net.reset_for_reuse();
   // With reliable_transport set, every phase runs behind the
   // reliable-delivery adapter: the wrapped phase executes on a clean
   // staging Network while ReliablePhase speaks the seq/ack/retransmit
-  // protocol on this (possibly faulty) one. Solvers opt in through
-  // config alone — no phase list changes anywhere.
-  const bool rel = net_->config().reliable_transport;
-  for (Phase* phase : phases) {
+  // protocol on this (possibly faulty) one.
+  const bool rel = net.config().reliable_transport;
+  for (DistributedAlgorithm* phase : phases) {
     ARBODS_CHECK(phase != nullptr);
+    bool hit_limit;
     if (rel) {
       resilience::ReliablePhase wrapped(*phase);
-      wrapped.bind(ctx_);
-      const PhaseStats& ps =
-          net_->run_phase(wrapped, wrapped.name(), max_rounds_per_phase);
-      if (ps.hit_round_limit) break;
-      wrapped.publish(*net_, ctx_);
+      hit_limit = net.run_phase(wrapped, wrapped.name(), max_rounds_per_phase)
+                      .hit_round_limit;
     } else {
-      phase->bind(ctx_);
-      const PhaseStats& ps =
-          net_->run_phase(*phase, phase->name(), max_rounds_per_phase);
-      if (ps.hit_round_limit) break;  // callers check RunStats::hit_round_limit
-      phase->publish(*net_, ctx_);
+      hit_limit = net.run_phase(*phase, phase->name(), max_rounds_per_phase)
+                      .hit_round_limit;
     }
+    if (hit_limit) break;
   }
-  return net_->stats();
-}
-
-RunStats ProtocolRunner::run(std::initializer_list<Phase*> phases,
-                             std::int64_t max_rounds_per_phase) {
-  return run(std::span<Phase* const>(phases.begin(), phases.size()),
-             max_rounds_per_phase);
-}
-
-RunStats run_protocol(Network& net, std::initializer_list<Phase*> phases,
-                      std::int64_t max_rounds_per_phase) {
-  ProtocolRunner runner(net);
-  return runner.run(phases, max_rounds_per_phase);
+  return net.stats();
 }
 
 }  // namespace arbods::protocol

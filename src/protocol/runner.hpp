@@ -1,46 +1,22 @@
-// ProtocolRunner: executes a sequence of Phases on one reused Network.
+// run_protocol: executes a phase list on one reused Network.
 //
-// The runner owns the PhaseContext, resets the Network once up front
-// (reset_for_reuse — arenas/pool/RNG storage survive), then for each
-// phase: bind(ctx) -> Network::run_phase (which appends the phase's
-// rounds/messages/bits to RunStats::phases) -> publish(ctx). A phase that
-// exhausts its round budget stops the pipeline; the limit is visible both
-// on the phase's entry and on RunStats::hit_round_limit.
-//
-// Composed solvers in core/solvers.cpp are declarative phase lists over
-// this runner; the scenario batch harness (src/harness/scenario.hpp)
-// reuses one Network across whole sweeps the same way.
+// Resets the Network once (reset_for_reuse keeps arenas, pool and RNG
+// storage), then runs each phase through Network::run_phase, which
+// appends its rounds/messages/bits to RunStats::phases under the phase's
+// name(). A phase that exhausts its round budget stops the pipeline; the
+// limit shows on its entry and on RunStats::hit_round_limit. A consumer
+// phase holds a reference to its producer and reads its results at
+// initialize, so the list only fixes the order.
 #pragma once
 
 #include <initializer_list>
-#include <span>
 
-#include "protocol/phase.hpp"
+#include "congest/network.hpp"
 
 namespace arbods::protocol {
 
-class ProtocolRunner {
- public:
-  explicit ProtocolRunner(Network& net) : net_(&net) {}
-
-  /// Runs the phases in order; each phase gets `max_rounds_per_phase`.
-  /// Returns the accumulated statistics (totals + per-phase breakdown).
-  RunStats run(std::span<Phase* const> phases,
-               std::int64_t max_rounds_per_phase = 1'000'000);
-  RunStats run(std::initializer_list<Phase*> phases,
-               std::int64_t max_rounds_per_phase = 1'000'000);
-
-  /// The handoff blackboard (inspectable after run; cleared at the next).
-  PhaseContext& context() { return ctx_; }
-  Network& network() { return *net_; }
-
- private:
-  Network* net_;
-  PhaseContext ctx_;
-};
-
-/// One-shot convenience for the common "compose and run once" shape.
-RunStats run_protocol(Network& net, std::initializer_list<Phase*> phases,
+RunStats run_protocol(Network& net,
+                      std::initializer_list<DistributedAlgorithm*> phases,
                       std::int64_t max_rounds_per_phase = 1'000'000);
 
 }  // namespace arbods::protocol

@@ -90,17 +90,10 @@ void timed_pass(Network& outer, const char* span, F&& pass) {
 
 }  // namespace
 
-ReliablePhase::ReliablePhase(protocol::Phase& inner)
+ReliablePhase::ReliablePhase(DistributedAlgorithm& inner)
     : inner_(&inner), name_(std::string(inner.name()) + "+rel") {}
 
 ReliablePhase::~ReliablePhase() = default;
-
-void ReliablePhase::publish(Network& net, protocol::PhaseContext& ctx) {
-  // The wrapped phase's world is the staging Network, not the physical
-  // one it was driven on.
-  (void)net;
-  inner_->publish(*staging_, ctx);
-}
 
 void ReliablePhase::initialize(Network& outer) {
   inner_finished_ = false;
@@ -356,8 +349,8 @@ void ReliablePhase::transmit_unit(Network& outer, NodeId sender,
 void ReliablePhase::deliver_and_flip() {
   // Send the completed virtual round's payloads into the staging Network:
   // per in-arc, in seq order — the order a clean sender wrote them in —
-  // each from the receiving node's worker (the receiver-side arc fixes
-  // the inbox position whichever worker sends it).
+  // each from the receiving node's worker (the receiver-side arc q fixes
+  // the inbox position whichever worker sends it, so it is passed as is).
   Network& net = *staging_;
   net.for_nodes([&](NodeId v) {
     const std::size_t begin = net.offsets_[v];
@@ -366,7 +359,8 @@ void ReliablePhase::deliver_and_flip() {
       InArc& ia = in_[q];
       while (ia.pending_head < ia.pending.size() &&
              ia.pending[ia.pending_head].vround == delivered_) {
-        net.send(nb[q - begin], v, ia.pending[ia.pending_head].msg);
+        net.send_on_arc(nb[q - begin], static_cast<std::uint32_t>(q),
+                        ia.pending[ia.pending_head].msg);
         ++ia.pending_head;
       }
       if (ia.pending_head == ia.pending.size()) {

@@ -1,5 +1,5 @@
 // ReliablePhase: exactly-once, sender-ordered delivery over a faulty
-// CONGEST simulator, packaged as a Phase adapter.
+// CONGEST simulator, packaged as a phase adapter.
 //
 // The problem: a Network running a fault plan drops, duplicates, delays,
 // and reorders records, so a registry solver run on one either diverges
@@ -62,7 +62,6 @@
 #include <vector>
 
 #include "congest/network.hpp"
-#include "protocol/phase.hpp"
 
 namespace arbods::resilience {
 
@@ -74,16 +73,16 @@ std::int64_t retransmit_gap(std::uint32_t arc, std::uint32_t seq,
 
 /// Phase adapter: wraps `inner` so it runs with exactly-once,
 /// sender-ordered delivery on any (possibly faulty) Network. Appears in
-/// per-phase statistics as "<inner>+rel". ProtocolRunner applies it
-/// automatically when CongestConfig::reliable_transport is set.
-class ReliablePhase final : public protocol::Phase {
+/// per-phase statistics as "<inner>+rel". run_protocol applies it
+/// automatically when CongestConfig::reliable_transport is set. The
+/// wrapped phase keeps its results in its own members, so a later phase
+/// reads them exactly as after a clean run.
+class ReliablePhase final : public DistributedAlgorithm {
  public:
-  explicit ReliablePhase(protocol::Phase& inner);
+  explicit ReliablePhase(DistributedAlgorithm& inner);
   ~ReliablePhase() override;
 
   std::string_view name() const override { return name_; }
-  void bind(protocol::PhaseContext& ctx) override { inner_->bind(ctx); }
-  void publish(Network& net, protocol::PhaseContext& ctx) override;
 
   void initialize(Network& outer) override;
   void process_round(Network& outer) override;
@@ -157,7 +156,7 @@ class ReliablePhase final : public protocol::Phase {
   void transmit_unit(Network& outer, NodeId sender, NodeId receiver,
                      std::uint32_t arc, std::uint32_t seq, OutUnit& unit);
 
-  protocol::Phase* inner_;
+  DistributedAlgorithm* inner_;
   std::string name_;
   /// The wrapped phase's world, rebuilt by every initialize.
   std::unique_ptr<Network> staging_;
@@ -181,7 +180,7 @@ class ReliablePhase final : public protocol::Phase {
 };
 
 /// The wrapper spelled as a combinator: reliable(phase).
-inline ReliablePhase reliable(protocol::Phase& phase) {
+inline ReliablePhase reliable(DistributedAlgorithm& phase) {
   return ReliablePhase(phase);
 }
 

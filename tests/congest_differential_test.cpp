@@ -35,7 +35,6 @@
 #include "congest/network.hpp"
 #include "gen/random_graphs.hpp"
 #include "gen/trees.hpp"
-#include "protocol/phase.hpp"
 #include "protocol/runner.hpp"
 #include "resilience/reliable_channel.hpp"
 
@@ -185,7 +184,7 @@ ReferenceStats run_reference(const WeightedGraph& wg,
 
 // ------------------------------------------------------ Network-side algo
 
-class ScriptedAlgorithm final : public protocol::Phase {
+class ScriptedAlgorithm final : public DistributedAlgorithm {
  public:
   Trace trace;
 

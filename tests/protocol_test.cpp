@@ -1,5 +1,5 @@
-// Protocol-engine tests: PhaseContext handoff semantics, ProtocolRunner
-// composition, Network reuse determinism (a run on a reset_for_reuse()
+// Protocol-engine tests: run_protocol composition and the checks a
+// consumer phase makes on its producer, Network reuse determinism (a run on a reset_for_reuse()
 // Network is byte-identical to a run on a fresh Network, at 1 and 8
 // threads), and the per-phase statistics breakdown (the sum over
 // RunStats::phases equals the whole-run totals for every registry solver
@@ -53,43 +53,9 @@ int test_thread_width() {
   return ::testing::AssertionSuccess();
 }
 
-// ------------------------------------------------------------ PhaseContext
-
-struct IntSlot {
-  int value = 0;
-};
-struct StringSlot {
-  std::string value;
-};
-
-TEST(PhaseContext, PutFindGetShareAndReplace) {
-  protocol::PhaseContext ctx;
-  EXPECT_EQ(ctx.find<IntSlot>(), nullptr);
-  EXPECT_THROW(ctx.get<IntSlot>(), CheckError);
-
-  ctx.put(IntSlot{41});
-  ctx.put(StringSlot{"handoff"});
-  EXPECT_EQ(ctx.size(), 2u);
-  EXPECT_EQ(ctx.get<IntSlot>().value, 41);
-  EXPECT_EQ(ctx.get<StringSlot>().value, "handoff");
-
-  // One slot per type: a second put replaces.
-  ctx.put(IntSlot{42});
-  EXPECT_EQ(ctx.size(), 2u);
-  EXPECT_EQ(ctx.get<IntSlot>().value, 42);
-
-  // share() keeps the value alive past clear().
-  std::shared_ptr<IntSlot> kept = ctx.share<IntSlot>();
-  ctx.clear();
-  EXPECT_EQ(ctx.size(), 0u);
-  EXPECT_EQ(ctx.find<IntSlot>(), nullptr);
-  ASSERT_NE(kept, nullptr);
-  EXPECT_EQ(kept->value, 42);
-}
-
 // -------------------------------------------------- composition structure
 
-TEST(ProtocolRunner, ComposedSolversReportTheirPhaseLists) {
+TEST(RunProtocol, ComposedSolversReportTheirPhaseLists) {
   Rng rng(31);
   auto wg = WeightedGraph::uniform(gen::k_tree_union(80, 2, rng));
 
@@ -108,18 +74,35 @@ TEST(ProtocolRunner, ComposedSolversReportTheirPhaseLists) {
   EXPECT_EQ(ud.stats.phases[0].name, "adaptive_mds");
 }
 
-TEST(ProtocolRunner, PhaseRoundLimitStopsThePipeline) {
+TEST(RunProtocol, PhaseRoundLimitStopsThePipeline) {
   Rng rng(32);
   auto wg = WeightedGraph::uniform(gen::k_tree_union(60, 2, rng));
   Network net(wg);
   PartialDominatingSet partial({0.25, theorem11_lambda(1, 0.25), 1});
-  CompletionPhase completion(CompletionMode::kMinWeightNeighbor);
-  protocol::ProtocolRunner runner(net);
-  const RunStats stats = runner.run({&partial, &completion}, /*max=*/1);
+  CompletionPhase completion(CompletionMode::kMinWeightNeighbor, partial);
+  const RunStats stats =
+      protocol::run_protocol(net, {&partial, &completion}, /*max=*/1);
   EXPECT_TRUE(stats.hit_round_limit);
   ASSERT_EQ(stats.phases.size(), 1u);  // the pipeline stopped at phase 1
   EXPECT_TRUE(stats.phases[0].hit_round_limit);
   EXPECT_EQ(stats.phases[0].rounds, 1);
+}
+
+TEST(RunProtocol, CompletionOnAnUnrunPartialPhaseIsRejected) {
+  // The completion phase reads its producer's results at initialize; a
+  // partial_ds phase that never ran on this graph has none.
+  Rng rng(36);
+  auto wg = WeightedGraph::uniform(gen::k_tree_union(40, 2, rng));
+  Network net(wg);
+  PartialDominatingSet partial({0.25, theorem11_lambda(1, 0.25), 1});
+  CompletionPhase completion(CompletionMode::kMinWeightNeighbor, partial);
+  EXPECT_THROW(protocol::run_protocol(net, {&completion}), CheckError);
+  EXPECT_THROW(net.run(completion, 10), CheckError);
+  // Having run on another graph is no better.
+  auto other = WeightedGraph::uniform(gen::k_tree_union(30, 2, rng));
+  Network other_net(other);
+  protocol::run_protocol(other_net, {&partial});
+  EXPECT_THROW(net.run(completion, 10), CheckError);
 }
 
 // ------------------------------------------------- per-phase stats sums

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "baselines/exact.hpp"
+#include "core/deterministic_mds.hpp"
 #include "core/randomized.hpp"
 #include "core/solvers.hpp"
 #include "gen/arboricity_families.hpp"
@@ -13,6 +14,7 @@
 #include "gen/trees.hpp"
 #include "gen/weights.hpp"
 #include "graph/verify.hpp"
+#include "protocol/runner.hpp"
 
 namespace arbods {
 namespace {
@@ -174,8 +176,8 @@ TEST(Theorem13, WorksOnCliqueAndStar) {
 // ----------------------------------------------------------- lemma 4.6 raw
 
 TEST(Lemma46, ExtensionRejectsBadParams) {
-  EXPECT_THROW(RandomizedExtension({0.0, 2.0}, std::nullopt), CheckError);
-  EXPECT_THROW(RandomizedExtension({0.1, 1.0}, std::nullopt), CheckError);
+  EXPECT_THROW(RandomizedExtension({0.0, 2.0}, nullptr), CheckError);
+  EXPECT_THROW(RandomizedExtension({0.1, 1.0}, nullptr), CheckError);
 }
 
 TEST(Lemma46, PhaseAndIterationCountsMatchFormulas) {
@@ -187,7 +189,7 @@ TEST(Lemma46, PhaseAndIterationCountsMatchFormulas) {
   p.lambda = 1.0 / (delta + 1.0);
   p.gamma = 2.0;
   Network net(wg, seeded(11));
-  RandomizedExtension ext(p, std::nullopt);
+  RandomizedExtension ext(p, nullptr);
   RunStats stats = net.run(ext, 1000000);
   ASSERT_FALSE(stats.hit_round_limit);
   EXPECT_EQ(ext.iterations_per_phase(),
@@ -202,17 +204,17 @@ TEST(Lemma46, PhaseAndIterationCountsMatchFormulas) {
 }
 
 TEST(Lemma46, SeededWithPartialStateCompletesIt) {
-  // Seed with S = {hub} on a star: already dominating, must finish with
-  // zero additional nodes.
+  // Seed from a real Lemma 4.1 run on a star: every x_v starts at
+  // 1/(Delta+1) = 1/20, so the hub's first join-round sum is 20/20 >=
+  // 1/(1+eps) and S = {hub} already dominates. The extension must finish
+  // with zero additional nodes.
   auto wg = WeightedGraph::uniform(gen::star(20));
-  ExtensionSeed seed;
-  seed.in_set.assign(20, false);
-  seed.in_set[0] = true;
-  seed.dominated.assign(20, true);
-  seed.packing.assign(20, 1.0 / 20.0);
   Network net(wg, seeded(3));
-  RandomizedExtension ext({0.05, 2.0}, std::move(seed));
-  net.run(ext, 1000);
+  PartialDominatingSet partial({0.25, theorem11_lambda(1, 0.25), 1});
+  RandomizedExtension ext({0.05, 2.0}, &partial);
+  const RunStats stats = protocol::run_protocol(net, {&partial, &ext}, 1000);
+  ASSERT_FALSE(stats.hit_round_limit);
+  ASSERT_EQ(partial.partial_set(), NodeSet{0});
   MdsResult res = ext.result(net);
   EXPECT_EQ(res.dominating_set, NodeSet{0});
 }
@@ -220,7 +222,7 @@ TEST(Lemma46, SeededWithPartialStateCompletesIt) {
 TEST(Lemma46, EmptyGraphTerminatesImmediately) {
   auto wg = WeightedGraph::uniform(Graph(0));
   Network net(wg);
-  RandomizedExtension ext({0.5, 2.0}, std::nullopt);
+  RandomizedExtension ext({0.5, 2.0}, nullptr);
   RunStats stats = net.run(ext, 10);
   EXPECT_FALSE(stats.hit_round_limit);
 }

@@ -25,7 +25,6 @@
 #include "harness/oracle.hpp"
 #include "harness/registry.hpp"
 #include "harness/scenario.hpp"
-#include "protocol/phase.hpp"
 #include "protocol/runner.hpp"
 #include "resilience/reliable_channel.hpp"
 #include "resilience/repair.hpp"
@@ -149,7 +148,7 @@ TEST(ReliableChannel, ZeroFaultReliableRunStillMatchesCleanOutput) {
 // for_active_nodes dispatch (the last worker) and then from a for_nodes
 // dispatch (worker 0), and node 1 must still receive in send order.
 TEST(ReliableChannel, OneArcFedFromTwoSectionsKeepsSendOrder) {
-  class TwoSectionSender final : public protocol::Phase {
+  class TwoSectionSender final : public DistributedAlgorithm {
    public:
     std::vector<int> got;
     std::string_view name() const override { return "two-section"; }
@@ -195,7 +194,7 @@ TEST(ReliableChannel, OneArcFedFromTwoSectionsKeepsSendOrder) {
 // neighbour, broadcasts again, then (in a second, differently chunked
 // section) sends to the other neighbour and broadcasts a third time.
 TEST(ReliableChannel, BroadcastAfterAFlushInOneRoundIsCapturedOnce) {
-  class FlushThenBroadcast final : public protocol::Phase {
+  class FlushThenBroadcast final : public DistributedAlgorithm {
    public:
     std::vector<int> at0, at2;
     std::string_view name() const override { return "flush-then-broadcast"; }

@@ -115,13 +115,13 @@ TEST(UnknownAlpha, RoundsIncludeOrientationPrologue) {
   Graph g = gen::k_tree_union(150, 2, rng);
   WeightedGraph wg = WeightedGraph::uniform(std::move(g));
   Network net(wg);
-  // Remark 4.5 as a two-phase pipeline: the orientation prologue publishes
-  // per-node out-degrees, the adaptive loop binds against them.
+  // Remark 4.5 as a two-phase pipeline: the adaptive loop reads the
+  // per-node out-degrees of the orientation prologue it references.
   auto orientation = BarenboimElkinOrientation::with_unknown_alpha(0.5);
   AdaptiveMdsParams params;
   params.mode = AdaptiveMode::kUnknownAlpha;
   params.eps = 0.5;
-  AdaptiveMds algo(params);
+  AdaptiveMds algo(params, orientation);
   RunStats stats = protocol::run_protocol(net, {&orientation, &algo});
   ASSERT_FALSE(stats.hit_round_limit);
   ASSERT_EQ(stats.phases.size(), 2u);
@@ -141,7 +141,9 @@ TEST(UnknownAlpha, AdaptivePhaseWithoutPrologueIsRejected) {
   AdaptiveMdsParams params;
   params.mode = AdaptiveMode::kUnknownAlpha;
   params.eps = 0.5;
-  AdaptiveMds algo(params);
+  // The prologue is referenced but never run on this graph.
+  auto orientation = BarenboimElkinOrientation::with_unknown_alpha(0.5);
+  AdaptiveMds algo(params, orientation);
   EXPECT_THROW(net.run(algo, 100), CheckError);
 }
 
