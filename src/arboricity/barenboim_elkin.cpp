@@ -8,6 +8,15 @@
 
 namespace arbods {
 
+namespace {
+
+// The orientation rule: u -> v iff (level[u], u) < (level[v], v).
+bool points_to(const std::vector<std::int64_t>& level, NodeId u, NodeId v) {
+  return level[u] < level[v] || (level[u] == level[v] && u < v);
+}
+
+}  // namespace
+
 BarenboimElkinOrientation::BarenboimElkinOrientation(NodeId alpha, double eps)
     : alpha_(alpha), eps_(eps), alpha_known_(true), guess_(alpha) {
   ARBODS_CHECK(alpha >= 1);
@@ -89,24 +98,21 @@ Orientation BarenboimElkinOrientation::extract_orientation(
   ARBODS_CHECK(level_.size() == g.num_nodes());
   std::vector<std::vector<NodeId>> out(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v : g.neighbors(u)) {
-      if (level_[u] < level_[v] || (level_[u] == level_[v] && u < v))
-        out[u].push_back(v);
-    }
+    for (NodeId v : g.neighbors(u))
+      if (points_to(level_, u, v)) out[u].push_back(v);
   }
   return Orientation(g, std::move(out));
 }
 
-std::vector<NodeId> BarenboimElkinOrientation::local_out_degree(
+std::vector<NodeId> BarenboimElkinOrientation::out_degrees(
     const Graph& g) const {
-  Orientation o = extract_orientation(g);
-  std::vector<NodeId> est(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    NodeId m = o.out_degree(v);
-    for (NodeId u : g.neighbors(v)) m = std::max(m, o.out_degree(u));
-    est[v] = m;
+  ARBODS_CHECK(level_.size() == g.num_nodes());
+  std::vector<NodeId> out(g.num_nodes(), 0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v : g.neighbors(u))
+      if (points_to(level_, u, v)) ++out[u];
   }
-  return est;
+  return out;
 }
 
 BeOrientationResult barenboim_elkin_orient(const Graph& g, NodeId alpha,

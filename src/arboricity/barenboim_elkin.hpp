@@ -12,7 +12,7 @@
 // It runs as a genuine CONGEST algorithm on the simulator: one broadcast
 // of a 1-bit "retired" flag per phase. The adaptive MDS phase holds a
 // reference to it and, once it has run, reads each node's out-degree
-// under extract_orientation().
+// under the orientation through out_degrees().
 #pragma once
 
 #include <vector>
@@ -48,10 +48,10 @@ class BarenboimElkinOrientation final : public DistributedAlgorithm {
   /// The low-to-high-level orientation; valid once finished.
   Orientation extract_orientation(const Graph& g) const;
 
-  /// Per-node local arboricity estimate used by Remark 4.5:
-  /// hat_alpha_v = max out-degree over N+(v) — here returned after one
-  /// extra exchange simulated locally from levels.
-  std::vector<NodeId> local_out_degree(const Graph& g) const;
+  /// Each node's out-degree under extract_orientation(g) — the
+  /// neighbours with a larger (level, id) — counted from the levels
+  /// without building the orientation; valid once finished.
+  std::vector<NodeId> out_degrees(const Graph& g) const;
 
   NodeId threshold() const { return threshold_; }
 
@@ -68,7 +68,7 @@ class BarenboimElkinOrientation final : public DistributedAlgorithm {
   NodeId threshold_ = 0;
   std::int64_t phase_budget_ = 0;   // phases remaining for current guess
   std::int64_t budget_per_guess_ = 0;
-  std::vector<bool> active_;
+  NodeFlags active_;
   std::vector<NodeId> active_degree_;
   std::vector<std::int64_t> level_;
   NodeId num_active_ = 0;

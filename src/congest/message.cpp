@@ -53,6 +53,11 @@ Message& Message::add_tag(int tag) {
   return push({FieldKind::kTag, tag, 0.0});
 }
 
+Message& Message::append(const Message& other) {
+  for (std::size_t i = 0; i < other.size_; ++i) push(other.field(i));
+  return *this;
+}
+
 const Field& Message::field_checked(std::size_t i, FieldKind kind) const {
   const Field& f = field(i);
   ARBODS_CHECK_MSG(f.kind == kind, "field " << i << " kind mismatch");

@@ -135,6 +135,9 @@ class Message {
   /// one at field 0). Needed by relays that re-encode a received record
   /// field-for-field, e.g. the reliable-transport payload unwrap.
   Message& add_tag(int tag);
+  /// Appends all of `other`'s fields, unchanged and in order (a relay
+  /// framing a payload it already holds as a Message).
+  Message& append(const Message& other);
 
   std::size_t num_fields() const { return size_; }
 

@@ -6,7 +6,6 @@
 #include <limits>
 #include <thread>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -57,8 +56,7 @@ void maybe_shrink(std::vector<T>& v, std::size_t used) {
 int congest_message_cap(const CongestConfig& config, NodeId n) {
   if (config.max_message_bits_override > 0)
     return config.max_message_bits_override;
-  return std::max(
-      64, config.log_factor * ceil_log2(static_cast<std::uint64_t>(n) + 1));
+  return std::max(64, 4 * ceil_log2(static_cast<std::uint64_t>(n) + 1));
 }
 
 std::size_t InboxView::size() const {
@@ -95,9 +93,7 @@ void Network::init_size_model() {
 std::size_t Network::build_csr_topology() {
   const Graph& g = wg_->graph();
   const NodeId n = g.num_nodes();
-  offsets_.resize(static_cast<std::size_t>(n) + 1);
-  offsets_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) offsets_[v + 1] = offsets_[v] + g.degree(v);
+  offsets_ = g.arc_offsets();
   const std::size_t arcs = offsets_[n];
   ARBODS_CHECK_MSG(arcs < std::numeric_limits<EdgeSlot>::max(),
                    "graph too large for 32-bit edge slots");
@@ -159,17 +155,13 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   for (WorkerCalendar& cal : calendars_) cal.ring.resize(16);
   if (workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
   if (config_.trace.enabled)
-    tracer_ = std::make_unique<obs::TraceRecorder>(
-        workers, config_.trace.ring_capacity);
+    tracer_ = std::make_unique<obs::TraceRecorder>(workers, 1 << 14);
 
   active_mark_.assign(n, 0);
   active_list_.reserve(64);
 
   node_rngs_.reserve(n);
-  Rng base(config_.seed);
-  for (NodeId v = 0; v < n; ++v) node_rngs_.push_back(base.split(v));
-  rng_image_ = node_rngs_;
-  rng_streams_fresh_ = true;
+  reseed_node_rngs();
 
   if (faulty_) {
     seq_round_.assign(arcs, -1);
@@ -196,14 +188,10 @@ std::vector<NodeId> Network::killed_nodes() const {
 }
 
 void Network::reseed_node_rngs() {
-  if (rng_streams_fresh_) return;
-  // Phase-boundary restore: copy the cached seed-derived images (built
-  // once at construction) back over the consumed streams — a flat copy
-  // of trivially copyable state instead of an O(n) splitmix
-  // re-derivation per stream.
-  static_assert(std::is_trivially_copyable_v<Rng>);
-  std::copy(rng_image_.begin(), rng_image_.end(), node_rngs_.begin());
-  rng_streams_fresh_ = true;
+  // Stream v is a pure function of (seed, v); the storage is kept.
+  const Rng base(config_.seed);
+  node_rngs_.clear();
+  for (NodeId v = 0; v < num_nodes(); ++v) node_rngs_.push_back(base.split(v));
 }
 
 int Network::num_workers() const { return pool_ ? pool_->num_workers() : 1; }
@@ -868,7 +856,6 @@ void Network::reset_for_reuse() {
   flight_next_ = 0;
   flight_count_ = 0;
   clear_in_flight();
-  reseed_node_rngs();
 }
 
 const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
@@ -892,7 +879,6 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   for (WorkerStats& slot : worker_stats_) slot = WorkerStats{};
   clear_in_flight();
   reseed_node_rngs();
-  rng_streams_fresh_ = false;  // this phase now owns (and advances) them
   const std::int64_t messages_before = stats_.messages;
   const std::int64_t bits_before = stats_.total_bits;
   const std::int64_t dropped_before = stats_.dropped;

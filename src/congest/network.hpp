@@ -95,10 +95,9 @@
 namespace arbods {
 
 struct CongestConfig {
-  /// Message cap = max(64, log_factor * ceil(log2(n+1))) bits, unless
-  /// explicitly overridden by max_message_bits_override.
-  int log_factor = 4;
-  int max_message_bits_override = 0;  // 0 = derive from log_factor
+  /// Message cap = max(64, 4 * ceil(log2(n+1))) bits, unless explicitly
+  /// overridden by max_message_bits_override.
+  int max_message_bits_override = 0;  // 0 = derive from n
   /// Enforce the cap (disable only for diagnostics).
   bool enforce_message_size = true;
   /// Quantize kReal fields through the fixed-point codec at send time.
@@ -384,7 +383,8 @@ class ReliablePhase;
 class Network {
  public:
   /// Elaborates config.fault (fault::make_fault_plan) when it is
-  /// enabled(); an inert spec builds the clean simulator.
+  /// enabled(); an inert spec builds the clean simulator. `wg` must
+  /// outlive the Network, which reads its graph in place.
   Network(const WeightedGraph& wg, CongestConfig config = {});
   /// Runs a caller-built fault plan, validated against the graph, in
   /// place of config.fault. A plan that is not enabled() builds the clean
@@ -425,7 +425,9 @@ class Network {
   /// The scheduled kill set, sorted ascending (the complement of alive()).
   std::vector<NodeId> killed_nodes() const;
 
-  /// Per-node deterministic RNG stream.
+  /// Per-node deterministic RNG stream: Rng(config().seed).split(v),
+  /// derived afresh when the Network is built and at the start of every
+  /// run_phase, then advanced by the phase's draws.
   Rng& rng(NodeId v) {
     ARBODS_DCHECK(v < node_rngs_.size());
     return node_rngs_[v];
@@ -525,22 +527,24 @@ class Network {
   RunStats run(DistributedAlgorithm& algo, std::int64_t max_rounds = 1'000'000);
 
   /// Restores the fresh-construction *observable* state — round 0, no
-  /// records in flight, empty timer wheels/active set, zeroed statistics,
-  /// per-node RNG streams re-derived from the config seed — while keeping
-  /// every allocation alive: slot arenas, record lists, worker pool,
-  /// per-worker scratch, RNG stream storage. A run after reset_for_reuse
-  /// is byte-identical to a run on a newly constructed Network over the
-  /// same graph/config, minus the construction cost (tested).
+  /// records in flight, empty timer wheels/active set, zeroed statistics —
+  /// while keeping every allocation alive: slot arenas, record lists,
+  /// worker pool, per-worker scratch, RNG stream storage. The RNG streams
+  /// are left as they are: every run reaches them through run_phase,
+  /// which re-derives them. A run after reset_for_reuse is byte-identical
+  /// to a run on a newly constructed Network over the same graph/config,
+  /// minus the construction cost (tested).
   void reset_for_reuse();
 
   /// Runs one named phase of a composed protocol on this Network and
   /// appends its PhaseStats to stats().phases, accumulating into the
   /// run totals. Every phase starts from the fresh-construction
-  /// observable state (round 0, no records or timers, freshly seeded RNG
-  /// streams) exactly as if it ran on its own Network — which is what
-  /// the pre-phase drivers did — but reuses all storage. Cumulative
-  /// statistics (stats()) are NOT reset; callers composing several
-  /// phases call reset_for_reuse() once up front (run_protocol does).
+  /// observable state (round 0, no records or timers, RNG streams
+  /// re-derived from the config seed) exactly as if it ran on its own
+  /// Network — which is what the pre-phase drivers did — but reuses all
+  /// storage. Cumulative statistics (stats()) are NOT reset; callers
+  /// composing several phases call reset_for_reuse() once up front
+  /// (run_protocol does).
   const PhaseStats& run_phase(DistributedAlgorithm& algo,
                               std::string_view phase_name,
                               std::int64_t max_rounds = 1'000'000);
@@ -673,8 +677,9 @@ class Network {
   void arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round);
   /// Message widths + cap from the global instance (all constructors).
   void init_size_model();
-  /// CSR offsets, out-arc -> receiver-side arc mirror permutation, and
-  /// arc -> receiver map; returns the arc count.
+  /// Views the graph's CSR offsets and builds the out-arc ->
+  /// receiver-side arc mirror permutation and the arc -> receiver map;
+  /// returns the arc count.
   std::size_t build_csr_topology();
   /// Arc index of edge (from, to) via binary search over from's sorted
   /// neighbors; throws on a non-edge.
@@ -754,10 +759,11 @@ class Network {
   int max_message_bits_ = 0;
   std::int64_t round_ = 0;
 
-  // CSR arc offsets (offsets_[v]..offsets_[v+1] are v's incident arcs in
-  // receiver order), the out-arc -> receiver-side arc mirror permutation,
-  // and the arc -> receiver map the flip sorts records by.
-  std::vector<std::size_t> offsets_;
+  // The graph's CSR arc offsets (offsets_[v]..offsets_[v+1] are v's
+  // incident arcs in receiver order; a view, since wg_ outlives this
+  // Network), the out-arc -> receiver-side arc mirror permutation, and
+  // the arc -> receiver map the flip sorts records by.
+  std::span<const std::size_t> offsets_;
   std::vector<EdgeSlot> mirror_;
   std::vector<NodeId> arc_receiver_;
 
@@ -844,15 +850,6 @@ class Network {
   std::vector<WorkerStats> worker_stats_;
   std::unique_ptr<WorkerPool> pool_;
   std::vector<Rng> node_rngs_;
-  // Untouched seed-derived copies of node_rngs_, built once at
-  // construction: a phase-boundary reseed is a flat memcpy-style restore
-  // of this image instead of an O(n) splitmix re-derivation per stream.
-  std::vector<Rng> rng_image_;
-  // True while node_rngs_ hold untouched seed-derived streams (set by
-  // construction/reseed, cleared when a phase starts consuming them), so
-  // back-to-back reset_for_reuse + run_phase pays one O(n) reseed, not
-  // two. Driver-thread only.
-  bool rng_streams_fresh_ = false;
   RunStats stats_;
   // Widest message observed since the current phase opened (the totals'
   // max is not decomposable into per-phase deltas, so it is tracked

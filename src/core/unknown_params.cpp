@@ -35,11 +35,7 @@ void AdaptiveMds::initialize(Network& net) {
                          orientation_->levels().size() == n,
                      "AdaptiveMds(kUnknownAlpha) requires a preceding "
                      "be_orientation phase on this graph");
-    // Before the per-node arrays below: the temporary orientation then
-    // never coexists with them.
-    const Orientation o = orientation_->extract_orientation(net.graph());
-    out_degree_.resize(n);
-    for (NodeId v = 0; v < n; ++v) out_degree_[v] = o.out_degree(v);
+    out_degree_ = orientation_->out_degrees(net.graph());
   }
   x_.assign(n, 0.0);
   lambda_.assign(n, 0.0);

@@ -30,6 +30,10 @@ class Graph {
 
   NodeId degree(NodeId v) const;
 
+  /// CSR offsets (size n+1): v's incident arcs are the positions
+  /// [arc_offsets()[v], arc_offsets()[v+1]) of the adjacency array.
+  std::span<const std::size_t> arc_offsets() const { return offsets_; }
+
   /// Maximum degree Delta (0 for the empty graph); computed once when the
   /// graph is built, so O(1).
   NodeId max_degree() const { return max_degree_; }

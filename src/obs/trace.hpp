@@ -49,10 +49,6 @@ struct TraceOptions {
   /// at the instrumented seams (rounds, flips, active-set rebuilds,
   /// chunk dispatch, retransmit batches, repair stages).
   bool enabled = false;
-  /// Events per worker ring. The ring is allocated once at Network
-  /// construction and overwrites its oldest events when full, so this
-  /// bounds both memory and export size, never allocation.
-  int ring_capacity = 1 << 14;
   /// Keep a ring of the last N per-round FlightRecords (0 = off). Dumped
   /// on round-limit exhaustion / CheckError; independent of `enabled`.
   int flight_rounds = 0;
@@ -134,6 +130,9 @@ std::int64_t monotonic_ns();
 /// sections), like the flip itself.
 class TraceRecorder {
  public:
+  /// `ring_capacity` events per worker ring. Each ring is allocated here
+  /// and overwrites its oldest events when full, so the capacity bounds
+  /// both memory and export size, never allocation.
   TraceRecorder(int workers, int ring_capacity);
 
   /// Now, relative to the recorder epoch.

@@ -314,31 +314,9 @@ void ReliablePhase::transmit_unit(Network& outer, NodeId sender,
   // from this receiver) — written and read only by `sender`.
   frame.add_level(in_[staging_->mirror_[arc]].next);
   frame.add_flag(unit.marker);
-  const Message& payload = unit.msg;
-  const std::size_t nf = payload.num_fields();
-  for (std::size_t i = 0; i < nf; ++i) {
-    const Field& f = payload.field(i);
-    switch (f.kind) {
-      case FieldKind::kNodeId:
-        frame.add_id(static_cast<NodeId>(f.ivalue));
-        break;
-      case FieldKind::kWeight:
-        frame.add_weight(f.ivalue);
-        break;
-      case FieldKind::kLevel:
-        frame.add_level(f.ivalue);
-        break;
-      case FieldKind::kFlag:
-        frame.add_flag(f.ivalue != 0);
-        break;
-      case FieldKind::kReal:
-        frame.add_real(f.rvalue);
-        break;
-      case FieldKind::kTag:
-        frame.add_tag(static_cast<int>(f.ivalue));
-        break;
-    }
-  }
+  // The payload's fields went through the add_* builders in to_message,
+  // so pushing them as they are frames exactly what re-adding would.
+  frame.append(unit.msg);
   outer.send(sender, receiver, frame);
   const std::int64_t now = outer.current_round();
   unit.next_tx = now + retransmit_gap(arc, seq, unit.attempt);

@@ -10,11 +10,12 @@
 // exists to provide; any new heap traffic on the delivery path fails here
 // deterministically.
 //
-// The same hook additionally watches allocations of one exact size (the
-// broadcast-slot arenas) to pin the protocol engine's reuse contract: a
+// The same hook additionally watches allocations of one exact size: the
+// broadcast-slot arenas, to pin the protocol engine's reuse contract (a
 // composed two-phase solver on one Network constructs arena storage
 // exactly once — the pre-engine drivers built a second Network (arenas,
-// pool, mirror permutation) per phase.
+// pool, mirror permutation) per phase), and the per-node arrays a
+// Network could copy from its graph or its seed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -285,6 +286,28 @@ TEST(AllocRegression, TwoPhaseProtocolConstructsArenaStorageExactlyOnce) {
   solve_mds_randomized(net, 2, 2);
   EXPECT_EQ(g_watch_hits.load(std::memory_order_relaxed), 2u);
   g_watch_size.store(0, std::memory_order_relaxed);
+}
+
+// A Network keeps no per-node state it can derive: it reads the graph's
+// CSR offsets in place, and it keeps one RNG stream per node (re-derived
+// from the seed at every phase start) with no stored copy to restore
+// from. n = 1000 nodes on a path: no other allocation of the Network has
+// either watched size (the slot arenas are n * 32 bytes, the per-node
+// runs and marks n * 8, the arc arrays 2(n-1) * 4).
+TEST(AllocRegression, ConstructionCopiesNeitherOffsetsNorRngStreams) {
+  constexpr NodeId n = 1000;
+  auto wg = WeightedGraph::uniform(gen::path(n));
+  const auto allocations_of = [&](std::size_t bytes) {
+    g_watch_hits.store(0, std::memory_order_relaxed);
+    g_watch_size.store(bytes, std::memory_order_relaxed);
+    { Network net(wg); }
+    g_watch_size.store(0, std::memory_order_relaxed);
+    return g_watch_hits.load(std::memory_order_relaxed);
+  };
+  EXPECT_EQ(allocations_of(n * sizeof(Rng)), 1u)
+      << "one RNG stream per node, and no second copy";
+  EXPECT_EQ(allocations_of((n + 1) * sizeof(std::size_t)), 0u)
+      << "the CSR offsets are the graph's own";
 }
 
 }  // namespace

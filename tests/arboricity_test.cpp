@@ -286,17 +286,28 @@ TEST(BarenboimElkin, StarRetiresInOnePhaseWithLargePromise) {
   EXPECT_EQ(res.rounds, 1);
 }
 
-TEST(BarenboimElkin, LocalOutDegreeEstimates) {
+// out_degrees counts each node's out-arcs straight from the levels; it
+// must agree with the orientation it stands in for, with alpha known and
+// under the doubling search.
+TEST(BarenboimElkin, OutDegreesMatchTheExtractedOrientation) {
   Rng rng(9);
-  Graph g = gen::k_tree_union(100, 2, rng);
-  WeightedGraph wg = WeightedGraph::uniform(Graph(g));
-  Network net(wg);
-  BarenboimElkinOrientation algo(2, 0.5);
-  net.run(algo, 100000);
-  auto est = algo.local_out_degree(g);
-  Orientation o = algo.extract_orientation(g);
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    EXPECT_GE(est[v], o.out_degree(v));
+  const Graph graphs[] = {gen::k_tree_union(100, 2, rng),
+                          gen::barabasi_albert(150, 3, rng)};
+  for (const Graph& g : graphs) {
+    for (const bool known : {true, false}) {
+      WeightedGraph wg = WeightedGraph::uniform(Graph(g));
+      Network net(wg);
+      auto algo = known ? BarenboimElkinOrientation(3, 0.5)
+                        : BarenboimElkinOrientation::with_unknown_alpha(0.5);
+      EXPECT_FALSE(net.run(algo, 100000).hit_round_limit);
+      const std::vector<NodeId> deg = algo.out_degrees(g);
+      const Orientation o = algo.extract_orientation(g);
+      ASSERT_EQ(deg.size(), g.num_nodes());
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        EXPECT_EQ(deg[v], o.out_degree(v))
+            << "node " << v << (known ? " (known alpha)" : " (doubling)");
+    }
+  }
 }
 
 }  // namespace

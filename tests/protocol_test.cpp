@@ -1,13 +1,15 @@
 // Protocol-engine tests: run_protocol composition and the checks a
 // consumer phase makes on its producer, Network reuse determinism (a run on a reset_for_reuse()
 // Network is byte-identical to a run on a fresh Network, at 1 and 8
-// threads), and the per-phase statistics breakdown (the sum over
+// threads; every phase draws from freshly derived RNG streams), and the
+// per-phase statistics breakdown (the sum over
 // RunStats::phases equals the whole-run totals for every registry solver
 // on the small corpus).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <numeric>
+#include <vector>
 
 #include "core/deterministic_mds.hpp"
 #include "core/solvers.hpp"
@@ -197,6 +199,48 @@ TEST(NetworkReuse, RerunsOfARandomizedSolverAreIdentical) {
   const MdsResult a = solve_mds_general(net, 2);
   const MdsResult b = solve_mds_general(net, 2);
   EXPECT_TRUE(results_identical(a, b));
+}
+
+// Draws `draws` values from every node's stream at initialize and keeps
+// the first; finished at once, so the phase is all draws.
+class DrawPhase final : public DistributedAlgorithm {
+ public:
+  explicit DrawPhase(int draws) : draws_(draws) {}
+  void initialize(Network& net) override {
+    first_.assign(net.num_nodes(), 0);
+    net.for_nodes([&](NodeId v) {
+      first_[v] = net.rng(v).next_u64();
+      for (int i = 1; i < draws_; ++i) net.rng(v).next_u64();
+    });
+  }
+  void process_round(Network&) override {}
+  bool finished(const Network&) const override { return true; }
+  const std::vector<std::uint64_t>& first() const { return first_; }
+
+ private:
+  int draws_;
+  std::vector<std::uint64_t> first_;
+};
+
+// The streams are re-derived from the seed at every phase start: a phase
+// after one that advanced them draws what a fresh Network's do.
+TEST(NetworkReuse, EveryPhaseDrawsFromFreshlyDerivedStreams) {
+  Rng rng(37);
+  auto wg = WeightedGraph::uniform(gen::barabasi_albert(200, 2, rng));
+  for (const int threads : {1, test_thread_width()}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    cfg.seed = 0xfeed0002ULL;
+    Network net(wg, cfg);
+    DrawPhase first(5), second(1);
+    protocol::run_protocol(net, {&first, &second});
+    Network fresh(wg, cfg);
+    for (NodeId v = 0; v < wg.num_nodes(); ++v) {
+      const std::uint64_t want = fresh.rng(v).next_u64();
+      EXPECT_EQ(first.first()[v], want) << "node " << v << " at " << threads;
+      EXPECT_EQ(second.first()[v], want) << "node " << v << " at " << threads;
+    }
+  }
 }
 
 }  // namespace
