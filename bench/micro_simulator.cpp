@@ -2,6 +2,8 @@
 // simulator round throughput and end-to-end solver cost per node.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <utility>
 #include <vector>
 
 #include "congest/message.hpp"
@@ -111,7 +113,86 @@ void BM_WireInboxValueSum(benchmark::State& state) {
   state.counters["time_per_msg"] = benchmark::Counter(
       delivered, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_WireInboxValueSum)->Arg(1 << 15);
+BENCHMARK(BM_WireInboxValueSum)->Arg(1 << 15)->Arg(100000)->Arg(1 << 20);
+
+// The send half of the same round: every node builds a tagged real from
+// per-node data computed at run time and broadcasts it (builder, codec
+// encode, slot write, statistics). Each benchmark iteration is one
+// round, and only the broadcast loop is timed (the flip between rounds
+// is not); time_per_node is the cost of one broadcast.
+void BM_WireBroadcastValue(benchmark::State& state) {
+  const NodeId n = static_cast<NodeId>(state.range(0));
+  Rng rng(9);
+  WeightedGraph wg =
+      WeightedGraph::uniform(gen::barabasi_albert(n, 3, rng));
+  constexpr int kTagValue = 1;
+
+  class Broadcast final : public DistributedAlgorithm {
+   public:
+    Broadcast(benchmark::State& state, std::vector<double> values)
+        : state_(state), values_(std::move(values)) {}
+    void initialize(Network&) override {}
+    void process_round(Network& net) override {
+      if (!state_.KeepRunning()) {
+        done_ = true;
+        return;
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      for (NodeId v = 0; v < net.num_nodes(); ++v)
+        net.broadcast(v, Message::tagged(kTagValue).add_real(values_[v]));
+      const auto t1 = std::chrono::steady_clock::now();
+      state_.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    }
+    bool finished(const Network&) const override { return done_; }
+
+   private:
+    benchmark::State& state_;
+    std::vector<double> values_;
+    bool done_ = false;
+  };
+
+  std::vector<double> values(n);
+  for (double& x : values) x = rng.next_double() * 1e3;
+  Network net(wg);
+  Broadcast algo(state, std::move(values));
+  net.run(algo);
+  const double sent =
+      static_cast<double>(state.iterations()) * static_cast<double>(n);
+  state.counters["time_per_node"] = benchmark::Counter(
+      sent, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WireBroadcastValue)
+    ->Arg(1 << 15)
+    ->Arg(100000)
+    ->Arg(1 << 20)
+    ->UseManualTime();
+
+// Reference row for BM_WireInboxValueSum: the same graph, each node
+// summing one 8-byte value per in-arc straight from a per-node array
+// (a plain CSR gather, no wire format). time_per_msg is per in-arc.
+void BM_WireRawGather(benchmark::State& state) {
+  const NodeId n = static_cast<NodeId>(state.range(0));
+  Rng rng(9);
+  WeightedGraph wg =
+      WeightedGraph::uniform(gen::barabasi_albert(n, 3, rng));
+  const Graph& g = wg.graph();
+  std::vector<double> values(n);
+  for (NodeId v = 0; v < n; ++v)
+    values[v] = 1.0 / (static_cast<double>(v) + 2.0);
+  for (auto _ : state) {
+    for (NodeId v = 0; v < n; ++v) {
+      double sum = 0;
+      for (const NodeId u : g.neighbors(v)) sum += values[u];
+      benchmark::DoNotOptimize(sum);
+    }
+  }
+  const double delivered = static_cast<double>(state.iterations()) * 2.0 *
+                           static_cast<double>(g.num_edges());
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+  state.counters["time_per_msg"] = benchmark::Counter(
+      delivered, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WireRawGather)->Arg(1 << 15)->Arg(100000)->Arg(1 << 20);
 
 void BM_NetworkBroadcastRound(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));

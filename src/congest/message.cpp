@@ -8,53 +8,11 @@ namespace arbods {
 
 // ----------------------------------------------------------------- builder
 
-Message& Message::push(const Field& f) {
-  if (size_ < kInlineFields) {
-    inline_[size_] = f;
-  } else {
-    overflow_.push_back(f);
-  }
-  ++size_;
-  return *this;
-}
-
-const Field& Message::field(std::size_t i) const {
-  ARBODS_CHECK_MSG(i < size_, "field index " << i << " out of range");
-  return i < kInlineFields ? inline_[i] : overflow_[i - kInlineFields];
-}
-
-Message Message::tagged(int tag) {
-  Message m;
-  m.push({FieldKind::kTag, tag, 0.0});
-  return m;
-}
-
-Message& Message::add_id(NodeId v) {
-  return push({FieldKind::kNodeId, static_cast<std::int64_t>(v), 0.0});
-}
-
-Message& Message::add_weight(Weight w) {
-  return push({FieldKind::kWeight, w, 0.0});
-}
-
-Message& Message::add_level(std::int64_t level) {
-  return push({FieldKind::kLevel, level, 0.0});
-}
-
-Message& Message::add_flag(bool b) {
-  return push({FieldKind::kFlag, b ? 1 : 0, 0.0});
-}
-
-Message& Message::add_real(double x) {
-  return push({FieldKind::kReal, 0, x});
-}
-
-Message& Message::add_tag(int tag) {
-  return push({FieldKind::kTag, tag, 0.0});
-}
-
 Message& Message::append(const Message& other) {
-  for (std::size_t i = 0; i < other.size_; ++i) push(other.field(i));
+  for (std::size_t i = 0; i < other.size_; ++i) {
+    const Field& f = other.field(i);
+    push(f.kind, f.ivalue, f.rvalue);
+  }
   return *this;
 }
 
@@ -110,20 +68,6 @@ void Message::quantize_reals(const FixedPointCodec& codec) {
 
 namespace {
 
-// Writes `width` bits at bit offset `pos` of a zeroed payload region (the
-// writer of wire::get_bits); values span at most two words (width <= 64).
-void put_bits(std::uint64_t* payload, std::size_t pos, std::uint64_t value,
-              int width) {
-  if (width == 0) return;
-  const std::uint64_t mask =
-      width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  value &= mask;
-  const std::size_t word = pos >> 6;
-  const int off = static_cast<int>(pos & 63);
-  payload[word] |= value << off;
-  if (off + width > 64) payload[word + 1] |= value >> (64 - off);
-}
-
 // The integer payload of a field as the wire carries it.
 std::uint64_t field_wire_value(const Field& f, bool quantized_reals) {
   if (f.kind != FieldKind::kReal)
@@ -133,6 +77,17 @@ std::uint64_t field_wire_value(const Field& f, bool quantized_reals) {
 }
 
 }  // namespace
+
+std::uint64_t MessageView::payload_bits_at_wide(std::size_t i,
+                                               FieldKind kind) const {
+  ARBODS_CHECK_MSG(kind_at(i) == kind, "field " << i << " kind mismatch");
+  std::size_t pos = 0;
+  for (std::size_t j = 0; j < i; ++j)
+    pos += static_cast<std::size_t>(
+        wire_field_bits(kind_at(j), *model_, quantized_));
+  return wire::get_bits(words_ + 1 + wire::kind_words(num_fields()), pos,
+                        wire_field_bits(kind, *model_, quantized_));
+}
 
 int wire_payload_bits(const Message& m, const MessageSizeModel& model) {
   return m.bit_size(model);
@@ -153,38 +108,26 @@ std::size_t wire_encode(const Message& m, NodeId sender,
                         std::uint64_t* dst, int* accounted_bits) {
   const std::size_t nf = m.num_fields();
   ARBODS_CHECK_MSG(nf <= 0xffff, "message with " << nf << " fields");
-  const std::size_t kwords = wire::kind_words(nf);
-  std::uint64_t* payload = dst + 1 + kwords;
+  std::uint64_t* kinds = dst + 1;
+  std::uint64_t* payload = kinds + wire::kind_words(nf);
 
-  // Kind nibbles, payload bit length and accounted bit length in one pass.
-  std::size_t payload_bits = 0;
+  // One pass over the fields: kind nibbles, accounted bits, and the
+  // payload streamed through a 64-bit accumulator, so no word is written
+  // twice and none needs zeroing first.
   int model_bits = 0;
-  for (std::size_t w = 0; w < kwords; ++w) {
-    std::uint64_t packed = 0;
-    const std::size_t base = w * wire::kKindsPerWord;
-    const std::size_t end = std::min(nf - base, wire::kKindsPerWord);
-    for (std::size_t j = 0; j < end; ++j) {
-      const FieldKind kind = m.kind_at(base + j);
-      packed |= static_cast<std::uint64_t>(kind) << (4 * j);
-      payload_bits += static_cast<std::size_t>(
-          wire_field_bits(kind, model, quantized_reals));
-      model_bits += model.width_of(kind);
-    }
-    dst[1 + w] = packed;
-  }
-  if (accounted_bits != nullptr) *accounted_bits = model_bits;
-  const std::size_t payload_words = (payload_bits + 63) / 64;
-  const std::size_t total = 1 + kwords + payload_words;
-  ARBODS_CHECK_MSG(total <= 0xffff, "wire record of " << total << " words");
-
-  dst[0] = static_cast<std::uint64_t>(sender) |
-           (static_cast<std::uint64_t>(nf) << 32) |
-           (static_cast<std::uint64_t>(total) << 48);
-
-  for (std::size_t w = 0; w < payload_words; ++w) payload[w] = 0;
-  std::size_t pos = 0;
+  std::uint64_t packed = 0;  // kind nibbles of the current kind word
+  std::uint64_t acc = 0;     // payload bits not yet stored
+  int fill = 0;              // bits in acc, < 64
+  std::size_t payload_words = 0;
   for (std::size_t i = 0; i < nf; ++i) {
     const Field& f = m.field(i);
+    const std::size_t nibble = i % wire::kKindsPerWord;
+    packed |= static_cast<std::uint64_t>(f.kind) << (4 * nibble);
+    if (nibble == wire::kKindsPerWord - 1 || i + 1 == nf) {
+      kinds[i / wire::kKindsPerWord] = packed;
+      packed = 0;
+    }
+    model_bits += model.width_of(f.kind);
     const int width = wire_field_bits(f.kind, model, quantized_reals);
     const std::uint64_t value = field_wire_value(f, quantized_reals);
     // The wire is lossless for every value the solvers send: ids < n,
@@ -195,9 +138,27 @@ std::size_t wire_encode(const Message& m, NodeId sender,
     ARBODS_CHECK_MSG(width >= 64 || (value >> width) == 0,
                      "field " << i << " value " << value << " exceeds "
                               << width << "-bit wire width");
-    put_bits(payload, pos, value, width);
-    pos += static_cast<std::size_t>(width);
+    // Bit layout of wire::get_bits: the value at bit offset `pos` of the
+    // payload, spilling into the next word past bit 63.
+    acc |= value << fill;
+    if (fill + width >= 64) {
+      payload[payload_words++] = acc;
+      acc = fill == 0 ? 0 : value >> (64 - fill);
+      fill += width - 64;
+    } else {
+      fill += width;
+    }
   }
+  if (fill > 0) payload[payload_words++] = acc;
+  if (accounted_bits != nullptr) *accounted_bits = model_bits;
+  const std::size_t total =
+      static_cast<std::size_t>(payload + payload_words - dst);
+  ARBODS_CHECK_MSG(total <= 0xffff, "wire record of " << total << " words");
+  // The header goes last: a throw above leaves dst[0] untouched, so a
+  // zero word there still ends its slot (network.hpp).
+  dst[0] = static_cast<std::uint64_t>(sender) |
+           (static_cast<std::uint64_t>(nf) << 32) |
+           (static_cast<std::uint64_t>(total) << 48);
   return total;
 }
 

@@ -10,8 +10,10 @@
 //
 //   * `Message` — the sender-side builder. Fields live in a small inline
 //     array (no heap allocation for <= kInlineFields fields; a vector
-//     overflow keeps larger diagnostic messages working). A Message never
-//     crosses the network as an object.
+//     overflow keeps larger diagnostic messages working). The builder is
+//     defined inline in this header and does not zero-fill its array, so
+//     `Message::tagged(t).add_real(x)` compiles to a few stores at the
+//     call site. A Message never crosses the network as an object.
 //   * the wire format — at send time the Network bit-packs the fields into
 //     a flat std::uint64_t arena using exactly the MessageSizeModel widths,
 //     so the CONGEST bit accounting is the wire length by construction.
@@ -31,6 +33,15 @@
 //                 width, reals use the fixed-point codec encoding (or the
 //                 raw 64-bit double when quantization is disabled)
 //
+// A header word is never 0 (total words >= 1), which lets a run of
+// records end at a zero word (the Network's broadcast slots). The
+// encoder makes one pass over the fields, streaming the payload through
+// a 64-bit accumulator (no zero-fill, no second scan), and writes the
+// header last, so a record whose encoding throws leaves its first word
+// as it found it. The codec encodes a real from the double's IEEE-754
+// fields (no frexp/ldexp). A record with at most 16 fields has one kind
+// word, which the view's accessors load once.
+//
 // The header and kind nibbles are simulator bookkeeping and do not count
 // toward the CONGEST bit volume; `wire_payload_bits` (== Message::bit_size
 // under the same model when quantization is on) is what the Network
@@ -42,9 +53,10 @@
 // smuggle extra information through the mantissa of a double.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -102,15 +114,20 @@ inline int reliable_transport_header_bits(const MessageSizeModel& model) {
   return model.tag_bits + 2 * model.level_bits + model.flag_bits;
 }
 
+/// One builder field. Every member is set when the field is appended;
+/// the builder's unused inline fields stay uninitialized.
 struct Field {
   FieldKind kind;
-  std::int64_t ivalue = 0;  // used by all kinds except kReal
-  double rvalue = 0.0;      // used by kReal
+  std::int64_t ivalue;  // used by all kinds except kReal
+  double rvalue;        // used by kReal
 };
 
 /// Sender-side message builder. Cheap to construct and move: fields are
 /// stored inline (no heap) up to kInlineFields; only oversized diagnostic
-/// messages (cap-enforcement tests and the like) spill to a vector.
+/// messages (cap-enforcement tests and the like) spill to a vector. The
+/// inline storage is not zero-filled, and copies read only the fields
+/// in use, so building a message costs a few stores: every send builds
+/// one, and the builders are defined here so they inline into the caller.
 ///
 /// Integer fields must be non-negative and fit the MessageSizeModel width
 /// for their kind (ids < 2^id_bits, etc.) — the wire format carries
@@ -120,21 +137,57 @@ class Message {
  public:
   static constexpr std::size_t kInlineFields = 8;
 
-  Message() = default;
+  Message() {}  // the inline fields stay uninitialized
+  Message(const Message& other)
+      : size_(other.size_), overflow_(other.overflow_) {
+    copy_inline(other);
+  }
+  Message(Message&& other) noexcept
+      : size_(other.size_), overflow_(std::move(other.overflow_)) {
+    copy_inline(other);
+    other.size_ = 0;
+    other.overflow_.clear();
+  }
+  Message& operator=(const Message& other) {
+    if (this != &other) {
+      size_ = other.size_;
+      copy_inline(other);
+      overflow_ = other.overflow_;
+    }
+    return *this;
+  }
+  Message& operator=(Message&& other) noexcept {
+    if (this != &other) {
+      size_ = other.size_;
+      copy_inline(other);
+      overflow_ = std::move(other.overflow_);
+      other.size_ = 0;
+      other.overflow_.clear();
+    }
+    return *this;
+  }
 
   /// Tags let one algorithm multiplex message types; by convention the tag
   /// is the first field.
-  static Message tagged(int tag);
+  static Message tagged(int tag) {
+    Message m;
+    m.push(FieldKind::kTag, tag, 0.0);
+    return m;
+  }
 
-  Message& add_id(NodeId v);
-  Message& add_weight(Weight w);
-  Message& add_level(std::int64_t level);
-  Message& add_flag(bool b);
-  Message& add_real(double x);
+  Message& add_id(NodeId v) {
+    return push(FieldKind::kNodeId, static_cast<std::int64_t>(v), 0.0);
+  }
+  Message& add_weight(Weight w) { return push(FieldKind::kWeight, w, 0.0); }
+  Message& add_level(std::int64_t level) {
+    return push(FieldKind::kLevel, level, 0.0);
+  }
+  Message& add_flag(bool b) { return push(FieldKind::kFlag, b ? 1 : 0, 0.0); }
+  Message& add_real(double x) { return push(FieldKind::kReal, 0, x); }
   /// Appends a kTag field at the current position (tagged() only places
   /// one at field 0). Needed by relays that re-encode a received record
   /// field-for-field, e.g. the reliable-transport payload unwrap.
-  Message& add_tag(int tag);
+  Message& add_tag(int tag) { return push(FieldKind::kTag, tag, 0.0); }
   /// Appends all of `other`'s fields, unchanged and in order (a relay
   /// framing a payload it already holds as a Message).
   Message& append(const Message& other);
@@ -151,7 +204,10 @@ class Message {
   double real_at(std::size_t i) const;
 
   /// Raw field access (bounds-checked); used by the wire encoder.
-  const Field& field(std::size_t i) const;
+  const Field& field(std::size_t i) const {
+    ARBODS_CHECK_MSG(i < size_, "field index " << i << " out of range");
+    return i < kInlineFields ? inline_[i] : overflow_[i - kInlineFields];
+  }
   FieldKind kind_at(std::size_t i) const { return field(i).kind; }
 
   /// Total width under the given model.
@@ -163,11 +219,25 @@ class Message {
   void quantize_reals(const FixedPointCodec& codec);
 
  private:
-  Message& push(const Field& f);
+  Message& push(FieldKind kind, std::int64_t ivalue, double rvalue) {
+    if (size_ < kInlineFields) [[likely]] {
+      inline_[size_] = Field{kind, ivalue, rvalue};
+    } else {
+      overflow_.push_back(Field{kind, ivalue, rvalue});
+    }
+    ++size_;
+    return *this;
+  }
+  // Copies the inline fields in use, and only those: the rest are
+  // uninitialized.
+  void copy_inline(const Message& other) {
+    const std::size_t n = std::min<std::size_t>(other.size_, kInlineFields);
+    for (std::size_t i = 0; i < n; ++i) inline_[i] = other.inline_[i];
+  }
   const Field& field_checked(std::size_t i, FieldKind kind) const;
 
   std::uint32_t size_ = 0;
-  std::array<Field, kInlineFields> inline_{};
+  Field inline_[kInlineFields];  // [0, min(size_, kInlineFields)) are set
   std::vector<Field> overflow_;  // fields beyond kInlineFields (rare)
 };
 
@@ -189,6 +259,12 @@ inline int wire_field_bits(FieldKind kind, const MessageSizeModel& model,
 namespace wire {
 
 inline constexpr std::size_t kKindsPerWord = 16;  // 4-bit nibbles
+
+/// Total words of the record whose header word is `header` (never 0 for
+/// a header).
+inline std::size_t record_words(std::uint64_t header) {
+  return static_cast<std::size_t>((header >> 48) & 0xffffu);
+}
 
 /// Words of kind nibbles a record with `num_fields` fields carries.
 inline std::size_t kind_words(std::size_t num_fields) {
@@ -249,9 +325,7 @@ class MessageView {
     return static_cast<std::size_t>((words_[0] >> 32) & 0xffffu);
   }
   /// Total record length in words (cursor hop to the next message).
-  std::size_t words() const {
-    return static_cast<std::size_t>((words_[0] >> 48) & 0xffffu);
-  }
+  std::size_t words() const { return wire::record_words(words_[0]); }
 
   FieldKind kind_at(std::size_t i) const {
     ARBODS_CHECK_MSG(i < num_fields(), "field index " << i << " out of range");
@@ -296,14 +370,23 @@ class MessageView {
   std::uint64_t payload_bits_at(std::size_t i, FieldKind kind) const {
     const std::size_t nf = num_fields();
     ARBODS_CHECK_MSG(i < nf, "field index " << i << " out of range");
-    ARBODS_CHECK_MSG(kind_at(i) == kind, "field " << i << " kind mismatch");
-    std::size_t pos = 0;
-    for (std::size_t j = 0; j < i; ++j)
-      pos += static_cast<std::size_t>(
-          wire_field_bits(kind_at(j), *model_, quantized_));
-    return wire::get_bits(words_ + 1 + wire::kind_words(nf), pos,
-                          wire_field_bits(kind, *model_, quantized_));
+    if (nf <= wire::kKindsPerWord) [[likely]] {
+      // One kind word: load it once for the kind check and the offset.
+      const std::uint64_t kinds = words_[1];
+      ARBODS_CHECK_MSG(static_cast<FieldKind>((kinds >> (4 * i)) & 0xf) == kind,
+                       "field " << i << " kind mismatch");
+      std::size_t pos = 0;
+      for (std::size_t j = 0; j < i; ++j)
+        pos += static_cast<std::size_t>(wire_field_bits(
+            static_cast<FieldKind>((kinds >> (4 * j)) & 0xf), *model_,
+            quantized_));
+      return wire::get_bits(words_ + 2, pos,
+                            wire_field_bits(kind, *model_, quantized_));
+    }
+    return payload_bits_at_wide(i, kind);
   }
+  // payload_bits_at for a record with more than one kind word (rare).
+  std::uint64_t payload_bits_at_wide(std::size_t i, FieldKind kind) const;
 
   const std::uint64_t* words_;
   const MessageSizeModel* model_;

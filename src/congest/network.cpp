@@ -126,16 +126,22 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   init_size_model();
   const std::size_t arcs = build_csr_topology();
 
-  // Every node gets a broadcast slot with room for one cap-sized record:
-  // the length word plus header + one kind word + cap payload. Under a
-  // fault plan every record travels per arc, so there are no slots.
-  const std::size_t region_words =
-      3 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64;
+  // Every node gets a broadcast slot with room for one cap-sized record
+  // (header + one kind word + cap payload), rounded up to a power of two
+  // words so that, in 64-byte aligned arenas, a slot of up to 8 words
+  // sits in one cache line. Under a fault plan every record travels per
+  // arc, so there are no slots.
+  const std::size_t region_words = std::bit_ceil(
+      2 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64);
   if (!faulty_) {
     slot_stride_ = region_words;
     slot_words_ = static_cast<std::size_t>(n) * slot_stride_;
-    slots_a_ = std::make_unique_for_overwrite<std::uint64_t[]>(slot_words_);
-    slots_b_ = std::make_unique_for_overwrite<std::uint64_t[]>(slot_words_);
+    const auto make_arena = [this] {
+      return SlotArena(static_cast<std::uint64_t*>(::operator new[](
+          slot_words_ * sizeof(std::uint64_t), std::align_val_t{64})));
+    };
+    slots_a_ = make_arena();
+    slots_b_ = make_arena();
     for (std::size_t w = 0; w < slot_words_; w += slot_stride_)
       slots_a_[w] = slots_b_[w] = 0;
   }
@@ -160,7 +166,7 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   active_mark_.assign(n, 0);
   active_list_.reserve(64);
 
-  node_rngs_.reserve(n);
+  node_rngs_.assign(n, Rng(config_.seed));
   reseed_node_rngs();
 
   if (faulty_) {
@@ -188,10 +194,17 @@ std::vector<NodeId> Network::killed_nodes() const {
 }
 
 void Network::reseed_node_rngs() {
-  // Stream v is a pure function of (seed, v); the storage is kept.
+  // Stream v is a pure function of (seed, v), so the pool may derive the
+  // streams at any width; the storage is kept. No trace span: this runs
+  // between phases, outside every phase span.
   const Rng base(config_.seed);
-  node_rngs_.clear();
-  for (NodeId v = 0; v < num_nodes(); ++v) node_rngs_.push_back(base.split(v));
+  Rng* rngs = node_rngs_.data();
+  run_index_chunks(
+      node_rngs_.size(),
+      [&base, rngs](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) rngs[v] = base.split(v);
+      },
+      nullptr);
 }
 
 int Network::num_workers() const { return pool_ ? pool_->num_workers() : 1; }
@@ -296,34 +309,35 @@ void Network::broadcast(NodeId from, const Message& m) {
   }
   // Encode once into the sender's slot — the CONGEST accounting falls out
   // of the same pass — and fold the statistics for the whole fan-out into
-  // one worker-slot update. The cap check runs before the length word is
-  // committed, so an oversized broadcast still throws without side
-  // effects.
+  // one worker-slot update. An oversized broadcast still throws without
+  // side effects: the encoder writes the record's header last, and a
+  // failed cap check restores the zero word the header overwrote.
   const std::size_t w = worker_slot();
   std::uint64_t* slot = out_slot(from);
-  std::uint64_t& len = slot[0];
-  const std::size_t room = slot_stride_ - 1;
+  const std::size_t at = slot_used(slot);
   int bits = 0;
-  if (len + wire_words_bound(m) <= room) {
-    const std::size_t need = wire_encode(m, from, size_model_,
-                                         config_.quantize_reals,
-                                         slot + 1 + len, &bits);
-    check_cap(bits);
-    if (len == 0) slots_out_[w].push_back(from);
-    len += need;
-  } else {
-    const std::size_t need = encode_into_scratch(w, m, from, &bits);
-    if (len + need <= room) {
-      std::copy_n(scratch_[w].data(), need, slot + 1 + len);
-      if (len == 0) slots_out_[w].push_back(from);
-      len += need;
-    } else {
-      // Too big for the slot's free room: keep the suffix rule by moving
-      // the slot's records to the record list first, then fan this one
-      // out there too.
-      flush_slot(w, from);
-      append_fanout(w, from, scratch_[w].data(), need);
+  std::size_t need = 0;
+  if (at + wire_words_bound(m) <= slot_stride_) {
+    need = wire_encode(m, from, size_model_, config_.quantize_reals,
+                       slot + at, &bits);
+    if (config_.enforce_message_size && bits > max_message_bits_) {
+      slot[at] = 0;  // the terminator the header overwrote
+      check_cap(bits);
     }
+  } else {
+    need = encode_into_scratch(w, m, from, &bits);
+    if (at + need <= slot_stride_)
+      std::copy_n(scratch_[w].data(), need, slot + at);
+  }
+  if (at + need <= slot_stride_) {
+    if (at + need < slot_stride_) slot[at + need] = 0;
+    if (at == 0) slots_out_[w].push_back(from);
+  } else {
+    // Too big for the slot's free room: keep the suffix rule by moving
+    // the slot's records to the record list first, then fan this one
+    // out there too.
+    flush_slot(w, from);
+    append_fanout(w, from, scratch_[w].data(), need);
   }
   WorkerStats& ws = worker_stats_[w];
   ws.messages += fanout;
@@ -339,11 +353,9 @@ void Network::append_fanout(std::size_t w, NodeId from,
 
 void Network::flush_slot(std::size_t w, NodeId from) {
   std::uint64_t* slot = out_slot(from);
-  for (std::size_t at = 0; at < slot[0];) {
-    const std::uint64_t* rec = slot + 1 + at;
-    const std::size_t len =
-        MessageView(rec, &size_model_, config_.quantize_reals).words();
-    append_fanout(w, from, rec, len);
+  for (std::size_t at = 0; at < slot_stride_ && slot[at] != 0;) {
+    const std::size_t len = wire::record_words(slot[at]);
+    append_fanout(w, from, slot + at, len);
     at += len;
   }
   // `from` stays on slots_out_: clearing an empty slot is harmless and
@@ -754,9 +766,8 @@ void Network::for_each_outgoing(
   senders.erase(std::unique(senders.begin(), senders.end()), senders.end());
   for (const NodeId u : senders) {
     const std::uint64_t* slot = out_slot(u);
-    for (std::size_t at = 0; at < slot[0];) {
-      const MessageView mv(slot + 1 + at, &size_model_,
-                           config_.quantize_reals);
+    for (std::size_t at = 0; at < slot_stride_ && slot[at] != 0;) {
+      const MessageView mv(slot + at, &size_model_, config_.quantize_reals);
       for (std::size_t arc = offsets_[u]; arc != offsets_[u + 1]; ++arc)
         fn(mirror_[arc], mv);
       at += mv.words();
@@ -815,8 +826,9 @@ void Network::run_index_chunks(
     std::size_t count, FunctionRef<void(std::size_t, std::size_t)> chunk_fn,
     const char* span_name) {
   ++section_;
+  obs::TraceRecorder* tracer = span_name != nullptr ? tracer_.get() : nullptr;
   if (!pool_) {
-    obs::ScopedSpan span(tracer_.get(), 0, span_name,
+    obs::ScopedSpan span(tracer, 0, span_name,
                          static_cast<std::int64_t>(count));
     chunk_fn(0, count);
     ++section_;
@@ -829,8 +841,7 @@ void Network::run_index_chunks(
     const std::size_t end =
         count * (static_cast<std::size_t>(w) + 1) / workers;
     {
-      obs::ScopedSpan span(tracer_.get(), static_cast<std::size_t>(w),
-                           span_name,
+      obs::ScopedSpan span(tracer, static_cast<std::size_t>(w), span_name,
                            static_cast<std::int64_t>(end - begin));
       chunk_fn(begin, end);
     }

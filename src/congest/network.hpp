@@ -17,10 +17,17 @@
 //     layout); no per-message heap object exists anywhere on the path,
 //     and a steady-state round performs zero allocations.
 //   * Broadcasts are stored once per sender: every node owns a fixed-size
-//     word region (a "slot", room for one cap-sized record; word 0 is its
-//     used length) in each of two double-buffered arenas, and a broadcast
-//     encodes its record once into the sender's out-slot. Message and bit
-//     accounting count a broadcast as deg(v) deliveries all the same.
+//     word region (a "slot") in each of two double-buffered arenas, and a
+//     broadcast encodes its record once into the sender's out-slot.
+//     Message and bit accounting count a broadcast as deg(v) deliveries
+//     all the same. A slot has no length word: its records start at word
+//     0 and end at a zero word (a record header is never 0) or at the
+//     slot's last word, so an empty slot is a zero word 0 and a value
+//     broadcast is read with the cache line that holds its header. The
+//     stride (header + one kind word + cap payload, rounded up to a power
+//     of two words: 4 words, 32 B, under the default cap) and the 64-byte
+//     alignment of both arenas keep every slot inside one cache line up
+//     to 8 words.
 //   * Point-to-point records go to the calling worker's record list: the
 //     encoded words plus the receiver-side arc (a precomputed mirror
 //     permutation maps each out-arc to its position in the receiver's
@@ -77,6 +84,7 @@
 #include <iosfwd>
 #include <limits>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <string_view>
@@ -244,8 +252,12 @@ class DistributedAlgorithm {
 /// the records in that sender's broadcast slot (a Network running a fault
 /// plan has no slots and walks the run alone). Per-sender send order is
 /// preserved: a slot holds a suffix of its sender's records for the round.
-/// Dereferencing yields MessageView values; they (and the InboxView) are
-/// valid only for the current round.
+/// The iterator holds a pointer to the current record (its header word),
+/// and end() is a sentinel it meets when that pointer is null, so the
+/// loop test is one compare. A slot's records start at its word 0 and end
+/// at a zero word or at the slot's last word. Dereferencing yields
+/// MessageView values; they (and the InboxView) are valid only for the
+/// current round.
 class InboxView {
   /// One point-to-point record of the round's inbox list: the
   /// receiver-side arc it arrived on and where its words start in the
@@ -256,6 +268,10 @@ class InboxView {
   };
 
  public:
+  /// The end of the walk: compares equal to an iterator past the last
+  /// record.
+  struct sentinel {};
+
   class const_iterator {
    public:
     using value_type = MessageView;
@@ -263,18 +279,20 @@ class InboxView {
     using difference_type = std::ptrdiff_t;
 
     MessageView operator*() const {
-      ARBODS_DCHECK(arc_ != view_->end_arc_);
-      return MessageView(in_slot_ ? slot_ + 1 + word_
-                                  : view_->words_ + rec_->offset,
-                         view_->model_, view_->quantized_);
+      ARBODS_DCHECK(cur_ != nullptr);
+      return MessageView(cur_, view_->model_, view_->quantized_);
     }
     const_iterator& operator++() {
-      if (in_slot_) {
-        word_ += (**this).words();
+      if (slot_end_ != nullptr) {
+        // The slot's next record, unless a zero word or its end closes it.
+        cur_ += wire::record_words(*cur_);
+        if (cur_ != slot_end_ && *cur_ != 0) return *this;
+        ++arc_;
+        seek_arc();
       } else {
         ++rec_;
+        next_in_arc();
       }
-      settle();
       return *this;
     }
     const_iterator operator++(int) {
@@ -282,55 +300,68 @@ class InboxView {
       ++*this;
       return old;
     }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.arc_ == b.arc_ && a.rec_ == b.rec_ && a.in_slot_ == b.in_slot_ &&
-             a.word_ == b.word_;
+    friend bool operator==(const const_iterator& it, sentinel) {
+      return it.cur_ == nullptr;
     }
 
    private:
     friend class InboxView;
-    const_iterator(const InboxView* view, std::size_t arc, const Entry* rec)
-        : view_(view), rec_(rec), arc_(arc) {
-      settle();
+    explicit const_iterator(const InboxView* view)
+        : view_(view), rec_(view->run_begin_), arc_(view->first_arc_) {
+      seek_arc();
     }
-    // Steps to the next message: the current arc's records in the run,
-    // then its sender's slot, then the next arc.
-    void settle() {
-      if (view_->slots_ == nullptr) {
-        arc_ = rec_ != view_->run_end_ ? rec_->arc : view_->end_arc_;
+    // Past a run record of arc_: the arc's next run record, then its
+    // sender's slot, then the following arcs.
+    void next_in_arc() {
+      const bool slotless = view_->slots_ == nullptr;
+      if (rec_ != view_->run_end_ && (slotless || rec_->arc == arc_)) {
+        cur_ = view_->words_ + rec_->offset;
         return;
       }
-      while (arc_ != view_->end_arc_) {
-        if (!in_slot_) {
-          if (rec_ != view_->run_end_ && rec_->arc == arc_) return;
-          in_slot_ = true;
-          slot_ = view_->slot_region(arc_);
-          // Slot reads gather from random senders; fetching a few arcs
-          // ahead overlaps the cache misses of a high-degree inbox.
-          if (arc_ + 8 < view_->end_arc_)
-            __builtin_prefetch(view_->slot_region(arc_ + 8));
-        }
-        if (word_ < slot_[0]) return;
-        in_slot_ = false;
-        word_ = 0;
-        ++arc_;
+      if (!slotless && enter_slot()) return;
+      ++arc_;
+      seek_arc();
+    }
+    // The first record at or after the start of arc_.
+    void seek_arc() {
+      slot_end_ = nullptr;
+      if (view_->slots_ == nullptr) {
+        cur_ = rec_ != view_->run_end_ ? view_->words_ + rec_->offset
+                                       : nullptr;
+        return;
       }
+      for (; arc_ != view_->end_arc_; ++arc_) {
+        if (rec_ != view_->run_end_ && rec_->arc == arc_) {
+          cur_ = view_->words_ + rec_->offset;
+          return;
+        }
+        // Slot reads gather from random senders; fetching a few arcs
+        // ahead overlaps the cache misses of a high-degree inbox. A slot
+        // never straddles a cache line.
+        if (arc_ + 8 < view_->end_arc_)
+          __builtin_prefetch(view_->slot_region(arc_ + 8));
+        if (enter_slot()) return;
+      }
+      cur_ = nullptr;
+    }
+    // Points cur_ at the first record in arc_'s slot, if it holds one.
+    bool enter_slot() {
+      const std::uint64_t* slot = view_->slot_region(arc_);
+      if (*slot == 0) return false;
+      cur_ = slot;
+      slot_end_ = slot + view_->slot_stride_;
+      return true;
     }
 
     const InboxView* view_ = nullptr;
-    const std::uint64_t* slot_ = nullptr;  // length word of the slot
-    const Entry* rec_ = nullptr;
+    const std::uint64_t* cur_ = nullptr;       // current record; null = end
+    const std::uint64_t* slot_end_ = nullptr;  // set while cur_ is in a slot
+    const Entry* rec_ = nullptr;               // current or next run record
     std::size_t arc_ = 0;
-    std::size_t word_ = 0;
-    bool in_slot_ = false;
   };
 
-  const_iterator begin() const {
-    return const_iterator(this, first_arc_, run_begin_);
-  }
-  const_iterator end() const {
-    return const_iterator(this, end_arc_, run_end_);
-  }
+  const_iterator begin() const { return const_iterator(this); }
+  sentinel end() const { return {}; }
   bool empty() const { return begin() == end(); }
   /// First delivered message; the inbox must be non-empty.
   MessageView front() const {
@@ -650,7 +681,8 @@ class Network {
   /// worker_index() resolve to the executing worker inside chunk_fn),
   /// and returns after all chunks complete. Serial (inline, slot 0) when
   /// the instance owns no pool. Not reentrant. `span_name` labels the
-  /// per-worker trace spans. Each call is its own section (see section_).
+  /// per-worker trace spans (nullptr: record none). Each call is its own
+  /// section (see section_).
   void run_index_chunks(std::size_t count,
                         FunctionRef<void(std::size_t, std::size_t)> chunk_fn,
                         const char* span_name);
@@ -665,7 +697,8 @@ class Network {
   /// Appends one flight-recorder line for the round just processed (a
   /// plain ring store; called by run_phase after each round).
   void flight_note_round(const obs::FlightRecord& rec);
-  /// Zeroes the length words of the listed slots and empties the lists.
+  /// Zeroes word 0 of the listed slots (empty again) and empties the
+  /// lists.
   void clear_slots(std::uint64_t* slots,
                    std::vector<std::vector<NodeId>>& lists);
   /// Forgets the current inbox (runs, receivers, records).
@@ -709,6 +742,14 @@ class Network {
   /// list, one per out-arc, and empties the slot, so a later
   /// point-to-point record is not read before them.
   void flush_slot(std::size_t w, NodeId from);
+  /// Words in use at the front of a slot: its records, up to the zero
+  /// word or the slot's end.
+  std::size_t slot_used(const std::uint64_t* slot) const {
+    std::size_t at = 0;
+    while (at < slot_stride_ && slot[at] != 0)
+      at += wire::record_words(slot[at]);
+    return at;
+  }
   std::uint64_t* out_slot(NodeId v) {
     return out_slots_->get() + static_cast<std::size_t>(v) * slot_stride_;
   }
@@ -769,17 +810,28 @@ class Network {
 
   // Broadcast slots: node v owns the slot_stride_ words at v * slot_stride_
   // of both arenas (none when slot_stride_ == 0, as under a fault plan).
-  // Word 0 is the used length, records follow from word 1.
+  // There is no length word: records start at word 0, and a zero word, or
+  // the slot's end when the records fill it, ends them. The stride is a
+  // power of two words with room for header + one kind word + a cap-sized
+  // payload, and both arenas are 64-byte aligned, so a slot of up to 8
+  // words never straddles a cache line.
   // Double-buffered: the in-slots hold this round's broadcasts, the
-  // out-slots collect next round's. Beyond the length words the storage is
-  // deliberately *uninitialized* (every wire record fully initializes the
-  // words it claims, and the length word guards reads), so constructing a
-  // Network never pays an O(n * stride) zero-fill.
+  // out-slots collect next round's. Past the terminating zero words the
+  // storage is deliberately *uninitialized* (every wire record fully
+  // initializes the words it claims, and a broadcast that leaves room
+  // writes the zero word behind its record), so constructing a Network
+  // never pays an O(n * stride) zero-fill.
+  struct AlignedArenaDelete {
+    void operator()(std::uint64_t* p) const noexcept {
+      ::operator delete[](p, std::align_val_t{64});
+    }
+  };
+  using SlotArena = std::unique_ptr<std::uint64_t[], AlignedArenaDelete>;
   std::size_t slot_stride_ = 0;
   std::size_t slot_words_ = 0;
-  std::unique_ptr<std::uint64_t[]> slots_a_, slots_b_;
-  std::unique_ptr<std::uint64_t[]>* in_slots_ = nullptr;
-  std::unique_ptr<std::uint64_t[]>* out_slots_ = nullptr;
+  SlotArena slots_a_, slots_b_;
+  SlotArena* in_slots_ = nullptr;
+  SlotArena* out_slots_ = nullptr;
   // The nodes whose slot was written (the broadcasters), per worker, so a
   // flip clears one slot per broadcaster and the active-set builder finds
   // their neighbours. A sender whose slot was flushed and written again

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -310,6 +311,98 @@ TEST(FixedPoint, DecodeMatchesLdexpReferenceOnEveryLayout) {
     }
   }
   EXPECT_EQ(checked, 10 * 52 * 2 * (12 + 16 + 4));
+}
+
+// Reference encode through std::frexp / std::llround / std::ldexp; encode()
+// reads the IEEE-754 fields directly and must match it bit for bit on
+// every layout.
+std::uint64_t frexp_encode(double v, int exp_bits, int mant_bits) {
+  const int bias = (1 << (exp_bits - 1)) - 1;
+  const std::uint64_t sign = v < 0.0 ? 1 : 0;
+  const double a = std::fabs(v);
+  if (a == 0.0) return sign << (exp_bits + mant_bits);
+  int e = 0;
+  const double m = std::frexp(a, &e) * 2.0;  // a = m * 2^(e-1), m in [1, 2)
+  int biased = (e - 1) + bias;
+  const int max_exp = (1 << exp_bits) - 1;
+  if (biased < 1) return sign << (exp_bits + mant_bits);
+  std::uint64_t mant = static_cast<std::uint64_t>(
+      std::llround((m - 1.0) * std::ldexp(1.0, mant_bits)));
+  if (mant >= (std::uint64_t{1} << mant_bits)) {
+    mant = 0;
+    ++biased;
+  }
+  if (biased > max_exp) {
+    biased = max_exp;
+    mant = (std::uint64_t{1} << mant_bits) - 1;
+  }
+  return (sign << (exp_bits + mant_bits)) |
+         (static_cast<std::uint64_t>(biased) << mant_bits) | mant;
+}
+
+TEST(FixedPointCodec, EncodeMatchesFrexpReference) {
+  Rng rng(9191);
+  constexpr std::uint64_t kFrac = (std::uint64_t{1} << 52) - 1;
+  const auto from_fields = [](std::uint64_t ieee_exp, std::uint64_t frac) {
+    return std::bit_cast<double>((ieee_exp << 52) | (frac & kFrac));
+  };
+  std::int64_t checked = 0;
+  for (int eb = 2; eb <= 11; ++eb) {
+    for (int mb = 1; mb <= 52; ++mb) {
+      const FixedPointCodec c(eb, mb);
+      const int bias = (1 << (eb - 1)) - 1;
+      const int drop = 52 - mb;
+      // IEEE exponents of the layout's smallest and largest normal value.
+      const std::int64_t lo = 1023 - bias + 1;
+      const std::int64_t hi = 1023 + bias + 1;
+      std::vector<std::int64_t> exps = {1, 1023, 2046};
+      for (std::int64_t e = lo - 2; e <= lo + 1; ++e) exps.push_back(e);
+      for (std::int64_t e = hi - 2; e <= hi + 1; ++e) exps.push_back(e);
+      std::vector<double> values = {0.0, 1.0, 1.5,
+                                    std::numeric_limits<double>::min(),
+                                    std::numeric_limits<double>::max(),
+                                    std::numeric_limits<double>::denorm_min(),
+                                    from_fields(0, kFrac)};
+      for (const std::int64_t exp : exps) {
+        if (exp < 1 || exp > 2046) continue;
+        const std::uint64_t e = static_cast<std::uint64_t>(exp);
+        // Ties at the rounding bit, a carry out of the mantissa (all kept
+        // bits set, then a tie or more), and the fraction's extremes.
+        const std::uint64_t low = (std::uint64_t{1} << drop) - 1;
+        const std::uint64_t keep_ones = kFrac & ~low;
+        const std::uint64_t half = low - (low >> 1);  // 0 when drop == 0
+        const std::uint64_t below_half = half == 0 ? 0 : half - 1;
+        for (const std::uint64_t frac :
+             {std::uint64_t{0}, kFrac, half, keep_ones, keep_ones | half,
+              keep_ones | below_half, (rng.next_u64() & keep_ones) | half,
+              (rng.next_u64() & keep_ones) | below_half, rng.next_u64()})
+          values.push_back(from_fields(e, frac));
+      }
+      // Subnormals, random finite bit patterns, and random values across
+      // the layout's range.
+      for (int i = 0; i < 8; ++i) {
+        values.push_back(from_fields(0, rng.next_u64()));
+        std::uint64_t bits = rng.next_u64();
+        if (((bits >> 52) & 0x7ff) == 0x7ff) bits ^= std::uint64_t{1} << 52;
+        values.push_back(
+            std::bit_cast<double>(bits & ~(std::uint64_t{1} << 63)));
+        const std::int64_t span = hi - lo + 5;
+        const std::int64_t e = std::clamp<std::int64_t>(
+            lo - 2 + rng.next_int(0, span - 1), 1, 2046);
+        values.push_back(
+            from_fields(static_cast<std::uint64_t>(e), rng.next_u64()));
+      }
+      for (const double a : values) {
+        for (const double v : {a, -a}) {
+          ASSERT_EQ(c.encode(v), frexp_encode(v, eb, mb))
+              << "exp_bits=" << eb << " mant_bits=" << mb << " v=" << v
+              << " bits=" << std::bit_cast<std::uint64_t>(v);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10 * 52 * 2 * 100);
 }
 
 // -------------------------------------------------------------------- table

@@ -518,6 +518,122 @@ TEST(Network, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
   }
 }
 
+// ---------------------------------------------------------- broadcast slots
+
+// Slots carry no length word: records start at word 0 and end at a zero
+// word or at the slot's last word. Weights of 51 bits let a record of
+// three fields exceed a cap that still gives each node an 8-word slot
+// (header + kind word + ceil(cap/64) payload words, rounded up to a power
+// of two).
+WeightedGraph wide_weight_star(NodeId n) {
+  std::vector<Weight> w(n, 1);
+  w[0] = Weight{1} << 50;
+  return WeightedGraph(gen::star(n), std::move(w));
+}
+
+// A broadcast that fits its slot's free room but exceeds the cap throws,
+// and leaves the slot exactly as it was: the record broadcast before it
+// is all the neighbour receives.
+TEST(Network, OversizedBroadcastInASlotLeavesTheEarlierRecord) {
+  const auto wg = wide_weight_star(2);
+  CongestConfig cfg;
+  cfg.max_message_bits_override = 140;
+
+  class Probe final : public DistributedAlgorithm {
+   public:
+    bool threw = false;
+    std::vector<std::pair<int, Weight>> got;
+    void initialize(Network& net) override {
+      const Message before = Message::tagged(1).add_weight(5);
+      const Weight big = Weight{1} << 50;
+      Message oversized;
+      oversized.add_weight(big).add_weight(big).add_weight(big);
+      EXPECT_EQ(wire_words(before, net.size_model(), true) +
+                    wire_words_bound(oversized),
+                8u);
+      EXPECT_GT(oversized.bit_size(net.size_model()), net.max_message_bits());
+      net.broadcast(1, before);
+      try {
+        net.broadcast(1, oversized);
+      } catch (const CheckError&) {
+        threw = true;
+      }
+    }
+    void process_round(Network& net) override {
+      for (const MessageView m : net.inbox(0))
+        got.push_back({m.tag(), m.weight_at(1)});
+    }
+    bool finished(const Network& net) const override {
+      return net.current_round() >= 1;
+    }
+  };
+
+  Network net(wg, cfg);
+  Probe algo;
+  const RunStats stats = net.run(algo, 5);
+  EXPECT_TRUE(algo.threw);
+  EXPECT_EQ(algo.got, (std::vector<std::pair<int, Weight>>{{1, 5}}));
+  EXPECT_EQ(stats.messages, 1);
+}
+
+// Two records that fill a slot to its last word leave no terminating
+// zero word: the walk must stop at the slot's end, deliver both in send
+// order, and then move on to the next sender's slot (the adjacent one in
+// the arena). The second record is encoded in place (three weights) or,
+// when its size bound exceeds the free room, through scratch (a tag and
+// four reals).
+TEST(Network, FullSlotWithoutTerminatorIsReadToItsEnd) {
+  const auto wg = wide_weight_star(3);  // hub 0, leaves 1 and 2
+  CongestConfig cfg;
+  cfg.max_message_bits_override = 160;
+
+  class Probe final : public DistributedAlgorithm {
+   public:
+    explicit Probe(bool in_place) : in_place_(in_place) {}
+    std::vector<std::pair<NodeId, int>> got;
+    void initialize(Network& net) override {
+      const Message first = Message::tagged(1).add_weight(5);
+      Message second;
+      if (in_place_) {
+        const Weight big = Weight{1} << 50;
+        second.add_weight(big).add_weight(big).add_weight(big);
+      } else {
+        second = Message::tagged(2);
+        for (int i = 0; i < 4; ++i) second.add_real(0.5 + i);
+      }
+      const MessageSizeModel& model = net.size_model();
+      EXPECT_EQ(
+          wire_words(first, model, true) + wire_words(second, model, true),
+          8u);
+      EXPECT_LE(second.bit_size(model), net.max_message_bits());
+      net.broadcast(1, first);
+      net.broadcast(1, second);
+      net.broadcast(2, Message::tagged(3).add_weight(1));
+      net.broadcast(2, Message::tagged(4).add_weight(1));
+    }
+    void process_round(Network& net) override {
+      for (const MessageView m : net.inbox(0))
+        got.push_back({m.sender(), m.tag()});
+    }
+    bool finished(const Network& net) const override {
+      return net.current_round() >= 1;
+    }
+
+   private:
+    bool in_place_;
+  };
+
+  for (const bool in_place : {true, false}) {
+    Network net(wg, cfg);
+    Probe algo(in_place);
+    net.run(algo, 5);
+    const int second_tag = in_place ? -1 : 2;
+    EXPECT_EQ(algo.got, (std::vector<std::pair<NodeId, int>>{
+                            {1, 1}, {1, second_tag}, {2, 3}, {2, 4}}))
+        << "in_place=" << in_place;
+  }
+}
+
 // --------------------------------------------------- active-set scheduling
 
 // for_active_nodes visits exactly (message receivers ∪ armed nodes) of the
