@@ -3,12 +3,14 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "congest/message.hpp"
 #include "core/solvers.hpp"
 #include "gen/arboricity_families.hpp"
+#include "gen/classic.hpp"
 #include "gen/random_graphs.hpp"
 #include "gen/trees.hpp"
 #include "gen/weights.hpp"
@@ -266,9 +268,45 @@ void BM_NetworkFloodActiveSet(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkFloodActiveSet)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 15);
 
+// The shape of the announcement rounds (JOIN, retire, the adaptive loop)
+// at scale: about 1% of the nodes re-arm every round and nothing is sent,
+// so a round costs the active-set rebuild and its walk, and an active set
+// kept as a bitmap scans n/64 words for few nodes. One benchmark
+// iteration is one round of a single phase (finished() drives the
+// benchmark loop), so the phase set-up stays outside the timing; items
+// are active-node visits.
+void BM_NetworkSparseActiveSet(benchmark::State& state) {
+  const NodeId n = static_cast<NodeId>(state.range(0));
+  WeightedGraph wg = WeightedGraph::uniform(gen::path(n));
+
+  class SparseRearm final : public DistributedAlgorithm {
+   public:
+    explicit SparseRearm(benchmark::State& state) : state_(state) {}
+    void initialize(Network& net) override {
+      for (NodeId v = 0; v < net.num_nodes(); v += 100) net.arm(v);
+    }
+    void process_round(Network& net) override {
+      net.for_active_nodes([&](NodeId v) { net.arm(v); });
+    }
+    bool finished(const Network&) const override {
+      return !state_.KeepRunning();
+    }
+
+   private:
+    benchmark::State& state_;
+  };
+
+  Network net(wg);
+  SparseRearm algo(state);
+  net.run(algo, std::numeric_limits<std::int64_t>::max());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>((n + 99) / 100));
+}
+BENCHMARK(BM_NetworkSparseActiveSet)->Arg(1 << 20);
+
 // Flood rounds on a pooled Network across worker-pool widths: the
-// parallel send half-round plus the serial flip, warm (scratch and
-// active-set capacity settled by a warm-up run).
+// parallel send half-round plus the serial flip, warm (scratch capacity
+// settled by a warm-up run).
 void BM_NetworkFloodThreads(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
   Rng rng(8);
@@ -297,7 +335,7 @@ void BM_NetworkFloodThreads(benchmark::State& state) {
 
   Network net(wg, cfg);
   Flood algo;
-  net.run(algo, 2);  // warm-up: scratch and active-set capacity
+  net.run(algo, 2);  // warm-up: scratch capacity
   for (auto _ : state) {
     net.run(algo, 10);
   }

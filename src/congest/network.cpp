@@ -35,22 +35,6 @@ int derive_workers(const CongestConfig& config, NodeId n) {
   return workers;
 }
 
-// Post-run shrink policy for per-worker scratch vectors: a run that once
-// touched millions of entries must not pin that capacity for the
-// Network's lifetime. Contents are preserved; only excess capacity (4x
-// past twice the observed high-water mark, and past a 1024-entry floor)
-// is released.
-template <typename T>
-void maybe_shrink(std::vector<T>& v, std::size_t used) {
-  const std::size_t target = std::max<std::size_t>(2 * used, 64);
-  if (v.capacity() > 1024 && v.capacity() / 4 > target) {
-    std::vector<T> tmp;
-    tmp.reserve(std::max(target, v.size()));
-    tmp.assign(v.begin(), v.end());
-    v.swap(tmp);
-  }
-}
-
 }  // namespace
 
 int congest_message_cap(const CongestConfig& config, NodeId n) {
@@ -163,8 +147,7 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   if (config_.trace.enabled)
     tracer_ = std::make_unique<obs::TraceRecorder>(workers, 1 << 14);
 
-  active_mark_.assign(n, 0);
-  active_list_.reserve(64);
+  active_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
 
   node_rngs_.assign(n, Rng(config_.seed));
   reseed_node_rngs();
@@ -210,11 +193,9 @@ void Network::reseed_node_rngs() {
 int Network::num_workers() const { return pool_ ? pool_->num_workers() : 1; }
 
 void Network::check_cap(int bits) const {
-  if (config_.enforce_message_size) {
-    ARBODS_CHECK_MSG(bits <= max_message_bits_,
-                     "CONGEST violation: message of " << bits << " bits > cap "
-                                                      << max_message_bits_);
-  }
+  ARBODS_CHECK_MSG(bits <= max_message_bits_,
+                   "CONGEST violation: message of " << bits << " bits > cap "
+                                                    << max_message_bits_);
 }
 
 void Network::account_bits(int bits) {
@@ -320,7 +301,7 @@ void Network::broadcast(NodeId from, const Message& m) {
   if (at + wire_words_bound(m) <= slot_stride_) {
     need = wire_encode(m, from, size_model_, config_.quantize_reals,
                        slot + at, &bits);
-    if (config_.enforce_message_size && bits > max_message_bits_) {
+    if (bits > max_message_bits_) {
       slot[at] = 0;  // the terminator the header overwrote
       check_cap(bits);
     }
@@ -489,8 +470,6 @@ void Network::release_held() {
     HoldBucket& bucket = wheel.ring[static_cast<std::size_t>(arrival) &
                                     (wheel.ring.size() - 1)];
     if (bucket.round != arrival) continue;
-    wheel.words_highwater = std::max(wheel.words_highwater, bucket.words.size());
-    wheel.recs_highwater = std::max(wheel.recs_highwater, bucket.recs.size());
     bucket.round = -1;
     bucket.words.clear();
     bucket.recs.clear();
@@ -500,9 +479,6 @@ void Network::release_held() {
 void Network::clear_held() {
   for (HoldWheel& wheel : wheels_) {
     for (HoldBucket& bucket : wheel.ring) {
-      wheel.words_highwater =
-          std::max(wheel.words_highwater, bucket.words.size());
-      wheel.recs_highwater = std::max(wheel.recs_highwater, bucket.recs.size());
       bucket.round = -1;
       bucket.words.clear();
       bucket.recs.clear();
@@ -512,7 +488,7 @@ void Network::clear_held() {
 }
 
 void Network::arm_at(NodeId v, std::int64_t round) {
-  ARBODS_DCHECK(v < active_mark_.size());
+  ARBODS_DCHECK(v < num_nodes());
   ARBODS_CHECK_MSG(round > round_,
                    "arm_at(" << v << ", " << round << ") is not in the future"
                              << " (current round " << round_ << ")");
@@ -577,7 +553,6 @@ void Network::flip_buffers() {
 void Network::clear_slots(std::uint64_t* slots,
                           std::vector<std::vector<NodeId>>& lists) {
   for (auto& list : lists) {
-    touched_highwater_ = std::max(touched_highwater_, list.size());
     for (const NodeId v : list)
       slots[static_cast<std::size_t>(v) * slot_stride_] = 0;
     list.clear();
@@ -612,8 +587,6 @@ void Network::sort_records_into_inbox() {
     runs_[v] = Run{total, total};
     total += count;
   }
-  records_highwater_ = std::max<std::size_t>(records_highwater_, total);
-  record_words_highwater_ = std::max(record_words_highwater_, total_words);
   placed_.resize(total);
   for (std::size_t w = 0; w < records_.size(); ++w)
     for (const Record& r : records_[w].recs)
@@ -651,14 +624,10 @@ void Network::sort_records_into_inbox() {
 void Network::rebuild_active_set() {
   const std::int64_t span_t0 = tracer_ != nullptr ? obs::monotonic_ns() : 0;
   active_dirty_ = false;
-  ++active_epoch_;
-  const std::uint64_t epoch = active_epoch_;
-  active_list_.clear();
-  auto mark = [&](NodeId v) {
-    if (active_mark_[v] != epoch) {
-      active_mark_[v] = epoch;
-      active_list_.push_back(v);
-    }
+  std::fill(active_bits_.begin(), active_bits_.end(), 0);
+  std::uint64_t* bits = active_bits_.data();
+  auto mark = [bits](NodeId v) {
+    bits[v / 64] |= std::uint64_t{1} << (v % 64);
   };
   for (const NodeId v : receivers_) mark(v);
   // A broadcaster's slot reaches every neighbour (a flushed, now empty
@@ -678,31 +647,25 @@ void Network::rebuild_active_set() {
     CalendarBucket& bucket =
         cal.ring[static_cast<std::size_t>(due) & (cal.ring.size() - 1)];
     if (bucket.round != due) continue;
-    armed_highwater_ = std::max(armed_highwater_, bucket.nodes.size());
     for (const NodeId v : bucket.nodes) mark(v);
     bucket.round = -1;
     bucket.nodes.clear();
   }
-  // Keep the worklist in ascending node order so chunked iteration touches
-  // per-node arrays as sequentially as a 0..n sweep —
-  // the list arrives in delivery order, which is cache-hostile when dense.
-  // Dense rounds re-extract from the marks with one sequential pass, in
-  // place (the marks hold the same nodes, so the list's capacity fits);
-  // sparse rounds sort the short list. Either way the order (not just the
-  // contents) is now independent of the pool width.
-  const std::size_t n = active_mark_.size();
-  if (active_list_.size() >= n / 8) {
-    active_list_.clear();
-    for (std::size_t v = 0; v < n; ++v)
-      if (active_mark_[v] == epoch)
-        active_list_.push_back(static_cast<NodeId>(v));
-  } else {
-    std::sort(active_list_.begin(), active_list_.end());
-  }
-  active_highwater_ = std::max(active_highwater_, active_list_.size());
+  active_count_ = 0;
+  for (const std::uint64_t word : active_bits_)
+    active_count_ += static_cast<std::size_t>(std::popcount(word));
   if (tracer_ != nullptr)
     tracer_->record(0, "active:rebuild", span_t0, obs::monotonic_ns(),
-                    static_cast<std::int64_t>(active_list_.size()));
+                    static_cast<std::int64_t>(active_count_));
+}
+
+std::vector<NodeId> Network::active_nodes() {
+  ensure_active_set();
+  std::vector<NodeId> nodes;
+  nodes.reserve(active_count_);
+  for_set_bits(active_bits_.data(), 0, active_bits_.size(),
+               [&nodes](NodeId v) { nodes.push_back(v); });
+  return nodes;
 }
 
 void Network::clear_in_flight() {
@@ -719,7 +682,8 @@ void Network::clear_in_flight() {
       bucket.nodes.clear();
     }
   }
-  active_list_.clear();
+  std::fill(active_bits_.begin(), active_bits_.end(), 0);
+  active_count_ = 0;
   active_dirty_ = false;
   // Undelivered held records die with the phase too (statistics counted
   // them at send time, exactly as for undelivered direct records).
@@ -773,33 +737,6 @@ void Network::for_each_outgoing(
       at += mv.words();
     }
   }
-}
-
-void Network::shrink_scratch() {
-  for (auto& list : slots_in_) maybe_shrink(list, touched_highwater_);
-  for (auto& list : slots_out_) maybe_shrink(list, touched_highwater_);
-  for (WorkerCalendar& cal : calendars_)
-    for (CalendarBucket& bucket : cal.ring)
-      maybe_shrink(bucket.nodes, armed_highwater_);
-  maybe_shrink(active_list_, active_highwater_);
-  // Contents survive the shrink, so the last round's inbox stays readable.
-  for (RecordList& list : records_) {
-    maybe_shrink(list.recs, records_highwater_);
-    maybe_shrink(list.words, record_words_highwater_);
-  }
-  maybe_shrink(inbox_, records_highwater_);
-  maybe_shrink(placed_, records_highwater_);
-  maybe_shrink(receivers_, records_highwater_);
-  maybe_shrink(inbox_words_, record_words_highwater_);
-  for (HoldWheel& wheel : wheels_) {
-    for (HoldBucket& bucket : wheel.ring) {
-      maybe_shrink(bucket.words, wheel.words_highwater);
-      maybe_shrink(bucket.recs, wheel.recs_highwater);
-    }
-    wheel.words_highwater = 0;
-    wheel.recs_highwater = 0;
-  }
-  maybe_shrink(drain_, 0);
 }
 
 void Network::reduce_stats() {
@@ -856,11 +793,6 @@ void Network::reset_for_reuse() {
   for (WorkerStats& slot : worker_stats_) slot = WorkerStats{};
   round_ = 0;
   phase_max_message_bits_ = 0;
-  touched_highwater_ = 0;
-  records_highwater_ = 0;
-  record_words_highwater_ = 0;
-  armed_highwater_ = 0;
-  active_highwater_ = 0;
   // Drop the previous run's spans and flight records, so a post-run
   // snapshot covers exactly the next run.
   if (tracer_ != nullptr) tracer_->clear();
@@ -970,9 +902,8 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
       // Never force a rebuild here: it would drain due timer buckets the
       // next flip should carry forward (behavior change). -1 = the
       // algorithm did not consult the active set this round.
-      rec.active = active_dirty_
-                       ? -1
-                       : static_cast<std::int64_t>(active_list_.size());
+      rec.active = active_dirty_ ? -1
+                                 : static_cast<std::int64_t>(active_count_);
       rec.delivered = stats_.messages - before.delivered;
       rec.bits = stats_.total_bits - before.bits;
       rec.dropped = stats_.dropped - before.dropped;
@@ -982,7 +913,6 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
       flight_note_round(rec);
     }
   }
-  shrink_scratch();
   if (tracer_ != nullptr)
     tracer_->record(0, phase_span, phase_t0, obs::monotonic_ns());
   if (hit_limit && flight_count_ > 0) {

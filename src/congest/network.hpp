@@ -65,10 +65,12 @@
 //   * The simulator additionally maintains an *active set*: the nodes that
 //     received at least one message this round (record receivers plus the
 //     neighbours of every broadcasting node) plus the nodes that called
-//     arm() last round. Event-driven algorithms route their loops through
-//     for_active_nodes and pay O(active + delivered) per round instead of
-//     O(n) — on instances that converge region-by-region most rounds touch
-//     a small and shrinking worklist.
+//     arm() last round. It is one bitmap of ceil(n/64) words, rebuilt on
+//     first use in a round; for_active_nodes walks its set bits in
+//     ascending node order. Event-driven algorithms route their loops
+//     through for_active_nodes and pay O(n/64 + active + delivered) per
+//     round instead of O(n) per-node work — on instances that converge
+//     region-by-region most rounds touch a small and shrinking worklist.
 //
 // A DistributedAlgorithm owns all per-node state (struct-of-vectors) and is
 // driven by Network::run(). This keeps the hot loop virtual-call-free per
@@ -80,6 +82,7 @@
 // are not per-element thread-safe).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -106,8 +109,6 @@ struct CongestConfig {
   /// Message cap = max(64, 4 * ceil(log2(n+1))) bits, unless explicitly
   /// overridden by max_message_bits_override.
   int max_message_bits_override = 0;  // 0 = derive from n
-  /// Enforce the cap (disable only for diagnostics).
-  bool enforce_message_size = true;
   /// Quantize kReal fields through the fixed-point codec at send time.
   bool quantize_reals = true;
   /// Seed for all per-node randomness.
@@ -500,20 +501,23 @@ class Network {
   /// round, deduplicated. Same locality contract as for_nodes; each active
   /// node is visited exactly once, on exactly one worker. The set's
   /// contents are a pure function of the algorithm (never of the pool
-  /// width); only the visit order varies, which the locality contract
-  /// makes unobservable. A stage that only reacts to rare announcements
-  /// (JOIN, retire) reads them here: every receiver is in the set and
-  /// every inbox outside it is empty, so the scan costs O(announcers'
-  /// degrees), not O(n); work that must visit every node (a bump, a
-  /// sample, a broadcast) stays in a separate for_nodes.
+  /// width); only the interleaving across workers varies, which the
+  /// locality contract makes unobservable. The pool splits the bitmap's
+  /// words into contiguous chunks (the "chunk:active" span counts words),
+  /// and each worker visits its nodes in ascending order. A stage that
+  /// only reacts to rare announcements (JOIN, retire) reads them here:
+  /// every receiver is in the set and every inbox outside it is empty, so
+  /// the scan costs O(n/64 + announcers' degrees), not O(n) node visits;
+  /// work that must visit every node (a bump, a sample, a broadcast)
+  /// stays in a separate for_nodes.
   template <typename F>
   void for_active_nodes(F&& fn) {
     ensure_active_set();
-    const NodeId* nodes = active_list_.data();
-    auto chunk = [&fn, nodes](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) fn(nodes[i]);
+    const std::uint64_t* words = active_bits_.data();
+    auto chunk = [&fn, words](std::size_t begin, std::size_t end) {
+      for_set_bits(words, begin, end, fn);
     };
-    run_index_chunks(active_list_.size(), chunk, "chunk:active");
+    run_index_chunks(active_bits_.size(), chunk, "chunk:active");
   }
 
   /// Schedules v to be active next round even if no message arrives. May
@@ -534,12 +538,9 @@ class Network {
   /// does look — deferred, never dropped.
   void arm_at(NodeId v, std::int64_t round);
 
-  /// This round's active set (receivers + previously armed). Mainly for
-  /// tests and diagnostics.
-  std::span<const NodeId> active_nodes() {
-    ensure_active_set();
-    return {active_list_.data(), active_list_.size()};
-  }
+  /// This round's active set (receivers + previously armed), ascending.
+  /// For tests and diagnostics.
+  std::vector<NodeId> active_nodes();
 
   /// Worker-pool width this Network executes parallel loops with.
   int num_workers() const;
@@ -670,7 +671,6 @@ class Network {
   void clear_in_flight();
   void reseed_node_rngs();
   void rebuild_active_set();
-  void shrink_scratch();
   /// Worker slot the calling thread accounts to: the executing worker's
   /// index inside a run_index_chunks section, 0 outside one.
   std::size_t worker_slot() const;
@@ -686,6 +686,15 @@ class Network {
   void run_index_chunks(std::size_t count,
                         FunctionRef<void(std::size_t, std::size_t)> chunk_fn,
                         const char* span_name);
+  /// Calls fn(v) for every set bit v of the bitmap words [begin, end), in
+  /// ascending order.
+  template <typename F>
+  static void for_set_bits(const std::uint64_t* words, std::size_t begin,
+                           std::size_t end, F&& fn) {
+    for (std::size_t i = begin; i < end; ++i)
+      for (std::uint64_t bits = words[i]; bits != 0; bits &= bits - 1)
+        fn(static_cast<NodeId>(64 * i + std::countr_zero(bits)));
+  }
   /// Build the active set if the current round's flip marked it dirty.
   /// The single seam behind for_active_nodes/active_nodes — and
   /// deliberately NOT called by the flight recorder: forcing a rebuild
@@ -863,17 +872,15 @@ class Network {
   std::vector<std::vector<std::uint64_t>> scratch_;
 
   // Active set: nodes receiving messages this round + nodes whose timer
-  // came due, deduplicated through an epoch-stamped mark array and kept in
-  // ascending node order (dense rounds re-extract from the marks with one
-  // sequential sweep, sparse rounds sort the short list) so chunked
-  // iteration preserves the cache locality of a plain 0..n sweep. Built
-  // lazily on the first for_active_nodes/active_nodes call of a round
-  // (the flip only marks it dirty), so algorithms that never use the
-  // active-set API pay nothing for it.
+  // came due, one bit per node (bit v % 64 of word v / 64), so marking
+  // deduplicates and a walk over the set bits yields ascending node order.
+  // Built lazily on the first for_active_nodes/active_nodes call of a
+  // round (the flip only marks it dirty), so algorithms that never use
+  // the active-set API pay nothing for it. active_count_ is its size as
+  // of the last rebuild.
   bool active_dirty_ = false;
-  std::vector<NodeId> active_list_;
-  std::vector<std::uint64_t> active_mark_;
-  std::uint64_t active_epoch_ = 0;
+  std::vector<std::uint64_t> active_bits_;
+  std::size_t active_count_ = 0;
 
   // Per-worker timer wheel behind arm()/arm_at(): a power-of-two ring of
   // round-tagged buckets. Bucket vectors are recycled as the ring wraps,
@@ -891,13 +898,6 @@ class Network {
   // Scratch for the flip-time carry of undrained due buckets (the carried
   // nodes must survive a ring resize inside arm_into).
   std::vector<NodeId> carry_nodes_;
-
-  // Per-run high-water marks driving the post-run scratch shrink policy.
-  std::size_t touched_highwater_ = 0;
-  std::size_t records_highwater_ = 0;
-  std::size_t record_words_highwater_ = 0;
-  std::size_t armed_highwater_ = 0;
-  std::size_t active_highwater_ = 0;
 
   std::vector<WorkerStats> worker_stats_;
   std::unique_ptr<WorkerPool> pool_;
@@ -955,8 +955,6 @@ class Network {
   };
   struct HoldWheel {
     std::vector<HoldBucket> ring;  // size is a power of two
-    std::size_t words_highwater = 0;
-    std::size_t recs_highwater = 0;
   };
   std::vector<HoldWheel> wheels_;
   // Flip-time release scratch: the records due this arrival round.

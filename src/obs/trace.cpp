@@ -70,7 +70,6 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
             [](const TraceEvent& a, const TraceEvent& b) {
               if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
               if (a.dur_ns != b.dur_ns) return a.dur_ns > b.dur_ns;
-              if (a.pid != b.pid) return a.pid < b.pid;
               return a.tid < b.tid;
             });
   return out;
@@ -122,51 +121,35 @@ void append_us(std::string& out, std::int64_t ns) {
 void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups) {
   std::string out;
   out += "{\"traceEvents\":[\n";
-  bool first = true;
-  int pid_base = 0;
-  for (const TraceGroup& group : groups) {
-    // Each group claims a contiguous global pid block, one row per
-    // local pid.
-    int max_local_pid = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const TraceGroup& group = groups[g];
+    const std::string pid = std::to_string(g);
     int max_tid = 0;
-    for (const TraceEvent& e : group.events) {
-      max_local_pid = std::max(max_local_pid, e.pid);
-      max_tid = std::max(max_tid, e.tid);
-    }
-    for (int p = 0; p <= max_local_pid; ++p) {
-      std::string row = group.label.empty() ? std::string("trace")
-                                            : group.label;
-      if (max_local_pid > 0) {
-        row += " · " + std::to_string(p);
-      }
-      if (!first) out += ",\n";
-      first = false;
-      out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-      out += std::to_string(pid_base + p);
-      out += ",\"tid\":0,\"args\":{\"name\":\"";
-      append_escaped(out, row);
+    for (const TraceEvent& e : group.events) max_tid = std::max(max_tid, e.tid);
+    if (g > 0) out += ",\n";
+    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+    out += pid;
+    out += ",\"tid\":0,\"args\":{\"name\":\"";
+    append_escaped(out, group.label.empty() ? "trace" : group.label);
+    out += "\"}}";
+    for (int t = 0; t <= max_tid; ++t) {
+      out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+      out += pid;
+      out += ",\"tid\":";
+      out += std::to_string(t);
+      out += ",\"args\":{\"name\":\"worker ";
+      out += std::to_string(t);
       out += "\"}}";
-      for (int t = 0; t <= max_tid; ++t) {
-        out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
-        out += std::to_string(pid_base + p);
-        out += ",\"tid\":";
-        out += std::to_string(t);
-        out += ",\"args\":{\"name\":\"worker ";
-        out += std::to_string(t);
-        out += "\"}}";
-      }
     }
     for (const TraceEvent& e : group.events) {
-      if (!first) out += ",\n";
-      first = false;
-      out += "{\"name\":\"";
+      out += ",\n{\"name\":\"";
       append_escaped(out, e.name);
       out += "\",\"ph\":\"X\",\"ts\":";
       append_us(out, e.ts_ns);
       out += ",\"dur\":";
       append_us(out, e.dur_ns);
       out += ",\"pid\":";
-      out += std::to_string(pid_base + e.pid);
+      out += pid;
       out += ",\"tid\":";
       out += std::to_string(e.tid);
       if (e.arg >= 0) {
@@ -176,7 +159,6 @@ void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups) {
       }
       out += "}";
     }
-    pid_base += max_local_pid + 1;
   }
   out += "\n]}\n";
   os << out;

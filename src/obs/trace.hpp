@@ -105,14 +105,16 @@ struct TraceEvent {
   std::string name;
   std::int64_t ts_ns = 0;
   std::int64_t dur_ns = 0;
-  int pid = 0;  // process row within the group (the recorder writes 0)
+  // Unread: write_chrome_json gives a group one process row. Kept so that
+  // positional initializers {name, ts, dur, pid, tid, arg} still compile.
+  int pid = 0;
   int tid = 0;  // worker track
   std::int64_t arg = -1;  // optional counter (round number, item count)
 };
 
 /// One run's (or cell's) worth of events under a display label; the
-/// Chrome export gives each group its own process-id block so a
-/// multi-cell scenario trace shows per-cell rows.
+/// Chrome export gives each group its own process row, so a multi-cell
+/// scenario trace shows per-cell rows.
 struct TraceGroup {
   std::string label;
   std::vector<TraceEvent> events;
@@ -202,10 +204,9 @@ class ScopedSpan {
 
 /// Chrome trace-event JSON (the {"traceEvents": [...]} object form):
 /// one "X" (complete) event per span with microsecond timestamps, plus
-/// "M" metadata naming each process row ("<label>", or "<label> · P"
-/// when a group uses several) and each worker track. Loads in
-/// chrome://tracing and Perfetto. Groups get disjoint global pid blocks
-/// in order.
+/// "M" metadata naming each process row and each worker track. Group g
+/// is process row g, named by its label ("trace" when empty). Loads in
+/// chrome://tracing and Perfetto.
 void write_chrome_json(std::ostream& os, std::span<const TraceGroup> groups);
 
 /// Human-readable flight-recorder dump: a header line plus one line per

@@ -3,7 +3,8 @@
 // This binary replaces the global allocation functions with counting
 // versions (the hook the whole suite can reuse: every operator new/delete
 // pair funnels through count_alloc below). After a short warm-up — arena
-// sizing, touched-list/active-list capacity growth — a full flood round
+// sizing, touched-list and timer-bucket capacity growth (the active-set
+// bitmap is sized once, at construction) — a full flood round
 // (broadcast per node, cursor-read per inbox, buffer flip, active-set
 // rebuild, stats reduction) must perform exactly zero allocations, at
 // every worker-pool width. This is the contract the packed wire format

@@ -220,16 +220,6 @@ TEST(Network, EnforcesMessageCap) {
   EXPECT_THROW(net.run(algo, 10), CheckError);
 }
 
-TEST(Network, CapCanBeLifted) {
-  auto wg = WeightedGraph::uniform(gen::path(2));
-  CongestConfig cfg;
-  cfg.enforce_message_size = false;
-  Network net(wg, cfg);
-  OversizeAlgorithm algo;
-  RunStats stats = net.run(algo, 10);
-  EXPECT_GT(stats.max_message_bits, net.max_message_bits());
-}
-
 TEST(Network, CapOverride) {
   auto wg = WeightedGraph::uniform(gen::path(2));
   CongestConfig cfg;
@@ -479,23 +469,29 @@ TEST(Network, RecordBurstsKeepSenderMajorSendOrderEveryRound) {
 }
 
 // A node that sends on one arc from two parallel sections of one round
-// keeps its send order. Node 0 is the only active node in round 1, so the
-// one-node for_active_nodes dispatch runs it on the last worker; the
-// for_nodes dispatch that follows runs it on worker 0. Delivery must not
-// order the two sections' records by worker.
+// keeps its send order. Node 0 is the only active node in round 1: the
+// active set's single bitmap word falls in the last worker's chunk, while
+// the for_nodes dispatch that follows runs node 0 on worker 0. Delivery
+// must not order the two sections' records by worker. The algorithm
+// records both workers, so the test checks that they really differ.
 class TwoSectionSender final : public DistributedAlgorithm {
  public:
   std::vector<int> got;
+  int active_worker = -1;  // worker that ran node 0 in each section
+  int nodes_worker = -1;
   void initialize(Network& net) override { net.arm(0); }
   void process_round(Network& net) override {
     if (net.current_round() == 1) {
       net.for_active_nodes([&](NodeId v) {
         if (v != 0) return;
+        active_worker = net.worker_index();
         net.send(0, 1, Message::tagged(1));
         net.send(0, 1, Message::tagged(2));
       });
       net.for_nodes([&](NodeId v) {
-        if (v == 0) net.send(0, 1, Message::tagged(3));
+        if (v != 0) return;
+        nodes_worker = net.worker_index();
+        net.send(0, 1, Message::tagged(3));
       });
       return;
     }
@@ -515,6 +511,8 @@ TEST(Network, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
     TwoSectionSender algo;
     net.run(algo, 5);
     EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
+    if (threads > 1)
+      EXPECT_NE(algo.active_worker, algo.nodes_worker) << "threads=" << threads;
   }
 }
 
@@ -677,27 +675,24 @@ TEST(Network, ActiveSetIsReceiversPlusArmedDeduplicated) {
 // A broadcast reaches its receivers through the sender's slot, not
 // through their lanes, yet the active set of a broadcast-only round is
 // still exactly the union of the broadcasters' neighbourhoods — no
-// broadcaster without a broadcasting neighbour, no bystander.
+// broadcaster without a broadcasting neighbour, no bystander. The second
+// grid spans four bitmap words, with broadcasters next to the nodes on
+// either side of each word boundary (63/64, 127/128) and next to the last
+// node (194, in the partial last word). Every worker visits its share of
+// the set in ascending node order.
 TEST(Network, BroadcastOnlyRoundActivatesExactlyTheNeighbours) {
-  auto wg = WeightedGraph::uniform(gen::grid(6, 5));
-  const std::vector<NodeId> broadcasters = {0, 7, 8, 29};
-
   class Shout final : public DistributedAlgorithm {
    public:
     explicit Shout(std::vector<NodeId> who) : who_(std::move(who)) {}
-    std::vector<NodeId> visited;
+    std::vector<std::vector<NodeId>> per_worker;
     void initialize(Network& net) override {
       for (const NodeId v : who_) net.broadcast(v, Message::tagged(1));
     }
     void process_round(Network& net) override {
-      std::vector<std::vector<NodeId>> per_worker(
-          static_cast<std::size_t>(net.num_workers()));
+      per_worker.assign(static_cast<std::size_t>(net.num_workers()), {});
       net.for_active_nodes([&](NodeId v) {
         per_worker[static_cast<std::size_t>(net.worker_index())].push_back(v);
       });
-      for (const auto& part : per_worker)
-        visited.insert(visited.end(), part.begin(), part.end());
-      std::sort(visited.begin(), visited.end());
     }
     bool finished(const Network& net) const override {
       return net.current_round() >= 1;
@@ -707,19 +702,34 @@ TEST(Network, BroadcastOnlyRoundActivatesExactlyTheNeighbours) {
     std::vector<NodeId> who_;
   };
 
-  std::vector<NodeId> want;
-  for (const NodeId u : broadcasters)
-    for (const NodeId v : wg.graph().neighbors(u)) want.push_back(v);
-  std::sort(want.begin(), want.end());
-  want.erase(std::unique(want.begin(), want.end()), want.end());
+  const std::vector<std::pair<Graph, std::vector<NodeId>>> cases = {
+      {gen::grid(6, 5), {0, 7, 8, 29}},
+      {gen::grid(15, 13), {62, 65, 126, 129, 193}},
+  };
+  for (const auto& [g, broadcasters] : cases) {
+    const auto wg = WeightedGraph::uniform(g);
+    std::vector<NodeId> want;
+    for (const NodeId u : broadcasters)
+      for (const NodeId v : wg.graph().neighbors(u)) want.push_back(v);
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
 
-  for (const int threads : {1, 4}) {
-    CongestConfig cfg;
-    cfg.threads = threads;
-    Network net(wg, cfg);
-    Shout algo(broadcasters);
-    net.run(algo, 5);
-    EXPECT_EQ(algo.visited, want) << "threads=" << threads;
+    for (const int threads : {1, 3, 4}) {
+      CongestConfig cfg;
+      cfg.threads = threads;
+      Network net(wg, cfg);
+      Shout algo(broadcasters);
+      net.run(algo, 5);
+      std::vector<NodeId> visited;
+      for (const auto& part : algo.per_worker) {
+        EXPECT_TRUE(std::is_sorted(part.begin(), part.end()))
+            << "n=" << g.num_nodes() << " threads=" << threads;
+        visited.insert(visited.end(), part.begin(), part.end());
+      }
+      std::sort(visited.begin(), visited.end());
+      EXPECT_EQ(visited, want)
+          << "n=" << g.num_nodes() << " threads=" << threads;
+    }
   }
 }
 

@@ -350,22 +350,28 @@ TEST(FaultyNetwork, ZeroFaultPlanIsBitIdenticalToUndecorated) {
 // A plan that fires nothing sends every record down the direct path, so
 // a node that sends on one arc from two parallel sections of one round
 // must keep its send order there too. Node 0 is the only active node in
-// round 1: the one-node for_active_nodes dispatch runs it on the last
-// worker, the for_nodes dispatch that follows runs it on worker 0.
+// round 1: the active set's single bitmap word falls in the last worker's
+// chunk, the for_nodes dispatch that follows runs node 0 on worker 0, and
+// the test checks that the two workers differ.
 TEST(FaultyNetwork, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
   class TwoSectionSender final : public DistributedAlgorithm {
    public:
     std::vector<int> got;
+    int active_worker = -1;  // worker that ran node 0 in each section
+    int nodes_worker = -1;
     void initialize(Network& net) override { net.arm(0); }
     void process_round(Network& net) override {
       if (net.current_round() == 1) {
         net.for_active_nodes([&](NodeId v) {
           if (v != 0) return;
+          active_worker = net.worker_index();
           net.send(0, 1, Message::tagged(1));
           net.send(0, 1, Message::tagged(2));
         });
         net.for_nodes([&](NodeId v) {
-          if (v == 0) net.send(0, 1, Message::tagged(3));
+          if (v != 0) return;
+          nodes_worker = net.worker_index();
+          net.send(0, 1, Message::tagged(3));
         });
         return;
       }
@@ -384,6 +390,8 @@ TEST(FaultyNetwork, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
     TwoSectionSender algo;
     net.run(algo, 5);
     EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
+    if (threads > 1)
+      EXPECT_NE(algo.active_worker, algo.nodes_worker) << "threads=" << threads;
   }
 }
 

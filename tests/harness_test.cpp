@@ -155,15 +155,5 @@ TEST(Harness, MessageBitCapsAreEnforcedForEverySolver) {
   }
 }
 
-TEST(Harness, DisablingEnforcementLetsOversizedMessagesThrough) {
-  Rng rng(99);
-  WeightedGraph wg = WeightedGraph::uniform(gen::random_tree_prufer(32, rng));
-  CongestConfig loose;
-  loose.max_message_bits_override = 1;
-  loose.enforce_message_size = false;
-  const MdsResult res = run_solver("det", wg, {}, loose);
-  EXPECT_GT(res.stats.max_message_bits, 1);  // observed but not enforced
-}
-
 }  // namespace
 }  // namespace arbods::harness

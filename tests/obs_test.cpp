@@ -116,7 +116,6 @@ TEST(ChromeJson, WriterEmitsCompleteEventsAndProcessMetadata) {
   inner.name = "inner";
   inner.ts_ns = 2000;
   inner.dur_ns = 1000;
-  inner.pid = 1;
   inner.tid = 1;
   inner.arg = 5;
   group.events = {outer, inner};
@@ -130,8 +129,12 @@ TEST(ChromeJson, WriterEmitsCompleteEventsAndProcessMetadata) {
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
-  EXPECT_NE(json.find("cell · 0"), std::string::npos);
-  EXPECT_NE(json.find("cell · 1"), std::string::npos);
+  // One group is one process row, named by its label.
+  EXPECT_NE(
+      json.find("\"pid\":0,\"tid\":0,\"args\":{\"name\":\"cell\"}"),
+      std::string::npos);
+  EXPECT_EQ(json.find("\"pid\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"worker 1\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos);  // 1000 ns
   EXPECT_NE(json.find("\"dur\":4.000"), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"count\":5}"), std::string::npos);

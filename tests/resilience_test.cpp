@@ -144,24 +144,30 @@ TEST(ReliableChannel, ZeroFaultReliableRunStillMatchesCleanOutput) {
 }
 
 // The transport reads the staging Network's record lists section by
-// section: node 0 sends on arc 0->1 first from a one-node
-// for_active_nodes dispatch (the last worker) and then from a for_nodes
-// dispatch (worker 0), and node 1 must still receive in send order.
+// section: node 0 sends on arc 0->1 first from a for_active_nodes
+// dispatch (whose single bitmap word falls in the last worker's chunk)
+// and then from a for_nodes dispatch (worker 0), and node 1 must still
+// receive in send order. The test checks that the two workers differ.
 TEST(ReliableChannel, OneArcFedFromTwoSectionsKeepsSendOrder) {
   class TwoSectionSender final : public DistributedAlgorithm {
    public:
     std::vector<int> got;
+    int active_worker = -1;  // worker that ran node 0 in each section
+    int nodes_worker = -1;
     std::string_view name() const override { return "two-section"; }
     void initialize(Network& net) override { net.arm(0); }
     void process_round(Network& net) override {
       if (net.current_round() == 1) {
         net.for_active_nodes([&](NodeId v) {
           if (v != 0) return;
+          active_worker = net.worker_index();
           net.send(0, 1, Message::tagged(1));
           net.send(0, 1, Message::tagged(2));
         });
         net.for_nodes([&](NodeId v) {
-          if (v == 0) net.send(0, 1, Message::tagged(3));
+          if (v != 0) return;
+          nodes_worker = net.worker_index();
+          net.send(0, 1, Message::tagged(3));
         });
         return;
       }
@@ -185,6 +191,8 @@ TEST(ReliableChannel, OneArcFedFromTwoSectionsKeepsSendOrder) {
     const RunStats stats = protocol::run_protocol(net, {&algo}, 1000);
     EXPECT_FALSE(stats.hit_round_limit);
     EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
+    if (threads > 1)
+      EXPECT_NE(algo.active_worker, algo.nodes_worker) << "threads=" << threads;
   }
 }
 
