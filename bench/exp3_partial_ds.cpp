@@ -1,5 +1,10 @@
 // E3 — Lemma 4.1 partial dominating set: properties (a) and (b) and the
 // dual feasibility invariant (Obs 4.2/4.3), swept over lambda.
+// Every row is checked: w(S) / sum x over the dominated nodes is at most
+// prop (a)'s factor alpha / (1/(1+eps) - lambda(alpha+1)), every
+// undominated node keeps x_v >= lambda * tau_v (prop (b), margin >= 1),
+// and the packing is feasible. A violation prints the failing row on
+// stderr and the binary exits 1.
 #include "bench_util.hpp"
 #include "core/partial_ds.hpp"
 #include "graph/verify.hpp"
@@ -7,6 +12,7 @@
 using namespace arbods;
 
 int main() {
+  int violations = 0;
   std::cout << "# E3 — Lemma 4.1 partial dominating set (lambda sweep)\n\n";
   Rng rng(999);
   Graph g = gen::k_tree_union(4096, 3, rng);
@@ -42,6 +48,19 @@ int main() {
     }
     const double factor =
         alpha / (1.0 / (1.0 + eps) - lambda * (alpha + 1.0));
+    const bool feasible = is_feasible_packing(wg, algo.packing(), 1e-5);
+    // With no dominated mass, prop (a) leaves room for no weight at all.
+    const bool prop_a = dominated_mass > 0
+                            ? static_cast<double>(ws) / dominated_mass <= factor
+                            : ws == 0;
+    const bool prop_b = undominated == 0 || min_margin >= 1.0;
+    if (!prop_a || !prop_b || !feasible) {
+      std::cerr << "VIOLATION lambda=" << lambda << ": w(S) " << ws
+                << ", sum x " << dominated_mass << " (factor " << factor
+                << "), min undominated margin " << min_margin
+                << ", packing feasible " << (feasible ? "yes" : "NO") << "\n";
+      ++violations;
+    }
     t.add_row({Table::fmt(lambda, 5), Table::fmt_int(algo.iterations()),
                Table::fmt_int(ws), Table::fmt(dominated_mass, 1),
                Table::fmt(factor, 2),
@@ -50,10 +69,14 @@ int main() {
                    : "0",
                Table::fmt_int(undominated),
                undominated > 0 ? Table::fmt(min_margin, 3) : "n/a",
-               is_feasible_packing(wg, algo.packing(), 1e-5) ? "yes" : "NO"});
+               feasible ? "yes" : "NO"});
   }
   t.print(std::cout);
   std::cout << "Claim check: measured w(S)/sum <= prop-(a) factor; "
                "min undominated margin >= 1; feasibility always 'yes'.\n";
+  if (violations > 0) {
+    std::cerr << violations << " row(s) violate Lemma 4.1\n";
+    return 1;
+  }
   return 0;
 }

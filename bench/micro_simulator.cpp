@@ -306,7 +306,9 @@ BENCHMARK(BM_NetworkSparseActiveSet)->Arg(1 << 20);
 
 // Flood rounds on a pooled Network across worker-pool widths: the
 // parallel send half-round plus the serial flip, warm (scratch capacity
-// settled by a warm-up run).
+// settled by a warm-up run). Timed by the wall clock, with the CPU column
+// summed over every thread of the process, so the pool's workers count
+// and the 1- and 4-thread rows compare both speed-up and CPU spent.
 void BM_NetworkFloodThreads(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
   Rng rng(8);
@@ -342,7 +344,11 @@ void BM_NetworkFloodThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10 *
                           static_cast<std::int64_t>(wg.graph().num_edges()) * 2);
 }
-BENCHMARK(BM_NetworkFloodThreads)->Args({1 << 15, 1})->Args({1 << 15, 4});
+BENCHMARK(BM_NetworkFloodThreads)
+    ->Args({1 << 15, 1})
+    ->Args({1 << 15, 4})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_SolveDeterministic(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));

@@ -117,6 +117,16 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   // arc, so there are no slots.
   const std::size_t region_words = std::bit_ceil(
       2 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64);
+  // The small per-worker blocks are allocated before the two large slot
+  // arenas. Allocated after them, they fragmented glibc's heap in a
+  // process that builds and frees Networks in turn: peak RSS of the
+  // forest2 benchmark workload (n = 50k) rose by ~1.5 MB, one arena.
+  const int workers = derive_workers(config_, n);
+  workers_.resize(static_cast<std::size_t>(workers));
+  for (Worker& wk : workers_) {
+    wk.scratch.reserve(std::max<std::size_t>(2 * region_words, 64));
+    wk.calendar.resize(16);
+  }
   if (!faulty_) {
     slot_stride_ = region_words;
     slot_words_ = static_cast<std::size_t>(n) * slot_stride_;
@@ -133,16 +143,6 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   out_slots_ = &slots_b_;
   runs_.assign(n, Run{});
 
-  const int workers = derive_workers(config_, n);
-  worker_stats_.assign(static_cast<std::size_t>(workers), WorkerStats{});
-  slots_out_.assign(static_cast<std::size_t>(workers), {});
-  slots_in_.assign(static_cast<std::size_t>(workers), {});
-  records_.assign(static_cast<std::size_t>(workers), {});
-  scratch_.assign(static_cast<std::size_t>(workers), {});
-  for (auto& s : scratch_)
-    s.reserve(std::max<std::size_t>(2 * region_words, 64));
-  calendars_.assign(static_cast<std::size_t>(workers), {});
-  for (WorkerCalendar& cal : calendars_) cal.ring.resize(16);
   if (workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
   if (config_.trace.enabled)
     tracer_ = std::make_unique<obs::TraceRecorder>(workers, 1 << 14);
@@ -164,8 +164,7 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
     // delivery offset, so live arrival rounds map to distinct buckets.
     const std::size_t ring = std::bit_ceil(
         static_cast<std::size_t>(std::max(plan_.max_delay_rounds, 0)) + 2);
-    wheels_.resize(static_cast<std::size_t>(workers));
-    for (HoldWheel& wheel : wheels_) wheel.ring.resize(ring);
+    for (Worker& wk : workers_) wk.wheel.resize(ring);
   }
 }
 
@@ -198,21 +197,21 @@ void Network::check_cap(int bits) const {
                                                     << max_message_bits_);
 }
 
-void Network::account_bits(int bits) {
-  WorkerStats& slot = worker_stats_[worker_slot()];
-  ++slot.messages;
-  slot.total_bits += bits;
-  slot.max_message_bits = std::max(slot.max_message_bits, bits);
+void Network::account_bits(Worker& wk, int bits) {
+  WorkerStats& ws = wk.stats;
+  ++ws.messages;
+  ws.total_bits += bits;
+  ws.max_message_bits = std::max(ws.max_message_bits, bits);
 }
 
 std::size_t Network::worker_slot() const {
   const std::size_t w = static_cast<std::size_t>(tls_worker);
-  return w < worker_stats_.size() ? w : 0;
+  return w < workers_.size() ? w : 0;
 }
 
-std::size_t Network::encode_into_scratch(std::size_t w, const Message& m,
+std::size_t Network::encode_into_scratch(Worker& wk, const Message& m,
                                          NodeId sender, int* bits) {
-  std::vector<std::uint64_t>& scratch = scratch_[w];
+  std::vector<std::uint64_t>& scratch = wk.scratch;
   const std::size_t bound = wire_words_bound(m);
   if (scratch.size() < bound) scratch.resize(bound);
   const std::size_t need = wire_encode(m, sender, size_model_,
@@ -222,12 +221,12 @@ std::size_t Network::encode_into_scratch(std::size_t w, const Message& m,
   return need;
 }
 
-int Network::append_encoded(std::size_t w, EdgeSlot arc, const Message& m,
+int Network::append_encoded(Worker& wk, EdgeSlot arc, const Message& m,
                             NodeId sender) {
   // Encode straight onto the list. The record is only committed after
   // the cap check, so an oversized message throws with no side effects
   // (the words past the last committed record are never read).
-  RecordList& list = records_[w];
+  RecordList& list = wk.records;
   const std::size_t at = list.words.size();
   list.words.resize(at + wire_words_bound(m));
   int bits = 0;
@@ -240,10 +239,9 @@ int Network::append_encoded(std::size_t w, EdgeSlot arc, const Message& m,
   return bits;
 }
 
-void Network::append_record(std::size_t w, EdgeSlot arc,
-                            std::uint32_t section, const std::uint64_t* words,
-                            std::size_t nwords) {
-  RecordList& list = records_[w];
+void Network::append_record(Worker& wk, EdgeSlot arc, std::uint32_t section,
+                            const std::uint64_t* words, std::size_t nwords) {
+  RecordList& list = wk.records;
   list.recs.push_back(
       {arc, section, static_cast<std::uint32_t>(list.words.size())});
   list.words.insert(list.words.end(), words, words + nwords);
@@ -262,30 +260,30 @@ void Network::send(NodeId from, NodeId to, const Message& m) {
 }
 
 void Network::send_on_arc(NodeId from, EdgeSlot arc, const Message& m) {
-  const std::size_t w = worker_slot();
+  Worker& wk = workers_[worker_slot()];
   if (faulty_) {
     int bits = 0;
-    const std::size_t need = encode_into_scratch(w, m, from, &bits);
-    inject_record(w, from, arc, need, bits);
+    const std::size_t need = encode_into_scratch(wk, m, from, &bits);
+    inject_record(wk, from, arc, need, bits);
     return;
   }
-  if (out_slot(from)[0] != 0) flush_slot(w, from);
-  account_bits(append_encoded(w, arc, m, from));
+  if (out_slot(from)[0] != 0) flush_slot(wk, from);
+  account_bits(wk, append_encoded(wk, arc, m, from));
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
   const std::int64_t fanout =
       static_cast<std::int64_t>(offsets_[from + 1] - offsets_[from]);
   if (fanout == 0) return;
+  Worker& wk = workers_[worker_slot()];
   if (faulty_) {
     // Encode (and cap-check) once; every fan-out record then draws its
     // own fault decisions, and the per-arc accounting sums to exactly the
     // clean broadcast's folded update.
-    const std::size_t w = worker_slot();
     int bits = 0;
-    const std::size_t need = encode_into_scratch(w, m, from, &bits);
+    const std::size_t need = encode_into_scratch(wk, m, from, &bits);
     for (std::size_t arc = offsets_[from]; arc != offsets_[from + 1]; ++arc)
-      inject_record(w, from, mirror_[arc], need, bits);
+      inject_record(wk, from, mirror_[arc], need, bits);
     return;
   }
   // Encode once into the sender's slot — the CONGEST accounting falls out
@@ -293,7 +291,6 @@ void Network::broadcast(NodeId from, const Message& m) {
   // one worker-slot update. An oversized broadcast still throws without
   // side effects: the encoder writes the record's header last, and a
   // failed cap check restores the zero word the header overwrote.
-  const std::size_t w = worker_slot();
   std::uint64_t* slot = out_slot(from);
   const std::size_t at = slot_used(slot);
   int bits = 0;
@@ -306,48 +303,48 @@ void Network::broadcast(NodeId from, const Message& m) {
       check_cap(bits);
     }
   } else {
-    need = encode_into_scratch(w, m, from, &bits);
+    need = encode_into_scratch(wk, m, from, &bits);
     if (at + need <= slot_stride_)
-      std::copy_n(scratch_[w].data(), need, slot + at);
+      std::copy_n(wk.scratch.data(), need, slot + at);
   }
   if (at + need <= slot_stride_) {
     if (at + need < slot_stride_) slot[at + need] = 0;
-    if (at == 0) slots_out_[w].push_back(from);
+    if (at == 0) wk.slots_out.push_back(from);
   } else {
     // Too big for the slot's free room: keep the suffix rule by moving
     // the slot's records to the record list first, then fan this one
     // out there too.
-    flush_slot(w, from);
-    append_fanout(w, from, scratch_[w].data(), need);
+    flush_slot(wk, from);
+    append_fanout(wk, from, wk.scratch.data(), need);
   }
-  WorkerStats& ws = worker_stats_[w];
+  WorkerStats& ws = wk.stats;
   ws.messages += fanout;
   ws.total_bits += bits * fanout;
   ws.max_message_bits = std::max(ws.max_message_bits, bits);
 }
 
-void Network::append_fanout(std::size_t w, NodeId from,
+void Network::append_fanout(Worker& wk, NodeId from,
                             const std::uint64_t* words, std::size_t nwords) {
   for (std::size_t arc = offsets_[from]; arc != offsets_[from + 1]; ++arc)
-    append_record(w, mirror_[arc], section_, words, nwords);
+    append_record(wk, mirror_[arc], section_, words, nwords);
 }
 
-void Network::flush_slot(std::size_t w, NodeId from) {
+void Network::flush_slot(Worker& wk, NodeId from) {
   std::uint64_t* slot = out_slot(from);
   for (std::size_t at = 0; at < slot_stride_ && slot[at] != 0;) {
     const std::size_t len = wire::record_words(slot[at]);
-    append_fanout(w, from, slot + at, len);
+    append_fanout(wk, from, slot + at, len);
     at += len;
   }
-  // `from` stays on slots_out_: clearing an empty slot is harmless and
+  // `from` stays on slots_out: clearing an empty slot is harmless and
   // its neighbours are record receivers now anyway.
   slot[0] = 0;
 }
 
-void Network::inject_record(std::size_t w, NodeId from, EdgeSlot to_arc,
+void Network::inject_record(Worker& wk, NodeId from, EdgeSlot to_arc,
                             std::size_t nwords, int bits) {
   using fault::detail::unit_real;
-  WorkerStats& ws = worker_stats_[w];
+  WorkerStats& ws = wk.stats;
   if (node_dead(from, round_)) {
     // A crashed node sends nothing; the record never existed on the wire.
     ++ws.killed;
@@ -381,7 +378,7 @@ void Network::inject_record(std::size_t w, NodeId from, EdgeSlot to_arc,
                            : plan_.arc_duplicate[to_arc];
   const bool duplicate = p_dup > 0.0 && unit_real(draw()) < p_dup;
   const NodeId receiver = arc_receiver_[to_arc];
-  const std::uint64_t* words = scratch_[w].data();
+  const std::uint64_t* words = wk.scratch.data();
 
   const int copies = duplicate ? 2 : 1;
   for (int c = 0; c < copies; ++c) {
@@ -408,9 +405,9 @@ void Network::inject_record(std::size_t w, NodeId from, EdgeSlot to_arc,
     if (d == 0 && dest == to_arc) {
       // Undisturbed: straight onto this worker's record list, exactly the
       // clean point-to-point path.
-      append_record(w, to_arc, section_, words, nwords);
+      append_record(wk, to_arc, section_, words, nwords);
     } else {
-      hold(w, arrival,
+      hold(wk, arrival,
            HeldRec{dest, 0, 0, to_arc, seq, round_,
                    static_cast<std::uint8_t>(c)},
            words, nwords);
@@ -418,11 +415,10 @@ void Network::inject_record(std::size_t w, NodeId from, EdgeSlot to_arc,
   }
 }
 
-void Network::hold(std::size_t w, std::int64_t arrival, const HeldRec& rec,
+void Network::hold(Worker& wk, std::int64_t arrival, const HeldRec& rec,
                    const std::uint64_t* words, std::size_t nwords) {
-  HoldWheel& wheel = wheels_[w];
   HoldBucket& bucket =
-      wheel.ring[static_cast<std::size_t>(arrival) & (wheel.ring.size() - 1)];
+      wk.wheel[static_cast<std::size_t>(arrival) & (wk.wheel.size() - 1)];
   if (bucket.round != arrival) {
     // Stale (released or phase-cleared) bucket: recycle. A live collision
     // is impossible — the ring is wider than the delay bound.
@@ -445,9 +441,9 @@ void Network::release_held() {
   // worker held each record.
   const std::int64_t arrival = round_ + 1;
   drain_.clear();
-  for (HoldWheel& wheel : wheels_) {
-    HoldBucket& bucket = wheel.ring[static_cast<std::size_t>(arrival) &
-                                    (wheel.ring.size() - 1)];
+  for (Worker& wk : workers_) {
+    HoldBucket& bucket =
+        wk.wheel[static_cast<std::size_t>(arrival) & (wk.wheel.size() - 1)];
     if (bucket.round != arrival) continue;
     for (const HeldRec& rec : bucket.recs) drain_.push_back({&bucket, &rec});
   }
@@ -460,15 +456,15 @@ void Network::release_held() {
                               b.rec->seq, b.rec->copy);
             });
   ++section_;
-  const std::size_t w = worker_slot();
+  Worker& caller = workers_[worker_slot()];
   for (const DrainRef& ref : drain_)
-    append_record(w, ref.rec->dest, section_,
+    append_record(caller, ref.rec->dest, section_,
                   ref.bucket->words.data() + ref.rec->begin,
                   ref.rec->end - ref.rec->begin);
   drain_.clear();
-  for (HoldWheel& wheel : wheels_) {
-    HoldBucket& bucket = wheel.ring[static_cast<std::size_t>(arrival) &
-                                    (wheel.ring.size() - 1)];
+  for (Worker& wk : workers_) {
+    HoldBucket& bucket =
+        wk.wheel[static_cast<std::size_t>(arrival) & (wk.wheel.size() - 1)];
     if (bucket.round != arrival) continue;
     bucket.round = -1;
     bucket.words.clear();
@@ -477,8 +473,8 @@ void Network::release_held() {
 }
 
 void Network::clear_held() {
-  for (HoldWheel& wheel : wheels_) {
-    for (HoldBucket& bucket : wheel.ring) {
+  for (Worker& wk : workers_) {
+    for (HoldBucket& bucket : wk.wheel) {
       bucket.round = -1;
       bucket.words.clear();
       bucket.recs.clear();
@@ -492,13 +488,14 @@ void Network::arm_at(NodeId v, std::int64_t round) {
   ARBODS_CHECK_MSG(round > round_,
                    "arm_at(" << v << ", " << round << ") is not in the future"
                              << " (current round " << round_ << ")");
-  arm_into(calendars_[worker_slot()], v, round);
+  arm_into(workers_[worker_slot()].calendar, v, round);
 }
 
-void Network::arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round) {
+void Network::arm_into(std::vector<CalendarBucket>& ring, NodeId v,
+                       std::int64_t round) {
   for (;;) {
     CalendarBucket& bucket =
-        cal.ring[static_cast<std::size_t>(round) & (cal.ring.size() - 1)];
+        ring[static_cast<std::size_t>(round) & (ring.size() - 1)];
     if (bucket.round == round) {
       bucket.nodes.push_back(v);
       return;
@@ -511,13 +508,13 @@ void Network::arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round) {
     }
     // Collision with a different live round: double the ring and rehash
     // the live buckets (amortized; the ring settles at the largest delay).
-    std::vector<CalendarBucket> bigger(cal.ring.size() * 2);
-    for (CalendarBucket& b : cal.ring) {
+    std::vector<CalendarBucket> bigger(ring.size() * 2);
+    for (CalendarBucket& b : ring) {
       if (b.round <= round_) continue;
       bigger[static_cast<std::size_t>(b.round) & (bigger.size() - 1)] =
           std::move(b);
     }
-    cal.ring = std::move(bigger);
+    ring = std::move(bigger);
   }
 }
 
@@ -526,23 +523,24 @@ void Network::flip_buffers() {
   if (faulty_) release_held();
   // The in-slots hold last round's (already consumed) broadcasts; clear
   // exactly the slots that were written, then promote the out-slots.
-  clear_slots(in_slots_->get(), slots_in_);
+  clear_slots(in_slots_->get(), &Worker::slots_in);
   std::swap(in_slots_, out_slots_);
-  std::swap(slots_in_, slots_out_);
+  for (Worker& wk : workers_) wk.slots_in.swap(wk.slots_out);
   sort_records_into_inbox();
   // A timer bucket due in the round that just ended survives to the flip
   // only if the algorithm never consulted the active set this round (a
   // for_nodes-only stage). Carry its arms into the next round instead of
   // dropping them when the slot is eventually recycled: an arm_at wake is
   // deferred until the first round the algorithm looks, never lost.
-  for (WorkerCalendar& cal : calendars_) {
+  for (Worker& wk : workers_) {
+    std::vector<CalendarBucket>& ring = wk.calendar;
     CalendarBucket& due =
-        cal.ring[static_cast<std::size_t>(round_) & (cal.ring.size() - 1)];
+        ring[static_cast<std::size_t>(round_) & (ring.size() - 1)];
     if (due.round != round_ || due.nodes.empty()) continue;
     carry_nodes_.swap(due.nodes);  // arm_into may resize the ring
     due.round = -1;
     due.nodes.clear();
-    for (const NodeId v : carry_nodes_) arm_into(cal, v, round_ + 1);
+    for (const NodeId v : carry_nodes_) arm_into(ring, v, round_ + 1);
     carry_nodes_.clear();
   }
   // The active set is rebuilt lazily on first use within the round;
@@ -551,11 +549,11 @@ void Network::flip_buffers() {
 }
 
 void Network::clear_slots(std::uint64_t* slots,
-                          std::vector<std::vector<NodeId>>& lists) {
-  for (auto& list : lists) {
-    for (const NodeId v : list)
+                          std::vector<NodeId> Worker::*list) {
+  for (Worker& wk : workers_) {
+    for (const NodeId v : wk.*list)
       slots[static_cast<std::size_t>(v) * slot_stride_] = 0;
-    list.clear();
+    (wk.*list).clear();
   }
 }
 
@@ -571,7 +569,8 @@ void Network::sort_records_into_inbox() {
   // Count each receiver's records (runs_[v].end doubles as the counter),
   // listing the receivers on their first record.
   std::size_t total_words = 0;
-  for (const RecordList& list : records_) {
+  for (const Worker& wk : workers_) {
+    const RecordList& list = wk.records;
     total_words += list.words.size();
     for (const Record& r : list.recs) {
       const NodeId v = arc_receiver_[r.arc];
@@ -588,8 +587,8 @@ void Network::sort_records_into_inbox() {
     total += count;
   }
   placed_.resize(total);
-  for (std::size_t w = 0; w < records_.size(); ++w)
-    for (const Record& r : records_[w].recs)
+  for (std::size_t w = 0; w < workers_.size(); ++w)
+    for (const Record& r : workers_[w].records.recs)
       placed_[runs_[arc_receiver_[r.arc]].end++] = {
           r.arc, r.section, static_cast<std::uint32_t>(w), r.offset};
   // Order each run by (arc, section, send order). A node's records of one
@@ -609,16 +608,14 @@ void Network::sort_records_into_inbox() {
   inbox_words_.reserve(total_words);
   for (std::uint32_t i = 0; i < total; ++i) {
     const Placed& p = placed_[i];
-    const std::uint64_t* words = records_[p.worker].words.data() + p.offset;
+    const std::uint64_t* words =
+        workers_[p.worker].records.words.data() + p.offset;
     const std::size_t len =
         MessageView(words, &size_model_, config_.quantize_reals).words();
     inbox_[i] = {p.arc, static_cast<std::uint32_t>(inbox_words_.size())};
     inbox_words_.insert(inbox_words_.end(), words, words + len);
   }
-  for (RecordList& list : records_) {
-    list.words.clear();
-    list.recs.clear();
-  }
+  clear_records();
 }
 
 void Network::rebuild_active_set() {
@@ -633,8 +630,8 @@ void Network::rebuild_active_set() {
   // A broadcaster's slot reaches every neighbour (a flushed, now empty
   // slot reached them through the record list above).
   const std::uint64_t* in_slots = in_slots_->get();
-  for (const auto& list : slots_in_) {
-    for (const NodeId u : list) {
+  for (const Worker& wk : workers_) {
+    for (const NodeId u : wk.slots_in) {
       if (in_slots[static_cast<std::size_t>(u) * slot_stride_] == 0)
         continue;
       for (const NodeId v : graph().neighbors(u)) mark(v);
@@ -643,9 +640,9 @@ void Network::rebuild_active_set() {
   // Drain every worker's timer bucket that is due for the current round
   // (the lazy rebuild runs from inside the round, after the advance).
   const std::int64_t due = round_;
-  for (WorkerCalendar& cal : calendars_) {
+  for (Worker& wk : workers_) {
     CalendarBucket& bucket =
-        cal.ring[static_cast<std::size_t>(due) & (cal.ring.size() - 1)];
+        wk.calendar[static_cast<std::size_t>(due) & (wk.calendar.size() - 1)];
     if (bucket.round != due) continue;
     for (const NodeId v : bucket.nodes) mark(v);
     bucket.round = -1;
@@ -669,15 +666,12 @@ std::vector<NodeId> Network::active_nodes() {
 }
 
 void Network::clear_in_flight() {
-  clear_slots(in_slots_->get(), slots_in_);
-  clear_slots(out_slots_->get(), slots_out_);
+  clear_slots(in_slots_->get(), &Worker::slots_in);
+  clear_slots(out_slots_->get(), &Worker::slots_out);
   retire_inbox();
-  for (RecordList& list : records_) {
-    list.words.clear();
-    list.recs.clear();
-  }
-  for (WorkerCalendar& cal : calendars_) {
-    for (CalendarBucket& bucket : cal.ring) {
+  clear_records();
+  for (Worker& wk : workers_) {
+    for (CalendarBucket& bucket : wk.calendar) {
       bucket.round = -1;
       bucket.nodes.clear();
     }
@@ -691,10 +685,14 @@ void Network::clear_in_flight() {
 }
 
 void Network::discard_outgoing() {
-  clear_slots(out_slots_->get(), slots_out_);
-  for (RecordList& list : records_) {
-    list.words.clear();
-    list.recs.clear();
+  clear_slots(out_slots_->get(), &Worker::slots_out);
+  clear_records();
+}
+
+void Network::clear_records() {
+  for (Worker& wk : workers_) {
+    wk.records.words.clear();
+    wk.records.recs.clear();
   }
 }
 
@@ -703,15 +701,17 @@ void Network::for_each_outgoing(
   // Every list is in nondecreasing section order, so taking the smallest
   // pending section across the lists, list by list, visits each arc's
   // records in send order.
-  std::vector<std::size_t> next(records_.size(), 0);
+  std::vector<std::size_t> next(workers_.size(), 0);
   for (;;) {
     std::uint32_t section = std::numeric_limits<std::uint32_t>::max();
-    for (std::size_t w = 0; w < records_.size(); ++w)
-      if (next[w] < records_[w].recs.size())
-        section = std::min(section, records_[w].recs[next[w]].section);
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      const std::vector<Record>& recs = workers_[w].records.recs;
+      if (next[w] < recs.size())
+        section = std::min(section, recs[next[w]].section);
+    }
     if (section == std::numeric_limits<std::uint32_t>::max()) break;
-    for (std::size_t w = 0; w < records_.size(); ++w) {
-      const RecordList& list = records_[w];
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      const RecordList& list = workers_[w].records;
       for (; next[w] < list.recs.size() && list.recs[next[w]].section == section;
            ++next[w]) {
         const Record& r = list.recs[next[w]];
@@ -724,8 +724,8 @@ void Network::for_each_outgoing(
   // once per write, possibly on different workers' lists: visit each
   // slot once.
   std::vector<NodeId> senders;
-  for (const auto& list : slots_out_)
-    senders.insert(senders.end(), list.begin(), list.end());
+  for (const Worker& wk : workers_)
+    senders.insert(senders.end(), wk.slots_out.begin(), wk.slots_out.end());
   std::sort(senders.begin(), senders.end());
   senders.erase(std::unique(senders.begin(), senders.end()), senders.end());
   for (const NodeId u : senders) {
@@ -740,7 +740,8 @@ void Network::for_each_outgoing(
 }
 
 void Network::reduce_stats() {
-  for (WorkerStats& slot : worker_stats_) {
+  for (Worker& wk : workers_) {
+    WorkerStats& slot = wk.stats;
     stats_.messages += slot.messages;
     stats_.total_bits += slot.total_bits;
     stats_.max_message_bits =
@@ -790,7 +791,7 @@ void Network::run_index_chunks(
 
 void Network::reset_for_reuse() {
   stats_ = RunStats{};
-  for (WorkerStats& slot : worker_stats_) slot = WorkerStats{};
+  for (Worker& wk : workers_) wk.stats = WorkerStats{};
   round_ = 0;
   phase_max_message_bits_ = 0;
   // Drop the previous run's spans and flight records, so a post-run
@@ -819,7 +820,7 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   // with the pool width. Every completed round was already reduced; only
   // the aborted round's partial accounting is dropped. A no-op after a
   // phase that finished normally.
-  for (WorkerStats& slot : worker_stats_) slot = WorkerStats{};
+  for (Worker& wk : workers_) wk.stats = WorkerStats{};
   clear_in_flight();
   reseed_node_rngs();
   const std::int64_t messages_before = stats_.messages;
@@ -943,9 +944,9 @@ std::size_t Network::arena_words() const {
       inbox_words_.capacity() * sizeof(std::uint64_t) +
       inbox_.capacity() * sizeof(InboxView::Entry) +
       placed_.capacity() * sizeof(Placed);
-  for (const RecordList& list : records_)
-    record_bytes += list.words.capacity() * sizeof(std::uint64_t) +
-                    list.recs.capacity() * sizeof(Record);
+  for (const Worker& wk : workers_)
+    record_bytes += wk.records.words.capacity() * sizeof(std::uint64_t) +
+                    wk.records.recs.capacity() * sizeof(Record);
   return slot_words_ + record_bytes / (2 * sizeof(std::uint64_t));
 }
 

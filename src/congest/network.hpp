@@ -59,6 +59,15 @@
 //     across a worker pool (`CongestConfig::threads`) with no locks on the
 //     delivery path. Per-worker statistics slots and per-node RNG streams
 //     keep runs bit-identical regardless of thread count.
+//   * One writer per cache line, too: everything a worker writes during a
+//     section (statistics, the lists of written slots, the record list,
+//     encode scratch, timer and hold wheels) lives in that worker's own
+//     64-byte aligned block (Network::Worker), so no two workers write the
+//     same line. Per-worker vectors of vectors would put every worker's
+//     24-byte headers side by side, and the first broadcast of each sender
+//     would bounce that line between cores. (Broadcast slots are packed,
+//     so two workers share a slot line only where their node chunks
+//     meet.)
 //   * Only the slots actually written are cleared between rounds (tracked
 //     per worker), so a flip costs O(records + broadcasting nodes), not
 //     O(m).
@@ -627,7 +636,7 @@ class Network {
   /// Receiver-side arc index (a position in the CSR adjacency arrays).
   using EdgeSlot = std::uint32_t;
 
-  struct alignas(64) WorkerStats {
+  struct WorkerStats {
     std::int64_t messages = 0;
     std::int64_t total_bits = 0;
     int max_message_bits = 0;
@@ -651,13 +660,63 @@ class Network {
     std::vector<std::uint64_t> words;
     std::vector<Record> recs;
   };
+  /// Bucket of a worker's timer wheel behind arm()/arm_at(): a
+  /// power-of-two ring of round-tagged buckets. Bucket vectors are
+  /// recycled as the ring wraps, so steady-state arming allocates nothing;
+  /// a collision with a live future bucket doubles the ring (amortized,
+  /// bounded by the largest delay an algorithm ever uses).
+  struct CalendarBucket {
+    std::int64_t round = -1;
+    std::vector<NodeId> nodes;
+  };
+  /// One disturbed record parked until its arrival round. The sort key
+  /// (dest, send_round, arc, seq, copy) is unique per record — `arc` is
+  /// the origin arc, so two records diverted onto the same arc with
+  /// equal sequence numbers still order deterministically.
+  struct HeldRec {
+    std::uint32_t dest;   // delivery arc (after any diversion)
+    std::uint32_t begin;  // word range in the bucket's `words`
+    std::uint32_t end;
+    std::uint32_t arc;    // origin receiver-side arc
+    std::uint32_t seq;    // per-(arc, round) record index
+    std::int64_t send_round;
+    std::uint8_t copy;    // 0 = original, 1 = duplicate
+  };
+  /// Ring bucket of one worker's holding wheel, keyed by arrival round.
+  /// The ring size exceeds the largest possible delay, so at most one
+  /// live arrival round ever maps to a bucket.
+  struct HoldBucket {
+    std::int64_t round = -1;
+    std::vector<std::uint64_t> words;
+    std::vector<HeldRec> recs;
+  };
+  /// Everything one pool slot writes while it runs a section, in one
+  /// block: its statistics, the nodes whose slot it wrote (this round's
+  /// `slots_out`, last round's `slots_in`; the flip swaps the two), its
+  /// point-to-point record list, its encode scratch (broadcasts that do
+  /// not fit their slot's free room, and every record under a fault
+  /// plan), its timer wheel and its fault hold wheel (empty on a clean
+  /// Network). The block is 64-byte aligned and so a whole number of
+  /// cache lines: no two workers ever write the same line, not even the
+  /// vector headers that every push_back bumps.
+  struct alignas(64) Worker {
+    WorkerStats stats;
+    std::vector<NodeId> slots_out;
+    std::vector<NodeId> slots_in;
+    RecordList records;
+    std::vector<std::uint64_t> scratch;
+    std::vector<CalendarBucket> calendar;  // size is a power of two
+    std::vector<HoldBucket> wheel;         // size is a power of two
+  };
+  static_assert(alignof(Worker) == 64,
+                "each worker's block must own whole cache lines");
   /// A record's place in the flip's sort. The key (arc, section, worker,
   /// offset) is unique, and its order is the inbox order.
   struct Placed {
     EdgeSlot arc;
     std::uint32_t section;
     std::uint32_t worker;
-    std::uint32_t offset;  // into records_[worker].words
+    std::uint32_t offset;  // into workers_[worker].records.words
   };
   /// A receiver's records in inbox_: [begin, end).
   struct Run {
@@ -706,17 +765,18 @@ class Network {
   /// Appends one flight-recorder line for the round just processed (a
   /// plain ring store; called by run_phase after each round).
   void flight_note_round(const obs::FlightRecord& rec);
-  /// Zeroes word 0 of the listed slots (empty again) and empties the
-  /// lists.
-  void clear_slots(std::uint64_t* slots,
-                   std::vector<std::vector<NodeId>>& lists);
+  /// Zeroes word 0 of the slots every worker lists in `list` (empty
+  /// again) and empties those lists.
+  void clear_slots(std::uint64_t* slots, std::vector<NodeId> Worker::*list);
+  /// Empties every worker's record list (keeping its capacity).
+  void clear_records();
   /// Forgets the current inbox (runs, receivers, records).
   void retire_inbox();
   /// The flip's point-to-point half: sorts every worker's record list
   /// into the inbox list and the per-receiver runs, then empties the lists.
   void sort_records_into_inbox();
-  struct WorkerCalendar;
-  void arm_into(WorkerCalendar& cal, NodeId v, std::int64_t round);
+  void arm_into(std::vector<CalendarBucket>& ring, NodeId v,
+                std::int64_t round);
   /// Message widths + cap from the global instance (all constructors).
   void init_size_model();
   /// Views the graph's CSR offsets and builds the out-arc ->
@@ -730,27 +790,27 @@ class Network {
   /// edge from `from`. Reliable transport re-injects payloads through
   /// it, since it already holds that arc.
   void send_on_arc(NodeId from, EdgeSlot arc, const Message& m);
-  /// Encodes m into scratch_[w] (growing it as needed) and cap-checks
+  /// Encodes m into wk.scratch (growing it as needed) and cap-checks
   /// before anything is deposited; returns the wire word count and the
   /// accounted bits through *bits. The single encode-side contract shared
   /// by an oversized broadcast and the fault injector.
-  std::size_t encode_into_scratch(std::size_t w, const Message& m,
-                                  NodeId sender, int* bits);
+  std::size_t encode_into_scratch(Worker& wk, const Message& m, NodeId sender,
+                                  int* bits);
   void check_cap(int bits) const;
-  void account_bits(int bits);
-  /// Encodes m onto worker w's record list for `arc`, cap-checking before
-  /// the record is committed; returns the accounted bits.
-  int append_encoded(std::size_t w, EdgeSlot arc, const Message& m,
+  static void account_bits(Worker& wk, int bits);
+  /// Encodes m onto wk's record list for `arc`, cap-checking before the
+  /// record is committed; returns the accounted bits.
+  int append_encoded(Worker& wk, EdgeSlot arc, const Message& m,
                      NodeId sender);
-  void append_record(std::size_t w, EdgeSlot arc, std::uint32_t section,
-                     const std::uint64_t* words, std::size_t nwords);
+  static void append_record(Worker& wk, EdgeSlot arc, std::uint32_t section,
+                            const std::uint64_t* words, std::size_t nwords);
   /// Appends one wire record for every out-arc of `from`.
-  void append_fanout(std::size_t w, NodeId from, const std::uint64_t* words,
+  void append_fanout(Worker& wk, NodeId from, const std::uint64_t* words,
                      std::size_t nwords);
   /// The suffix rule: moves the records in from's out-slot to the record
   /// list, one per out-arc, and empties the slot, so a later
   /// point-to-point record is not read before them.
-  void flush_slot(std::size_t w, NodeId from);
+  void flush_slot(Worker& wk, NodeId from);
   /// Words in use at the front of a slot: its records, up to the zero
   /// word or the slot's end.
   std::size_t slot_used(const std::uint64_t* slot) const {
@@ -788,12 +848,11 @@ class Network {
   }
 
   // --- fault injection (only while plan_.enabled()) ---
-  /// Draws the fault decisions of one encoded record (in scratch_[w])
+  /// Draws the fault decisions of one encoded record (in wk.scratch)
   /// sent by `from` on receiver-side arc `to_arc`; see fault_plan.hpp.
-  void inject_record(std::size_t w, NodeId from, EdgeSlot to_arc,
+  void inject_record(Worker& wk, NodeId from, EdgeSlot to_arc,
                      std::size_t nwords, int bits);
-  struct HeldRec;
-  void hold(std::size_t w, std::int64_t arrival, const HeldRec& rec,
+  void hold(Worker& wk, std::int64_t arrival, const HeldRec& rec,
             const std::uint64_t* words, std::size_t nwords);
   /// Appends the held records due next round in their unique order, in a
   /// section of their own past every direct record of the round.
@@ -841,13 +900,13 @@ class Network {
   SlotArena slots_a_, slots_b_;
   SlotArena* in_slots_ = nullptr;
   SlotArena* out_slots_ = nullptr;
-  // The nodes whose slot was written (the broadcasters), per worker, so a
-  // flip clears one slot per broadcaster and the active-set builder finds
-  // their neighbours. A sender whose slot was flushed and written again
-  // in one round is listed once per write; clearing and marking are
-  // idempotent, and for_each_outgoing de-duplicates.
-  std::vector<std::vector<NodeId>> slots_out_;
-  std::vector<std::vector<NodeId>> slots_in_;
+  // One block per pool slot; worker_slot() indexes it. Each worker lists
+  // the nodes whose slot it wrote (Worker::slots_out), so a flip clears
+  // one slot per broadcaster and the active-set builder finds their
+  // neighbours. A sender whose slot was flushed and written again in one
+  // round is listed once per write; clearing and marking are idempotent,
+  // and for_each_outgoing de-duplicates.
+  std::vector<Worker> workers_;
 
   // Point-to-point path. Senders append to their worker's record list;
   // the flip sorts the lists into inbox_ (records, receiver-major, each
@@ -855,7 +914,6 @@ class Network {
   // (their words, in the same order), indexed by runs_[receiver]. The
   // receivers with a non-empty run are listed in receivers_, so retiring
   // the inbox and building the active set cost O(records), not O(n).
-  std::vector<RecordList> records_;
   std::vector<Placed> placed_;  // the flip's sort scratch
   std::vector<InboxView::Entry> inbox_;
   std::vector<std::uint64_t> inbox_words_;
@@ -866,10 +924,6 @@ class Network {
   // carry increasing values and a node's records keep their send order
   // even when consecutive sections run it on different workers.
   std::uint32_t section_ = 0;
-
-  // Per-worker encode scratch (broadcasts that do not fit their slot's
-  // free room, and every record under a fault plan).
-  std::vector<std::vector<std::uint64_t>> scratch_;
 
   // Active set: nodes receiving messages this round + nodes whose timer
   // came due, one bit per node (bit v % 64 of word v / 64), so marking
@@ -882,24 +936,10 @@ class Network {
   std::vector<std::uint64_t> active_bits_;
   std::size_t active_count_ = 0;
 
-  // Per-worker timer wheel behind arm()/arm_at(): a power-of-two ring of
-  // round-tagged buckets. Bucket vectors are recycled as the ring wraps,
-  // so steady-state arming allocates nothing; a collision with a live
-  // future bucket doubles the ring (amortized, bounded by the largest
-  // delay an algorithm ever uses).
-  struct CalendarBucket {
-    std::int64_t round = -1;
-    std::vector<NodeId> nodes;
-  };
-  struct WorkerCalendar {
-    std::vector<CalendarBucket> ring;  // size is a power of two
-  };
-  std::vector<WorkerCalendar> calendars_;
   // Scratch for the flip-time carry of undrained due buckets (the carried
   // nodes must survive a ring resize inside arm_into).
   std::vector<NodeId> carry_nodes_;
 
-  std::vector<WorkerStats> worker_stats_;
   std::unique_ptr<WorkerPool> pool_;
   std::vector<Rng> node_rngs_;
   RunStats stats_;
@@ -932,31 +972,6 @@ class Network {
   // resets lazily per round and fully at phase boundaries.
   std::vector<std::int64_t> seq_round_;
   std::vector<std::uint32_t> seq_idx_;
-  /// One disturbed record parked until its arrival round. The sort key
-  /// (dest, send_round, arc, seq, copy) is unique per record — `arc` is
-  /// the origin arc, so two records diverted onto the same arc with
-  /// equal sequence numbers still order deterministically.
-  struct HeldRec {
-    std::uint32_t dest;   // delivery arc (after any diversion)
-    std::uint32_t begin;  // word range in the bucket's `words`
-    std::uint32_t end;
-    std::uint32_t arc;    // origin receiver-side arc
-    std::uint32_t seq;    // per-(arc, round) record index
-    std::int64_t send_round;
-    std::uint8_t copy;    // 0 = original, 1 = duplicate
-  };
-  /// Ring bucket of one worker's holding wheel, keyed by arrival round.
-  /// The ring size exceeds the largest possible delay, so at most one
-  /// live arrival round ever maps to a bucket.
-  struct HoldBucket {
-    std::int64_t round = -1;
-    std::vector<std::uint64_t> words;
-    std::vector<HeldRec> recs;
-  };
-  struct HoldWheel {
-    std::vector<HoldBucket> ring;  // size is a power of two
-  };
-  std::vector<HoldWheel> wheels_;
   // Flip-time release scratch: the records due this arrival round.
   struct DrainRef {
     const HoldBucket* bucket;

@@ -288,7 +288,7 @@ TEST(Differential, FlatBuffersMatchReferenceOnRandomGraphs) {
     const NodeId n = 200;
     WeightedGraph wg(gen::erdos_renyi_gnp(n, 6.0 / n, rng),
                      std::vector<Weight>(n, 1));
-    for (const int threads : {1, 3, 4}) {
+    for (const int threads : {1, 2, 3, 4}) {
       expect_differential_match(wg, seed * 1000, threads);
       expect_differential_match(wg, seed * 1000, threads, /*lifted_cap=*/true);
     }
@@ -300,7 +300,7 @@ TEST(Differential, FlatBuffersMatchReferenceOnScaleFreeAndTrees) {
   WeightedGraph ba = WeightedGraph::uniform(gen::barabasi_albert(150, 2, rng));
   WeightedGraph tree =
       WeightedGraph::uniform(gen::random_tree_prufer(180, rng));
-  for (const int threads : {1, 3, 4}) {
+  for (const int threads : {1, 2, 3, 4}) {
     for (const bool lifted : {false, true}) {
       expect_differential_match(ba, 501, threads, lifted);
       expect_differential_match(tree, 502, threads, lifted);
