@@ -43,6 +43,25 @@ int congest_message_cap(const CongestConfig& config, NodeId n) {
   return std::max(64, 4 * ceil_log2(static_cast<std::uint64_t>(n) + 1));
 }
 
+std::vector<std::uint32_t> arc_mirror(const Graph& g) {
+  const std::span<const std::size_t> offsets = g.arc_offsets();
+  const NodeId n = g.num_nodes();
+  std::vector<std::uint32_t> mirror(offsets[n]);
+  // Sweeping v in ascending order enumerates the in-arcs of every u in
+  // ascending source order, which is exactly the order of u's (sorted)
+  // arc slots, so a per-node cursor yields each arc's receiver-side rank.
+  std::vector<std::uint32_t> cursor(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto nb = g.neighbors(v);
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      const NodeId u = nb[i];
+      mirror[offsets[v] + i] =
+          static_cast<std::uint32_t>(offsets[u] + cursor[u]++);
+    }
+  }
+  return mirror;
+}
+
 std::size_t InboxView::size() const {
   std::size_t count = 0;
   for (const_iterator it = begin(); it != end(); ++it) ++count;
@@ -74,33 +93,6 @@ void Network::init_size_model() {
     max_message_bits_ += reliable_transport_header_bits(size_model_);
 }
 
-std::size_t Network::build_csr_topology() {
-  const Graph& g = wg_->graph();
-  const NodeId n = g.num_nodes();
-  offsets_ = g.arc_offsets();
-  const std::size_t arcs = offsets_[n];
-  ARBODS_CHECK_MSG(arcs < std::numeric_limits<EdgeSlot>::max(),
-                   "graph too large for 32-bit edge slots");
-  mirror_.resize(arcs);
-  arc_receiver_.resize(arcs);
-  // O(arcs) mirror build, no binary searches: sweeping v in ascending
-  // order enumerates the in-arcs of every u in ascending source order,
-  // which is exactly the order of u's (sorted) arc slots — so a per-node
-  // cursor yields each arc's receiver-side rank directly.
-  std::vector<EdgeSlot> cursor(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    const auto nb = g.neighbors(v);
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const NodeId u = nb[i];
-      mirror_[offsets_[v] + i] =
-          static_cast<EdgeSlot>(offsets_[u] + cursor[u]++);
-    }
-    for (std::size_t l = offsets_[v]; l < offsets_[v + 1]; ++l)
-      arc_receiver_[l] = v;
-  }
-  return arcs;
-}
-
 Network::Network(const WeightedGraph& wg, CongestConfig config,
                  fault::FaultPlan plan)
     : wg_(&wg), config_(config), plan_(std::move(plan)) {
@@ -108,7 +100,10 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   fault::validate_fault_plan(wg.graph(), plan_);
   faulty_ = plan_.enabled();
   init_size_model();
-  const std::size_t arcs = build_csr_topology();
+  offsets_ = wg.graph().arc_offsets();
+  const std::size_t arcs = offsets_[n];
+  ARBODS_CHECK_MSG(arcs < std::numeric_limits<EdgeSlot>::max(),
+                   "graph too large for 32-bit edge slots");
 
   // Every node gets a broadcast slot with room for one cap-sized record
   // (header + one kind word + cap payload), rounded up to a power of two
@@ -117,10 +112,13 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   // arc, so there are no slots.
   const std::size_t region_words = std::bit_ceil(
       2 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64);
-  // The small per-worker blocks are allocated before the two large slot
-  // arenas. Allocated after them, they fragmented glibc's heap in a
-  // process that builds and frees Networks in turn: peak RSS of the
-  // forest2 benchmark workload (n = 50k) rose by ~1.5 MB, one arena.
+  // The per-node inbox index and the small per-worker blocks are
+  // allocated before the two large slot arenas. In a process that builds
+  // and frees Networks in turn, glibc's heap layout moves peak RSS by
+  // more than they weigh: with the blocks after the arenas, the forest2
+  // benchmark workload (n = 50k) peaked ~1.5 MB (one arena) higher, and
+  // with the index after them, up to ~2 MB higher.
+  runs_.assign(n, Run{});
   const int workers = derive_workers(config_, n);
   workers_.resize(static_cast<std::size_t>(workers));
   for (Worker& wk : workers_) {
@@ -141,7 +139,6 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   }
   in_slots_ = &slots_a_;
   out_slots_ = &slots_b_;
-  runs_.assign(n, Run{});
 
   if (workers > 1) pool_ = std::make_unique<WorkerPool>(workers);
   if (config_.trace.enabled)
@@ -149,10 +146,8 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
 
   active_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
 
-  node_rngs_.assign(n, Rng(config_.seed));
-  reseed_node_rngs();
-
   if (faulty_) {
+    mirror_ = arc_mirror(wg.graph());
     seq_round_.assign(arcs, -1);
     seq_idx_.assign(arcs, 0);
     if (!plan_.kills.empty()) {
@@ -175,18 +170,16 @@ std::vector<NodeId> Network::killed_nodes() const {
   return killed;
 }
 
-void Network::reseed_node_rngs() {
-  // Stream v is a pure function of (seed, v), so the pool may derive the
-  // streams at any width; the storage is kept. No trace span: this runs
-  // between phases, outside every phase span.
+void Network::derive_node_rngs() {
+  // Double-checked: the first caller of a phase derives every stream while
+  // concurrent callers wait on the lock. Stream v is a pure function of
+  // (seed, v), so which worker derives it cannot change a draw.
+  const std::lock_guard<std::mutex> lock(rngs_mutex_);
+  if (rngs_fresh_.load(std::memory_order_relaxed)) return;
   const Rng base(config_.seed);
-  Rng* rngs = node_rngs_.data();
-  run_index_chunks(
-      node_rngs_.size(),
-      [&base, rngs](std::size_t begin, std::size_t end) {
-        for (std::size_t v = begin; v < end; ++v) rngs[v] = base.split(v);
-      },
-      nullptr);
+  node_rngs_.resize(num_nodes());
+  for (NodeId v = 0; v < num_nodes(); ++v) node_rngs_[v] = base.split(v);
+  rngs_fresh_.store(true, std::memory_order_release);
 }
 
 int Network::num_workers() const { return pool_ ? pool_->num_workers() : 1; }
@@ -221,8 +214,8 @@ std::size_t Network::encode_into_scratch(Worker& wk, const Message& m,
   return need;
 }
 
-int Network::append_encoded(Worker& wk, EdgeSlot arc, const Message& m,
-                            NodeId sender) {
+int Network::append_encoded(Worker& wk, NodeId to, EdgeSlot arc,
+                            const Message& m, NodeId sender) {
   // Encode straight onto the list. The record is only committed after
   // the cap check, so an oversized message throws with no side effects
   // (the words past the last committed record are never read).
@@ -235,40 +228,40 @@ int Network::append_encoded(Worker& wk, EdgeSlot arc, const Message& m,
                   list.words.data() + at, &bits);
   list.words.resize(at + need);
   check_cap(bits);
-  list.recs.push_back({arc, section_, static_cast<std::uint32_t>(at)});
+  list.recs.push_back({to, arc, section_, static_cast<std::uint32_t>(at)});
   return bits;
 }
 
-void Network::append_record(Worker& wk, EdgeSlot arc, std::uint32_t section,
-                            const std::uint64_t* words, std::size_t nwords) {
+void Network::append_record(Worker& wk, NodeId to, EdgeSlot arc,
+                            std::uint32_t section, const std::uint64_t* words,
+                            std::size_t nwords) {
   RecordList& list = wk.records;
   list.recs.push_back(
-      {arc, section, static_cast<std::uint32_t>(list.words.size())});
+      {to, arc, section, static_cast<std::uint32_t>(list.words.size())});
   list.words.insert(list.words.end(), words, words + nwords);
 }
 
-std::size_t Network::resolve_arc(NodeId from, NodeId to) const {
-  const auto nb = graph().neighbors(from);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), to);
-  ARBODS_CHECK_MSG(it != nb.end() && *it == to,
+Network::EdgeSlot Network::receiver_arc(NodeId from, NodeId to) const {
+  const std::span<const NodeId> nb =
+      to < num_nodes() ? neighbors(to) : std::span<const NodeId>{};
+  const auto it = std::lower_bound(nb.begin(), nb.end(), from);
+  ARBODS_CHECK_MSG(it != nb.end() && *it == from,
                    "send along non-edge (" << from << "," << to << ")");
-  return offsets_[from] + static_cast<std::size_t>(it - nb.begin());
+  return static_cast<EdgeSlot>(offsets_[to] +
+                               static_cast<std::size_t>(it - nb.begin()));
 }
 
 void Network::send(NodeId from, NodeId to, const Message& m) {
-  send_on_arc(from, mirror_[resolve_arc(from, to)], m);
-}
-
-void Network::send_on_arc(NodeId from, EdgeSlot arc, const Message& m) {
+  const EdgeSlot arc = receiver_arc(from, to);
   Worker& wk = workers_[worker_slot()];
   if (faulty_) {
     int bits = 0;
     const std::size_t need = encode_into_scratch(wk, m, from, &bits);
-    inject_record(wk, from, arc, need, bits);
+    inject_record(wk, from, to, arc, need, bits);
     return;
   }
   if (out_slot(from)[0] != 0) flush_slot(wk, from);
-  account_bits(wk, append_encoded(wk, arc, m, from));
+  account_bits(wk, append_encoded(wk, to, arc, m, from));
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
@@ -282,8 +275,9 @@ void Network::broadcast(NodeId from, const Message& m) {
     // clean broadcast's folded update.
     int bits = 0;
     const std::size_t need = encode_into_scratch(wk, m, from, &bits);
-    for (std::size_t arc = offsets_[from]; arc != offsets_[from + 1]; ++arc)
-      inject_record(wk, from, mirror_[arc], need, bits);
+    const auto nb = neighbors(from);
+    for (std::size_t i = 0; i < nb.size(); ++i)
+      inject_record(wk, from, nb[i], mirror_[offsets_[from] + i], need, bits);
     return;
   }
   // Encode once into the sender's slot — the CONGEST accounting falls out
@@ -325,8 +319,8 @@ void Network::broadcast(NodeId from, const Message& m) {
 
 void Network::append_fanout(Worker& wk, NodeId from,
                             const std::uint64_t* words, std::size_t nwords) {
-  for (std::size_t arc = offsets_[from]; arc != offsets_[from + 1]; ++arc)
-    append_record(wk, mirror_[arc], section_, words, nwords);
+  for (const NodeId to : neighbors(from))
+    append_record(wk, to, receiver_arc(from, to), section_, words, nwords);
 }
 
 void Network::flush_slot(Worker& wk, NodeId from) {
@@ -341,8 +335,8 @@ void Network::flush_slot(Worker& wk, NodeId from) {
   slot[0] = 0;
 }
 
-void Network::inject_record(Worker& wk, NodeId from, EdgeSlot to_arc,
-                            std::size_t nwords, int bits) {
+void Network::inject_record(Worker& wk, NodeId from, NodeId to,
+                            EdgeSlot to_arc, std::size_t nwords, int bits) {
   using fault::detail::unit_real;
   WorkerStats& ws = wk.stats;
   if (node_dead(from, round_)) {
@@ -377,7 +371,6 @@ void Network::inject_record(Worker& wk, NodeId from, EdgeSlot to_arc,
                            ? plan_.duplicate_prob
                            : plan_.arc_duplicate[to_arc];
   const bool duplicate = p_dup > 0.0 && unit_real(draw()) < p_dup;
-  const NodeId receiver = arc_receiver_[to_arc];
   const std::uint64_t* words = wk.scratch.data();
 
   const int copies = duplicate ? 2 : 1;
@@ -392,11 +385,11 @@ void Network::inject_record(Worker& wk, NodeId from, EdgeSlot to_arc,
       // Divert to a uniformly random in-arc of the SAME receiver: the true
       // sender id rides inside the record, so only the inbox position
       // (the sender-sorted arrival order) changes.
-      const std::size_t deg = offsets_[receiver + 1] - offsets_[receiver];
-      dest = static_cast<EdgeSlot>(offsets_[receiver] + draw() % deg);
+      const std::size_t deg = offsets_[to + 1] - offsets_[to];
+      dest = static_cast<EdgeSlot>(offsets_[to] + draw() % deg);
     }
     const std::int64_t arrival = round_ + 1 + d;
-    if (node_dead(receiver, arrival)) {
+    if (node_dead(to, arrival)) {
       ++ws.killed;  // arrives after the receiver crashed: suppressed
       continue;
     }
@@ -405,10 +398,10 @@ void Network::inject_record(Worker& wk, NodeId from, EdgeSlot to_arc,
     if (d == 0 && dest == to_arc) {
       // Undisturbed: straight onto this worker's record list, exactly the
       // clean point-to-point path.
-      append_record(wk, to_arc, section_, words, nwords);
+      append_record(wk, to, to_arc, section_, words, nwords);
     } else {
       hold(wk, arrival,
-           HeldRec{dest, 0, 0, to_arc, seq, round_,
+           HeldRec{dest, to, 0, 0, to_arc, seq, round_,
                    static_cast<std::uint8_t>(c)},
            words, nwords);
     }
@@ -458,7 +451,7 @@ void Network::release_held() {
   ++section_;
   Worker& caller = workers_[worker_slot()];
   for (const DrainRef& ref : drain_)
-    append_record(caller, ref.rec->dest, section_,
+    append_record(caller, ref.rec->receiver, ref.rec->dest, section_,
                   ref.bucket->words.data() + ref.rec->begin,
                   ref.rec->end - ref.rec->begin);
   drain_.clear();
@@ -572,10 +565,8 @@ void Network::sort_records_into_inbox() {
   for (const Worker& wk : workers_) {
     const RecordList& list = wk.records;
     total_words += list.words.size();
-    for (const Record& r : list.recs) {
-      const NodeId v = arc_receiver_[r.arc];
-      if (runs_[v].end++ == 0) receivers_.push_back(v);
-    }
+    for (const Record& r : list.recs)
+      if (runs_[r.receiver].end++ == 0) receivers_.push_back(r.receiver);
   }
   if (receivers_.empty()) return;
   // Lay the runs out back to back (in discovery order: inbox(v) only ever
@@ -589,7 +580,7 @@ void Network::sort_records_into_inbox() {
   placed_.resize(total);
   for (std::size_t w = 0; w < workers_.size(); ++w)
     for (const Record& r : workers_[w].records.recs)
-      placed_[runs_[arc_receiver_[r.arc]].end++] = {
+      placed_[runs_[r.receiver].end++] = {
           r.arc, r.section, static_cast<std::uint32_t>(w), r.offset};
   // Order each run by (arc, section, send order). A node's records of one
   // section all sit on one worker's list, so ties on (arc, section) are
@@ -732,8 +723,7 @@ void Network::for_each_outgoing(
     const std::uint64_t* slot = out_slot(u);
     for (std::size_t at = 0; at < slot_stride_ && slot[at] != 0;) {
       const MessageView mv(slot + at, &size_model_, config_.quantize_reals);
-      for (std::size_t arc = offsets_[u]; arc != offsets_[u + 1]; ++arc)
-        fn(mirror_[arc], mv);
+      for (const NodeId v : neighbors(u)) fn(receiver_arc(u, v), mv);
       at += mv.words();
     }
   }
@@ -800,15 +790,17 @@ void Network::reset_for_reuse() {
   flight_next_ = 0;
   flight_count_ = 0;
   clear_in_flight();
+  rngs_fresh_.store(false, std::memory_order_relaxed);
 }
 
 const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
                                      std::string_view phase_name,
                                      std::int64_t max_rounds) {
   // Phase-local reset: a phase begins exactly where a freshly constructed
-  // Network would (round 0, no pending messages or timers, fresh RNG
-  // streams), so decomposing a driver that ran one Network per phase into
-  // run_phase calls on one reused Network is bit-identical. Undelivered
+  // Network would (round 0, no pending messages or timers, RNG streams
+  // re-derived on the phase's first draw), so decomposing a driver that
+  // ran one Network per phase into run_phase calls on one reused Network
+  // is bit-identical. Undelivered
   // messages from the previous phase are dropped, matching the old
   // drivers' per-phase Networks; statistics counted them at send time.
   round_ = 0;
@@ -822,7 +814,7 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   // phase that finished normally.
   for (Worker& wk : workers_) wk.stats = WorkerStats{};
   clear_in_flight();
-  reseed_node_rngs();
+  rngs_fresh_.store(false, std::memory_order_relaxed);
   const std::int64_t messages_before = stats_.messages;
   const std::int64_t bits_before = stats_.total_bits;
   const std::int64_t dropped_before = stats_.dropped;

@@ -29,10 +29,11 @@
 //     alignment of both arenas keep every slot inside one cache line up
 //     to 8 words.
 //   * Point-to-point records go to the calling worker's record list: the
-//     encoded words plus the receiver-side arc (a precomputed mirror
-//     permutation maps each out-arc to its position in the receiver's
-//     sorted CSR range) and the index of the parallel section the send
-//     ran in.
+//     encoded words plus the receiver, the receiver-side arc (the
+//     sender's position in the receiver's sorted CSR range, found by a
+//     binary search there) and the index of the parallel section the send
+//     ran in. A sender always knows its receiver, so the clean Network
+//     keeps no per-arc table at all.
 //     At the flip the round's records are sorted into one inbox list with
 //     a per-receiver index, ordered within a receiver by (receiver-side
 //     arc, section, send order). The arc orders senders by id; a node's
@@ -91,11 +92,13 @@
 // are not per-element thread-safe).
 #pragma once
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <span>
 #include <string>
@@ -158,6 +161,10 @@ struct CongestConfig {
 /// n-node instance. Shared with tests/oracles so they assert the exact
 /// number the simulator uses.
 int congest_message_cap(const CongestConfig& config, NodeId n);
+
+/// The out-arc -> receiver-side arc permutation of g (entry offsets[v] + i
+/// is v's CSR position in the adjacency of its i-th neighbour), in O(arcs).
+std::vector<std::uint32_t> arc_mirror(const Graph& g);
 
 /// One named phase's share of a run: every run_phase() call appends one
 /// entry to RunStats::phases, so composed protocols get a per-phase
@@ -467,9 +474,11 @@ class Network {
   std::vector<NodeId> killed_nodes() const;
 
   /// Per-node deterministic RNG stream: Rng(config().seed).split(v),
-  /// derived afresh when the Network is built and at the start of every
-  /// run_phase, then advanced by the phase's draws.
+  /// advanced by the current phase's draws. A phase's first call derives
+  /// every stream (under a lock, so also inside a parallel section); a
+  /// phase that never draws derives none.
   Rng& rng(NodeId v) {
+    if (!rngs_fresh_.load(std::memory_order_acquire)) derive_node_rngs();
     ARBODS_DCHECK(v < node_rngs_.size());
     return node_rngs_[v];
   }
@@ -571,21 +580,21 @@ class Network {
   /// records in flight, empty timer wheels/active set, zeroed statistics —
   /// while keeping every allocation alive: slot arenas, record lists,
   /// worker pool, per-worker scratch, RNG stream storage. The RNG streams
-  /// are left as they are: every run reaches them through run_phase,
-  /// which re-derives them. A run after reset_for_reuse is byte-identical
-  /// to a run on a newly constructed Network over the same graph/config,
-  /// minus the construction cost (tested).
+  /// are marked stale, so the next rng() call derives them afresh. A run
+  /// after reset_for_reuse is byte-identical to a run on a newly
+  /// constructed Network over the same graph/config, minus the
+  /// construction cost (tested).
   void reset_for_reuse();
 
   /// Runs one named phase of a composed protocol on this Network and
   /// appends its PhaseStats to stats().phases, accumulating into the
   /// run totals. Every phase starts from the fresh-construction
   /// observable state (round 0, no records or timers, RNG streams
-  /// re-derived from the config seed) exactly as if it ran on its own
-  /// Network — which is what the pre-phase drivers did — but reuses all
-  /// storage. Cumulative statistics (stats()) are NOT reset; callers
-  /// composing several phases call reset_for_reuse() once up front
-  /// (run_protocol does).
+  /// marked stale, so its first draw re-derives them from the config
+  /// seed) exactly as if it ran on its own Network — which is what the
+  /// pre-phase drivers did — but reuses all storage. Cumulative
+  /// statistics (stats()) are NOT reset; callers composing several phases
+  /// call reset_for_reuse() once up front (run_protocol does).
   const PhaseStats& run_phase(DistributedAlgorithm& algo,
                               std::string_view phase_name,
                               std::int64_t max_rounds = 1'000'000);
@@ -627,9 +636,9 @@ class Network {
  private:
   /// Reliable transport runs the wrapped algorithm on a standalone
   /// staging Network outside run_phase. ReliablePhase is the one class
-  /// that reaches past the public API, and only for four private
-  /// members (for_each_outgoing, discard_outgoing, advance_round,
-  /// send_on_arc) plus the arc topology (offsets_, mirror_, resolve_arc):
+  /// that reaches past the public API, and only for three private
+  /// members (for_each_outgoing, discard_outgoing, advance_round) plus
+  /// the arc topology (offsets_, receiver_arc):
   /// keeping them private keeps them out of every algorithm's reach.
   friend class resilience::ReliablePhase;
 
@@ -647,9 +656,10 @@ class Network {
     std::int64_t killed = 0;
   };
 
-  /// One point-to-point record on a worker's list: its receiver-side arc,
-  /// the parallel section it was sent in, and where its words start.
+  /// One point-to-point record on a worker's list: its receiver and
+  /// arc, the parallel section it was sent in, and where its words start.
   struct Record {
+    NodeId receiver;
     EdgeSlot arc;
     std::uint32_t section;
     std::uint32_t offset;  // into RecordList::words
@@ -675,6 +685,7 @@ class Network {
   /// equal sequence numbers still order deterministically.
   struct HeldRec {
     std::uint32_t dest;   // delivery arc (after any diversion)
+    NodeId receiver;      // head of both arcs
     std::uint32_t begin;  // word range in the bucket's `words`
     std::uint32_t end;
     std::uint32_t arc;    // origin receiver-side arc
@@ -728,7 +739,7 @@ class Network {
   // reset_for_reuse().
   void flip_buffers();
   void clear_in_flight();
-  void reseed_node_rngs();
+  void derive_node_rngs();  // rng()'s slow path
   void rebuild_active_set();
   /// Worker slot the calling thread accounts to: the executing worker's
   /// index inside a run_index_chunks section, 0 outside one.
@@ -779,17 +790,9 @@ class Network {
                 std::int64_t round);
   /// Message widths + cap from the global instance (all constructors).
   void init_size_model();
-  /// Views the graph's CSR offsets and builds the out-arc ->
-  /// receiver-side arc mirror permutation and the arc -> receiver map;
-  /// returns the arc count.
-  std::size_t build_csr_topology();
-  /// Arc index of edge (from, to) via binary search over from's sorted
-  /// neighbors; throws on a non-edge.
-  std::size_t resolve_arc(NodeId from, NodeId to) const;
-  /// send() past the arc lookup: `arc` is the receiver-side arc of the
-  /// edge from `from`. Reliable transport re-injects payloads through
-  /// it, since it already holds that arc.
-  void send_on_arc(NodeId from, EdgeSlot arc, const Message& m);
+  /// Receiver-side arc of edge (from, to): from's position in to's
+  /// sorted adjacency, by binary search; throws on a non-edge.
+  EdgeSlot receiver_arc(NodeId from, NodeId to) const;
   /// Encodes m into wk.scratch (growing it as needed) and cap-checks
   /// before anything is deposited; returns the wire word count and the
   /// accounted bits through *bits. The single encode-side contract shared
@@ -798,12 +801,13 @@ class Network {
                                   int* bits);
   void check_cap(int bits) const;
   static void account_bits(Worker& wk, int bits);
-  /// Encodes m onto wk's record list for `arc`, cap-checking before the
-  /// record is committed; returns the accounted bits.
-  int append_encoded(Worker& wk, EdgeSlot arc, const Message& m,
+  /// Encodes m onto wk's record list for `to`'s arc `arc`, cap-checking
+  /// before the record is committed; returns the accounted bits.
+  int append_encoded(Worker& wk, NodeId to, EdgeSlot arc, const Message& m,
                      NodeId sender);
-  static void append_record(Worker& wk, EdgeSlot arc, std::uint32_t section,
-                            const std::uint64_t* words, std::size_t nwords);
+  static void append_record(Worker& wk, NodeId to, EdgeSlot arc,
+                            std::uint32_t section, const std::uint64_t* words,
+                            std::size_t nwords);
   /// Appends one wire record for every out-arc of `from`.
   void append_fanout(Worker& wk, NodeId from, const std::uint64_t* words,
                      std::size_t nwords);
@@ -849,8 +853,8 @@ class Network {
 
   // --- fault injection (only while plan_.enabled()) ---
   /// Draws the fault decisions of one encoded record (in wk.scratch)
-  /// sent by `from` on receiver-side arc `to_arc`; see fault_plan.hpp.
-  void inject_record(Worker& wk, NodeId from, EdgeSlot to_arc,
+  /// sent by `from` to `to` on arc `to_arc`; see fault_plan.hpp.
+  void inject_record(Worker& wk, NodeId from, NodeId to, EdgeSlot to_arc,
                      std::size_t nwords, int bits);
   void hold(Worker& wk, std::int64_t arrival, const HeldRec& rec,
             const std::uint64_t* words, std::size_t nwords);
@@ -870,11 +874,8 @@ class Network {
 
   // The graph's CSR arc offsets (offsets_[v]..offsets_[v+1] are v's
   // incident arcs in receiver order; a view, since wg_ outlives this
-  // Network), the out-arc -> receiver-side arc mirror permutation, and
-  // the arc -> receiver map the flip sorts records by.
+  // Network). Nothing else is stored per arc on a clean Network.
   std::span<const std::size_t> offsets_;
-  std::vector<EdgeSlot> mirror_;
-  std::vector<NodeId> arc_receiver_;
 
   // Broadcast slots: node v owns the slot_stride_ words at v * slot_stride_
   // of both arenas (none when slot_stride_ == 0, as under a fault plan).
@@ -941,7 +942,11 @@ class Network {
   std::vector<NodeId> carry_nodes_;
 
   std::unique_ptr<WorkerPool> pool_;
+  // Empty until the first draw ever. rngs_fresh_: derived for this phase
+  // (set under rngs_mutex_; run_phase and reset_for_reuse clear it).
   std::vector<Rng> node_rngs_;
+  std::atomic<bool> rngs_fresh_{false};
+  std::mutex rngs_mutex_;
   RunStats stats_;
   // Widest message observed since the current phase opened (the totals'
   // max is not decomposable into per-phase deltas, so it is tracked
@@ -966,6 +971,8 @@ class Network {
   // Round each node dies at (INT64_MAX = never), from plan_.kills; empty
   // when the plan kills nobody.
   std::vector<std::int64_t> kill_round_;
+  // arc_mirror(graph()): a broadcast draws its faults per out-arc.
+  std::vector<EdgeSlot> mirror_;
   // Per-arc record index within the current round: seq_idx_[arc] counts
   // records arc has carried in round seq_round_[arc]. Each arc has a
   // single writer (its tail), so the counters are race-free; the pair

@@ -100,7 +100,8 @@ void ReliablePhase::initialize(Network& outer) {
   delivered_ = 0;
   staging_ =
       std::make_unique<Network>(outer.weighted_graph(), algo_config(outer));
-  const std::size_t arcs = staging_->mirror_.size();
+  mirror_ = arc_mirror(outer.graph());
+  const std::size_t arcs = mirror_.size();
   out_.assign(arcs, OutArc{});
   in_.assign(arcs, InArc{});
   ready_arcs_.assign(static_cast<std::size_t>(staging_->num_workers()),
@@ -165,7 +166,7 @@ void ReliablePhase::capture_round() {
       enqueue_unit(c.arc, to_message(c.record, 0), /*marker=*/false);
     }
     for (std::size_t arc = net.offsets_[u]; arc != net.offsets_[u + 1]; ++arc)
-      enqueue_unit(net.mirror_[arc], Message{}, /*marker=*/true);
+      enqueue_unit(mirror_[arc], Message{}, /*marker=*/true);
   });
   net.discard_outgoing();
 }
@@ -213,10 +214,10 @@ void ReliablePhase::receive_frame(NodeId v, const MessageView& mv) {
   // owned by v (its in-arcs and out-arcs), keeping the pass race-free.
   const Network& net = *staging_;
   const NodeId u = mv.sender();
-  const std::size_t q = net.resolve_arc(v, u);  // v's in-arc from u
+  const std::size_t q = net.receiver_arc(u, v);  // v's in-arc from u
   const int t = mv.tag();
   const auto apply_ack = [&](std::int64_t ack) {
-    OutArc& oa = out_[net.mirror_[q]];  // v's out-arc to u
+    OutArc& oa = out_[mirror_[q]];  // v's out-arc to u
     if (ack > static_cast<std::int64_t>(oa.acked))
       oa.acked = static_cast<std::uint32_t>(ack);
     while (oa.base_seq < oa.acked && !oa.units.empty()) {
@@ -279,7 +280,7 @@ void ReliablePhase::transmit_pass(Network& outer) {
     // Due DATA units, in arc order then seq order (deterministic
     // per-arc record order at every pool width).
     for (std::size_t arc = begin; arc < end; ++arc) {
-      const std::uint32_t g = net.mirror_[arc];
+      const std::uint32_t g = mirror_[arc];
       OutArc& oa = out_[g];
       if (oa.units.empty() || oa.next_due > now) continue;
       std::int64_t min_next = std::numeric_limits<std::int64_t>::max();
@@ -298,7 +299,7 @@ void ReliablePhase::transmit_pass(Network& outer) {
       InArc& ia = in_[q];
       if (!ia.ack_due) continue;
       ia.ack_due = false;
-      if (out_[net.mirror_[q]].last_data_tx == now) continue;  // piggybacked
+      if (out_[mirror_[q]].last_data_tx == now) continue;  // piggybacked
       outer.send(v, nb[q - begin],
                  Message::tagged(kTransportAckTag).add_level(ia.next));
     }
@@ -312,7 +313,7 @@ void ReliablePhase::transmit_unit(Network& outer, NodeId sender,
   frame.add_level(seq);
   // Piggyback the cumulative ack of the reverse arc (sender's in-arc
   // from this receiver) — written and read only by `sender`.
-  frame.add_level(in_[staging_->mirror_[arc]].next);
+  frame.add_level(in_[mirror_[arc]].next);
   frame.add_flag(unit.marker);
   // The payload's fields went through the add_* builders in to_message,
   // so pushing them as they are frames exactly what re-adding would.
@@ -327,8 +328,8 @@ void ReliablePhase::transmit_unit(Network& outer, NodeId sender,
 void ReliablePhase::deliver_and_flip() {
   // Send the completed virtual round's payloads into the staging Network:
   // per in-arc, in seq order — the order a clean sender wrote them in —
-  // each from the receiving node's worker (the receiver-side arc q fixes
-  // the inbox position whichever worker sends it, so it is passed as is).
+  // each from the receiving node's worker (the receiver-side arc fixes
+  // the inbox position whichever worker sends it).
   Network& net = *staging_;
   net.for_nodes([&](NodeId v) {
     const std::size_t begin = net.offsets_[v];
@@ -337,8 +338,7 @@ void ReliablePhase::deliver_and_flip() {
       InArc& ia = in_[q];
       while (ia.pending_head < ia.pending.size() &&
              ia.pending[ia.pending_head].vround == delivered_) {
-        net.send_on_arc(nb[q - begin], static_cast<std::uint32_t>(q),
-                        ia.pending[ia.pending_head].msg);
+        net.send(nb[q - begin], v, ia.pending[ia.pending_head].msg);
         ++ia.pending_head;
       }
       if (ia.pending_head == ia.pending.size()) {

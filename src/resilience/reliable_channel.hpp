@@ -160,6 +160,7 @@ class ReliablePhase final : public DistributedAlgorithm {
   std::string name_;
   /// The wrapped phase's world, rebuilt by every initialize.
   std::unique_ptr<Network> staging_;
+  std::vector<std::uint32_t> mirror_;  // arc_mirror of the graph
   std::vector<OutArc> out_;
   std::vector<InArc> in_;
   /// capture_round scratch: the virtual round's records in per-arc send

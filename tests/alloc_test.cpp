@@ -15,8 +15,8 @@
 // broadcast-slot arenas, to pin the protocol engine's reuse contract (a
 // composed two-phase solver on one Network constructs arena storage
 // exactly once — the pre-engine drivers built a second Network (arenas,
-// pool, mirror permutation) per phase), and the per-node arrays a
-// Network could copy from its graph or its seed.
+// pool, mirror permutation) per phase), and the per-node and per-arc
+// arrays a Network could copy from its graph or derive from its seed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -289,26 +289,55 @@ TEST(AllocRegression, TwoPhaseProtocolConstructsArenaStorageExactlyOnce) {
   g_watch_size.store(0, std::memory_order_relaxed);
 }
 
-// A Network keeps no per-node state it can derive: it reads the graph's
-// CSR offsets in place, and it keeps one RNG stream per node (re-derived
-// from the seed at every phase start) with no stored copy to restore
-// from. n = 1000 nodes on a path: no other allocation of the Network has
-// either watched size (the slot arenas are n * 32 bytes, the per-node
-// runs and marks n * 8, the arc arrays 2(n-1) * 4).
-TEST(AllocRegression, ConstructionCopiesNeitherOffsetsNorRngStreams) {
+// A clean Network keeps no state it can derive: it reads the graph's CSR
+// offsets in place, keeps no per-arc table (a send finds its
+// receiver-side arc by a binary search, and a record carries its
+// receiver), and allocates its per-node RNG streams on the first draw
+// ever, keeping the storage for every later phase. n = 1000 nodes on a
+// path: no other allocation of the Network or of the solvers below has a
+// watched size (the slot arenas are n * 32 bytes, the per-node runs n * 8,
+// the receiver-side arc table 2(n-1) * 4 = 7992).
+TEST(AllocRegression, CleanNetworkAllocatesNoArcTableAndStreamsOnFirstDraw) {
   constexpr NodeId n = 1000;
   auto wg = WeightedGraph::uniform(gen::path(n));
-  const auto allocations_of = [&](std::size_t bytes) {
+  const std::size_t streams = n * sizeof(Rng);
+  const std::size_t arc_table =
+      wg.graph().arc_offsets()[n] * sizeof(std::uint32_t);
+  const auto allocations_of = [](std::size_t bytes, auto&& body) {
     g_watch_hits.store(0, std::memory_order_relaxed);
     g_watch_size.store(bytes, std::memory_order_relaxed);
-    { Network net(wg); }
+    body();
     g_watch_size.store(0, std::memory_order_relaxed);
     return g_watch_hits.load(std::memory_order_relaxed);
   };
-  EXPECT_EQ(allocations_of(n * sizeof(Rng)), 1u)
-      << "one RNG stream per node, and no second copy";
-  EXPECT_EQ(allocations_of((n + 1) * sizeof(std::size_t)), 0u)
+  // The watch sees a table of this size where one is built.
+  EXPECT_EQ(allocations_of(arc_table, [&] { (void)arc_mirror(wg.graph()); }),
+            1u);
+
+  const auto construct = [&] { Network net(wg); };
+  EXPECT_EQ(allocations_of(streams, construct), 0u)
+      << "construction derives no RNG stream";
+  EXPECT_EQ(allocations_of(arc_table, construct), 0u)
+      << "a clean Network keeps no per-arc table";
+  EXPECT_EQ(allocations_of((n + 1) * sizeof(std::size_t), construct), 0u)
       << "the CSR offsets are the graph's own";
+
+  Network net(wg);
+  // det never draws, and its requests find their arcs without a table.
+  const auto det = [&] { solve_mds_deterministic(net, 1, 0.3); };
+  EXPECT_EQ(allocations_of(streams, det), 0u);
+  EXPECT_EQ(allocations_of(arc_table, det), 0u);
+  // The first draw allocates the streams once; a second randomized run on
+  // the reused Network re-derives them into the same storage.
+  const auto randomized = [&] { solve_mds_randomized(net, 1, 2); };
+  EXPECT_EQ(allocations_of(streams, randomized), 1u);
+  EXPECT_EQ(allocations_of(streams, randomized), 0u);
+  EXPECT_EQ(allocations_of(streams, [&] { net.rng(0).next_u64(); }), 0u);
+
+  // Outside any phase, too: the first rng() call allocates exactly once.
+  Network fresh(wg);
+  EXPECT_EQ(allocations_of(streams, [&] { fresh.rng(n - 1).next_u64(); }), 1u);
+  EXPECT_EQ(allocations_of(streams, [&] { fresh.rng(0).next_u64(); }), 0u);
 }
 
 }  // namespace

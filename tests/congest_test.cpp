@@ -12,6 +12,7 @@
 #include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "gen/classic.hpp"
+#include "graph/builder.hpp"
 
 namespace arbods {
 namespace {
@@ -511,8 +512,84 @@ TEST(Network, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
     TwoSectionSender algo;
     net.run(algo, 5);
     EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
-    if (threads > 1)
+    if (threads > 1) {
       EXPECT_NE(algo.active_worker, algo.nodes_worker) << "threads=" << threads;
+    }
+  }
+}
+
+// ------------------------------------------------------------ hub traffic
+
+// Star plus path: hub 0 is adjacent to every leaf 1..n-1, and the leaves
+// form a path. Every node sends two records per neighbour from one
+// parallel section, one from a second section and one from a serial
+// section, each time walking its neighbours in descending order, then
+// broadcasts one. The hub's inbox gathers records from every worker's
+// list; its sends put n-1 receivers on one worker's list.
+class HubTraffic final : public DistributedAlgorithm {
+ public:
+  std::vector<std::vector<std::pair<NodeId, int>>> got;  // (sender, tag)
+  void initialize(Network& net) override {
+    got.assign(net.num_nodes(), {});
+    net.for_nodes([&](NodeId v) {
+      send_to_all(net, v, 0);
+      send_to_all(net, v, 1);
+    });
+    net.for_nodes([&](NodeId v) { send_to_all(net, v, 2); });
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      send_to_all(net, v, 3);
+      net.broadcast(v, Message::tagged(4).add_id(v));
+    }
+  }
+  void process_round(Network& net) override {
+    net.for_nodes([&](NodeId v) {
+      for (const MessageView m : net.inbox(v))
+        got[v].push_back({m.sender(), m.tag()});
+    });
+  }
+  bool finished(const Network& net) const override {
+    return net.current_round() >= 1;
+  }
+
+ private:
+  static void send_to_all(Network& net, NodeId v, int tag) {
+    const auto nb = net.neighbors(v);
+    for (auto it = nb.rbegin(); it != nb.rend(); ++it)
+      net.send(v, *it, Message::tagged(tag).add_id(v));
+  }
+};
+
+TEST(Network, HubInboxOrderIsArcThenSectionThenSendOrder) {
+  constexpr NodeId n = 41;
+  GraphBuilder b(n);
+  for (NodeId v = 1; v < n; ++v) {
+    b.add_edge(0, v);
+    if (v + 1 < n) b.add_edge(v, v + 1);
+  }
+  const auto wg = WeightedGraph::uniform(std::move(b).build());
+  // Enabled, but its one kill never comes: the faulty delivery path with
+  // no fault drawn.
+  fault::FaultPlan never_firing;
+  never_firing.kills = {{n - 1, std::int64_t{1} << 40}};
+  for (const bool faulty : {false, true}) {
+    for (const int threads : {1, 3, 4}) {
+      CongestConfig cfg;
+      cfg.threads = threads;
+      Network net(wg, cfg, faulty ? never_firing : fault::FaultPlan{});
+      HubTraffic algo;
+      net.run(algo, 5);
+      for (NodeId v = 0; v < n; ++v) {
+        std::vector<std::pair<NodeId, int>> want;
+        for (const NodeId u : wg.graph().neighbors(v))
+          for (int tag = 0; tag < 5; ++tag) want.push_back({u, tag});
+        EXPECT_EQ(algo.got[v], want)
+            << "node " << v << ", threads=" << threads << ", faulty=" << faulty;
+      }
+      EXPECT_THROW(net.send(1, 3, Message::tagged(0)), CheckError);
+      EXPECT_THROW(net.send(3, 1, Message::tagged(0)), CheckError);
+      EXPECT_THROW(net.send(0, n, Message::tagged(0)), CheckError);
+      EXPECT_THROW(net.send(n, 0, Message::tagged(0)), CheckError);
+    }
   }
 }
 

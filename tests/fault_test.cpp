@@ -390,8 +390,9 @@ TEST(FaultyNetwork, OneArcFedFromTwoSectionsOfARoundKeepsSendOrder) {
     TwoSectionSender algo;
     net.run(algo, 5);
     EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
-    if (threads > 1)
+    if (threads > 1) {
       EXPECT_NE(algo.active_worker, algo.nodes_worker) << "threads=" << threads;
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // Protocol-engine tests: run_protocol composition and the checks a
 // consumer phase makes on its producer, Network reuse determinism (a run on a reset_for_reuse()
 // Network is byte-identical to a run on a fresh Network, at 1 and 8
-// threads; every phase draws from freshly derived RNG streams), and the
+// threads; every phase draws from freshly derived RNG streams, derived on
+// its first draw at any pool width), and the
 // per-phase statistics breakdown (the sum over
 // RunStats::phases equals the whole-run totals for every registry solver
 // on the small corpus).
@@ -180,6 +181,7 @@ TEST(NetworkReuse, ResetForReuseClearsObservableState) {
   harness::SolverParams params;
   params.alpha = 2;
   harness::run_solver_on("det", net, params);
+  harness::run_solver_on("randomized", net, params);  // advances the streams
   EXPECT_GT(net.stats().rounds, 0);
   EXPECT_FALSE(net.stats().phases.empty());
 
@@ -187,6 +189,9 @@ TEST(NetworkReuse, ResetForReuseClearsObservableState) {
   EXPECT_EQ(net.stats(), RunStats{});
   EXPECT_EQ(net.current_round(), 0);
   EXPECT_TRUE(net.active_nodes().empty());
+  const Rng base(net.config().seed);
+  for (NodeId v = 0; v < wg.num_nodes(); ++v)
+    EXPECT_EQ(net.rng(v).next_u64(), base.split(v).next_u64()) << v;
 }
 
 // The RNG contract: every phase (and every run) starts from freshly
@@ -240,6 +245,61 @@ TEST(NetworkReuse, EveryPhaseDrawsFromFreshlyDerivedStreams) {
       EXPECT_EQ(first.first()[v], want) << "node " << v << " at " << threads;
       EXPECT_EQ(second.first()[v], want) << "node " << v << " at " << threads;
     }
+  }
+}
+
+// Streams are derived on the first draw of a phase, by whichever worker
+// draws first, while the others wait: at every width each node's first
+// draw equals the pure stream Rng(seed).split(v).
+TEST(NetworkReuse, StreamsDerivedInsideAParallelSectionArePure) {
+  Rng rng(39);
+  auto wg = WeightedGraph::uniform(gen::barabasi_albert(300, 2, rng));
+  for (const int threads : {1, 2, 3, 4}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    cfg.seed = 0xfeed0003ULL;
+    Network net(wg, cfg);
+    for (int pass = 0; pass < 2; ++pass) {
+      DrawPhase draw(3);
+      protocol::run_protocol(net, {&draw});
+      const Rng base(cfg.seed);
+      for (NodeId v = 0; v < wg.num_nodes(); ++v)
+        EXPECT_EQ(draw.first()[v], base.split(v).next_u64())
+            << "node " << v << " at " << threads << ", pass " << pass;
+    }
+  }
+}
+
+// A phase that never draws leaves the streams stale, and the next drawing
+// phase derives them afresh: det -> randomized -> det on one pooled
+// Network equals each solver on its own fresh Network, bit for bit.
+TEST(NetworkReuse, DetRandomizedDetOnOneNetworkEqualsFreshNetworks) {
+  Rng rng(41);
+  auto wg = WeightedGraph::uniform(gen::k_tree_union(400, 2, rng));
+  for (const int threads : {1, 3, 4}) {
+    CongestConfig cfg;
+    cfg.threads = threads;
+    const auto fresh_det = [&] {
+      Network fresh(wg, cfg);
+      return solve_mds_deterministic(fresh, 2, 0.3);
+    };
+    const auto fresh_randomized = [&] {
+      Network fresh(wg, cfg);
+      return solve_mds_randomized(fresh, 2, 2);
+    };
+    Network pooled(wg, cfg);
+    EXPECT_TRUE(results_identical(solve_mds_deterministic(pooled, 2, 0.3),
+                                  fresh_det()))
+        << "first det at " << threads;
+    EXPECT_TRUE(results_identical(solve_mds_randomized(pooled, 2, 2),
+                                  fresh_randomized()))
+        << "randomized at " << threads;
+    EXPECT_TRUE(results_identical(solve_mds_deterministic(pooled, 2, 0.3),
+                                  fresh_det()))
+        << "second det at " << threads;
+    EXPECT_TRUE(results_identical(solve_mds_randomized(pooled, 2, 2),
+                                  fresh_randomized()))
+        << "second randomized at " << threads;
   }
 }
 

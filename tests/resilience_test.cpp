@@ -191,8 +191,9 @@ TEST(ReliableChannel, OneArcFedFromTwoSectionsKeepsSendOrder) {
     const RunStats stats = protocol::run_protocol(net, {&algo}, 1000);
     EXPECT_FALSE(stats.hit_round_limit);
     EXPECT_EQ(algo.got, (std::vector<int>{1, 2, 3})) << "threads=" << threads;
-    if (threads > 1)
+    if (threads > 1) {
       EXPECT_NE(algo.active_worker, algo.nodes_worker) << "threads=" << threads;
+    }
   }
 }
 
