@@ -1,27 +1,23 @@
 // Memory by stage: the resident set (VmRSS) and its high-water mark
 // (VmHWM), read from /proc/self/status, after each stage of one cold
 // solve: the graph generated (Barabasi-Albert BA(n, m), uniform weights
-// in [1, 100]), its pseudoarboricity, the Network constructed, then each
-// solver run on that Network in turn. Each row also gives the resident
-// bytes per undirected edge. The output is one markdown table, a
-// measurement with no gate: the exit status is 0 unless a solve throws,
-// or 2 (with the usage) for a malformed option.
+// in [1, 100]), its pseudoarboricity, the Network constructed, then a
+// `det` solve on that Network at 4 threads. Each row also gives the
+// resident bytes per undirected edge. The output is one markdown table,
+// a measurement with no gate: the exit status is 0 unless the solve
+// throws, or 2 (with the usage) for a malformed option.
 //
-//   mem_stages [--n N] [--m M] [--threads W] [--solvers s1,s2,...]
-//              [--seed S] [--smoke]
+//   mem_stages [--n N] [--smoke]
 //
-// Defaults: BA(10^6, 4), det, 4 threads. --smoke is the CI preset,
-// n = 10^5. The high-water mark is the process's, never reset, so a
-// row's VmHWM covers every stage up to and including it.
+// The default is BA(10^6, 4); --smoke is the CI preset, n = 10^5. The
+// high-water mark is the process's, never reset, so a row's VmHWM covers
+// every stage up to and including it.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,59 +51,39 @@ std::string mib(long long kib) {
 }
 
 [[noreturn]] void usage() {
-  std::cerr << "usage: mem_stages [--n N] [--m M] [--threads W] "
-               "[--solvers s1,s2,...] [--seed S] [--smoke]\n";
+  std::cerr << "usage: mem_stages [--n N] [--smoke]\n";
   std::exit(2);
 }
 
-// A whole unsigned decimal number no larger than `max`, else usage().
-std::uint64_t number(const std::string& s, std::uint64_t max) {
+// A whole decimal node count in [2, kInvalidNode), else usage().
+NodeId node_count(const std::string& s) {
   std::size_t used = 0;
-  std::uint64_t v = 0;
+  unsigned long long v = 0;
   try {
     v = std::stoull(s, &used);
   } catch (const std::exception&) {
     usage();
   }
-  if (used != s.size() || s[0] == '-' || v > max) usage();
-  return v;
+  if (used != s.size() || s[0] == '-' || v < 2 || v >= kInvalidNode) usage();
+  return static_cast<NodeId>(v);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr NodeId m = 4;
+  constexpr int threads = 4;
+  constexpr std::uint64_t seed = 1;
   NodeId n = 1'000'000;
-  NodeId m = 4;
-  int threads = 4;
-  std::vector<std::string> solvers = {"det"};
-  std::uint64_t seed = 1;
   for (int i = 1; i < argc; ++i) {
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--n")) {
-      n = static_cast<NodeId>(number(need(), kInvalidNode - 1));
-    } else if (!std::strcmp(argv[i], "--m")) {
-      m = static_cast<NodeId>(number(need(), 64));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = static_cast<int>(number(need(), 256));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      seed = number(need(), std::numeric_limits<std::uint64_t>::max());
-    } else if (!std::strcmp(argv[i], "--solvers")) {
-      solvers.clear();
-      std::stringstream ss(need());
-      for (std::string s; std::getline(ss, s, ',');)
-        if (!s.empty()) solvers.push_back(s);
+    if (!std::strcmp(argv[i], "--n") && i + 1 < argc) {
+      n = node_count(argv[++i]);
     } else if (!std::strcmp(argv[i], "--smoke")) {
       n = 100'000;
     } else {
       usage();
     }
   }
-  if (n < 2 || m < 1 || threads < 1 || solvers.empty()) usage();
-  for (const std::string& name : solvers)
-    if (harness::find_solver(name) == nullptr) usage();
 
   Table table({"stage", "VmRSS MiB", "VmHWM MiB", "RSS B/edge"});
   std::size_t edges = 0;
@@ -138,10 +114,8 @@ int main(int argc, char** argv) {
   Network net(wg, cfg);
   note("construct");
 
-  for (const std::string& name : solvers) {
-    harness::run_solver_on(name, net, params);
-    note("solve " + name);
-  }
+  harness::run_solver_on("det", net, params);
+  note("solve det");
 
   std::cout << "BA(" << n << ", " << m << "), " << edges << " edges, alpha "
             << params.alpha << ", " << threads << " threads\n\n";

@@ -113,11 +113,8 @@ Network::Network(const WeightedGraph& wg, CongestConfig config,
   const std::size_t region_words = std::bit_ceil(
       2 + (static_cast<std::size_t>(max_message_bits_) + 63) / 64);
   // The per-node inbox index and the small per-worker blocks are
-  // allocated before the two large slot arenas. In a process that builds
-  // and frees Networks in turn, glibc's heap layout moves peak RSS by
-  // more than they weigh: with the blocks after the arenas, the forest2
-  // benchmark workload (n = 50k) peaked ~1.5 MB (one arena) higher, and
-  // with the index after them, up to ~2 MB higher.
+  // allocated before the two large slot arenas, which leaves glibc fewer
+  // heap holes in a process that builds and frees Networks in turn.
   runs_.assign(n, Run{});
   const int workers = derive_workers(config_, n);
   workers_.resize(static_cast<std::size_t>(workers));
@@ -171,15 +168,23 @@ std::vector<NodeId> Network::killed_nodes() const {
 }
 
 void Network::derive_node_rngs() {
-  // Double-checked: the first caller of a phase derives every stream while
-  // concurrent callers wait on the lock. Stream v is a pure function of
-  // (seed, v), so which worker derives it cannot change a draw.
-  const std::lock_guard<std::mutex> lock(rngs_mutex_);
-  if (rngs_fresh_.load(std::memory_order_relaxed)) return;
+  // The callers of a phase's stale window share the streams out in
+  // chunks, then wait until the last chunk is done. Stream v is a pure
+  // function of (seed, v), so which worker derives it cannot change a draw.
+  const std::size_t n = num_nodes();
+  {
+    const std::lock_guard<std::mutex> lock(rngs_mutex_);
+    if (node_rngs_.size() != n) node_rngs_.resize(n);  // first draw ever
+  }
+  constexpr std::size_t kChunk = 4096;
   const Rng base(config_.seed);
-  node_rngs_.resize(num_nodes());
-  for (NodeId v = 0; v < num_nodes(); ++v) node_rngs_[v] = base.split(v);
-  rngs_fresh_.store(true, std::memory_order_release);
+  for (std::size_t b; (b = rngs_next_.fetch_add(kChunk)) < n;) {
+    const std::size_t e = std::min(n, b + kChunk);
+    for (std::size_t v = b; v < e; ++v) node_rngs_[v] = base.split(v);
+    if (rngs_done_.fetch_add(e - b) + (e - b) == n) rngs_fresh_ = true;
+  }
+  while (!rngs_fresh_.load(std::memory_order_acquire))
+    std::this_thread::yield();
 }
 
 int Network::num_workers() const { return pool_ ? pool_->num_workers() : 1; }
@@ -251,8 +256,8 @@ Network::EdgeSlot Network::receiver_arc(NodeId from, NodeId to) const {
                                static_cast<std::size_t>(it - nb.begin()));
 }
 
-void Network::send(NodeId from, NodeId to, const Message& m) {
-  const EdgeSlot arc = receiver_arc(from, to);
+void Network::send_on_arc(NodeId from, NodeId to, EdgeSlot arc,
+                          const Message& m) {
   Worker& wk = workers_[worker_slot()];
   if (faulty_) {
     int bits = 0;
@@ -688,6 +693,7 @@ void Network::clear_records() {
 }
 
 void Network::for_each_outgoing(
+    std::span<const EdgeSlot> mirror,
     FunctionRef<void(EdgeSlot, const MessageView&)> fn) const {
   // Every list is in nondecreasing section order, so taking the smallest
   // pending section across the lists, list by list, visits each arc's
@@ -723,7 +729,8 @@ void Network::for_each_outgoing(
     const std::uint64_t* slot = out_slot(u);
     for (std::size_t at = 0; at < slot_stride_ && slot[at] != 0;) {
       const MessageView mv(slot + at, &size_model_, config_.quantize_reals);
-      for (const NodeId v : neighbors(u)) fn(receiver_arc(u, v), mv);
+      for (std::size_t arc = offsets_[u]; arc != offsets_[u + 1]; ++arc)
+        fn(mirror[arc], mv);
       at += mv.words();
     }
   }
@@ -790,7 +797,7 @@ void Network::reset_for_reuse() {
   flight_next_ = 0;
   flight_count_ = 0;
   clear_in_flight();
-  rngs_fresh_.store(false, std::memory_order_relaxed);
+  mark_rngs_stale();
 }
 
 const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
@@ -800,9 +807,9 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   // Network would (round 0, no pending messages or timers, RNG streams
   // re-derived on the phase's first draw), so decomposing a driver that
   // ran one Network per phase into run_phase calls on one reused Network
-  // is bit-identical. Undelivered
-  // messages from the previous phase are dropped, matching the old
-  // drivers' per-phase Networks; statistics counted them at send time.
+  // is bit-identical. Undelivered messages from the previous phase are
+  // dropped, matching the old drivers' per-phase Networks; statistics
+  // counted them at send time.
   round_ = 0;
   section_ = 0;
   // Discard per-worker stat deltas that a mid-round exception left
@@ -814,7 +821,7 @@ const PhaseStats& Network::run_phase(DistributedAlgorithm& algo,
   // phase that finished normally.
   for (Worker& wk : workers_) wk.stats = WorkerStats{};
   clear_in_flight();
-  rngs_fresh_.store(false, std::memory_order_relaxed);
+  mark_rngs_stale();
   const std::int64_t messages_before = stats_.messages;
   const std::int64_t bits_before = stats_.total_bits;
   const std::int64_t dropped_before = stats_.dropped;

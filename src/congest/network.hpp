@@ -474,9 +474,9 @@ class Network {
   std::vector<NodeId> killed_nodes() const;
 
   /// Per-node deterministic RNG stream: Rng(config().seed).split(v),
-  /// advanced by the current phase's draws. A phase's first call derives
-  /// every stream (under a lock, so also inside a parallel section); a
-  /// phase that never draws derives none.
+  /// advanced by the current phase's draws. A phase's first calls derive
+  /// every stream, shared among concurrent callers (also inside a
+  /// parallel section); a phase that never draws derives none.
   Rng& rng(NodeId v) {
     if (!rngs_fresh_.load(std::memory_order_acquire)) derive_node_rngs();
     ARBODS_DCHECK(v < node_rngs_.size());
@@ -484,7 +484,9 @@ class Network {
   }
 
   // --- communication (called from within process_round/initialize) ---
-  void send(NodeId from, NodeId to, const Message& m);
+  void send(NodeId from, NodeId to, const Message& m) {
+    send_on_arc(from, to, receiver_arc(from, to), m);
+  }
   void broadcast(NodeId from, const Message& m);
 
   /// Messages delivered to v at the start of the current round.
@@ -636,9 +638,9 @@ class Network {
  private:
   /// Reliable transport runs the wrapped algorithm on a standalone
   /// staging Network outside run_phase. ReliablePhase is the one class
-  /// that reaches past the public API, and only for three private
-  /// members (for_each_outgoing, discard_outgoing, advance_round) plus
-  /// the arc topology (offsets_, receiver_arc):
+  /// that reaches past the public API, and only for four private
+  /// members (for_each_outgoing, discard_outgoing, advance_round,
+  /// send_on_arc) plus the arc topology (offsets_, receiver_arc):
   /// keeping them private keeps them out of every algorithm's reach.
   friend class resilience::ReliablePhase;
 
@@ -740,6 +742,7 @@ class Network {
   void flip_buffers();
   void clear_in_flight();
   void derive_node_rngs();  // rng()'s slow path
+  void mark_rngs_stale() { rngs_fresh_ = false; rngs_next_ = rngs_done_ = 0; }
   void rebuild_active_set();
   /// Worker slot the calling thread accounts to: the executing worker's
   /// index inside a run_index_chunks section, 0 outside one.
@@ -793,6 +796,8 @@ class Network {
   /// Receiver-side arc of edge (from, to): from's position in to's
   /// sorted adjacency, by binary search; throws on a non-edge.
   EdgeSlot receiver_arc(NodeId from, NodeId to) const;
+  /// send() past the arc lookup: `arc` is receiver_arc(from, to).
+  void send_on_arc(NodeId from, NodeId to, EdgeSlot arc, const Message& m);
   /// Encodes m into wk.scratch (growing it as needed) and cap-checks
   /// before anything is deposited; returns the wire word count and the
   /// accounted bits through *bits. The single encode-side contract shared
@@ -837,9 +842,11 @@ class Network {
   /// section — a node's records of one section sit on one worker's list
   /// in send order), then each broadcaster's out-slot records once per
   /// out-arc (a slot holds the suffix of its sender's records; each slot
-  /// is read once, however often its sender is listed). `arc` is
-  /// the receiver-side arc. Reads only; views die with the next discard.
+  /// is read once, however often its sender is listed). `arc` is the
+  /// receiver-side arc, `mirror` (arc_mirror(graph())) maps a slot's
+  /// out-arcs to it. Reads only; views die with the next discard.
   void for_each_outgoing(
+      std::span<const EdgeSlot> mirror,
       FunctionRef<void(EdgeSlot, const MessageView&)> fn) const;
   /// Forgets every record sent since the last flip (record lists and
   /// out-slots) without delivering it.
@@ -942,11 +949,13 @@ class Network {
   std::vector<NodeId> carry_nodes_;
 
   std::unique_ptr<WorkerPool> pool_;
-  // Empty until the first draw ever. rngs_fresh_: derived for this phase
-  // (set under rngs_mutex_; run_phase and reset_for_reuse clear it).
+  // Empty until the first draw ever. A phase's callers take streams at
+  // rngs_next_ and count them in rngs_done_; the last sets rngs_fresh_.
   std::vector<Rng> node_rngs_;
   std::atomic<bool> rngs_fresh_{false};
-  std::mutex rngs_mutex_;
+  std::atomic<std::size_t> rngs_next_{0};
+  std::atomic<std::size_t> rngs_done_{0};
+  std::mutex rngs_mutex_;  // sizes node_rngs_
   RunStats stats_;
   // Widest message observed since the current phase opened (the totals'
   // max is not decomposable into per-phase deltas, so it is tracked

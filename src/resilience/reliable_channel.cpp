@@ -148,7 +148,7 @@ void ReliablePhase::capture_round() {
   // only writer of its out-arcs' queues, so the conversion into units
   // runs on the pool.
   captured_.clear();
-  net.for_each_outgoing([&](std::uint32_t arc, const MessageView& mv) {
+  net.for_each_outgoing(mirror_, [&](auto arc, const MessageView& mv) {
     captured_.push_back(Captured{arc, mv});
   });
   sender_begin_.assign(static_cast<std::size_t>(net.num_nodes()) + 2, 0);
@@ -328,8 +328,8 @@ void ReliablePhase::transmit_unit(Network& outer, NodeId sender,
 void ReliablePhase::deliver_and_flip() {
   // Send the completed virtual round's payloads into the staging Network:
   // per in-arc, in seq order — the order a clean sender wrote them in —
-  // each from the receiving node's worker (the receiver-side arc fixes
-  // the inbox position whichever worker sends it).
+  // each from the receiving node's worker (the receiver-side arc q fixes
+  // the inbox position whichever worker sends it, so it is passed as is).
   Network& net = *staging_;
   net.for_nodes([&](NodeId v) {
     const std::size_t begin = net.offsets_[v];
@@ -338,7 +338,8 @@ void ReliablePhase::deliver_and_flip() {
       InArc& ia = in_[q];
       while (ia.pending_head < ia.pending.size() &&
              ia.pending[ia.pending_head].vround == delivered_) {
-        net.send(nb[q - begin], v, ia.pending[ia.pending_head].msg);
+        net.send_on_arc(nb[q - begin], v, static_cast<std::uint32_t>(q),
+                        ia.pending[ia.pending_head].msg);
         ++ia.pending_head;
       }
       if (ia.pending_head == ia.pending.size()) {

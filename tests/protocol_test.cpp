@@ -248,26 +248,31 @@ TEST(NetworkReuse, EveryPhaseDrawsFromFreshlyDerivedStreams) {
   }
 }
 
-// Streams are derived on the first draw of a phase, by whichever worker
-// draws first, while the others wait: at every width each node's first
-// draw equals the pure stream Rng(seed).split(v).
+// Streams are derived on the first draws of a phase, shared in chunks
+// among the workers that draw, while the others wait: at every width each
+// node's first draw equals the pure stream Rng(seed).split(v). The path
+// spans several chunks plus a partial one, so the workers share them.
 TEST(NetworkReuse, StreamsDerivedInsideAParallelSectionArePure) {
   Rng rng(39);
-  auto wg = WeightedGraph::uniform(gen::barabasi_albert(300, 2, rng));
-  for (const int threads : {1, 2, 3, 4}) {
-    CongestConfig cfg;
-    cfg.threads = threads;
-    cfg.seed = 0xfeed0003ULL;
-    Network net(wg, cfg);
-    for (int pass = 0; pass < 2; ++pass) {
-      DrawPhase draw(3);
-      protocol::run_protocol(net, {&draw});
-      const Rng base(cfg.seed);
-      for (NodeId v = 0; v < wg.num_nodes(); ++v)
-        EXPECT_EQ(draw.first()[v], base.split(v).next_u64())
-            << "node " << v << " at " << threads << ", pass " << pass;
+  const WeightedGraph graphs[] = {
+      WeightedGraph::uniform(gen::barabasi_albert(300, 2, rng)),
+      WeightedGraph::uniform(gen::path(3 * 4096 + 5))};
+  for (const WeightedGraph& wg : graphs)
+    for (const int threads : {1, 2, 3, 4}) {
+      CongestConfig cfg;
+      cfg.threads = threads;
+      cfg.seed = 0xfeed0003ULL;
+      Network net(wg, cfg);
+      for (int pass = 0; pass < 2; ++pass) {
+        DrawPhase draw(3);
+        protocol::run_protocol(net, {&draw});
+        const Rng base(cfg.seed);
+        for (NodeId v = 0; v < wg.num_nodes(); ++v)
+          ASSERT_EQ(draw.first()[v], base.split(v).next_u64())
+              << "node " << v << " of " << wg.num_nodes() << " at "
+              << threads << ", pass " << pass;
+      }
     }
-  }
 }
 
 // A phase that never draws leaves the streams stale, and the next drawing
